@@ -118,8 +118,7 @@ def cmd_distance(args) -> int:
     res = prob.distance(z, w)
     if not res.reached:
         raise ValueError("target not reachable from source")
-    costs = [prob.path_cost(res.path[: k + 1]) for k in range(len(res.path))]
-    lio.write_geodesic_csv(_artifact(cfg, "geodesic.csv"), field.spec, res.path, costs,
+    lio.write_geodesic_csv(_artifact(cfg, "geodesic.csv"), field.spec, res.path, res.costs,
                            comment=_stamp(cfg))
     print(repr(res.distance))
     return EXIT_OK
@@ -179,8 +178,7 @@ def cmd_annulus_cycle(args) -> int:
     res = prob.distance_around_annulus((args.center[0], args.center[1]), args.r1, args.r2)
     if not res.reached:
         raise ValueError("no separating cycle found in the annulus")
-    costs = [prob.path_cost(res.path[: k + 1]) for k in range(len(res.path))]
-    lio.write_geodesic_csv(_artifact(cfg, "annulus_cycle.csv"), field.spec, res.path, costs,
+    lio.write_geodesic_csv(_artifact(cfg, "annulus_cycle.csv"), field.spec, res.path, res.costs,
                            comment=_stamp(cfg))
     print(repr(res.distance))
     return EXIT_OK

@@ -735,7 +735,7 @@ def tube_ratio_profile(prob: MetricProblem, u, v, seg_dist: np.ndarray,
     """Ratios (tube-internal distance / ambient distance), one per width."""
     ambient = prob.distance(u, v).distance
     return np.array([
-        prob.internal_distance(u, v, seg_dist <= w).distance / ambient
+        prob.restricted(seg_dist <= w).distance(u, v).distance / ambient
         for w in widths
     ])
 

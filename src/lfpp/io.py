@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,28 +94,6 @@ def write_scale_series_csv(path: str, series, comment: Optional[str] = None) -> 
         w.writerow(["eps", "median", "iqr", "replicas"])
         for s, m, q in zip(series.scales, series.medians, series.iqr):
             w.writerow([repr(float(s)), repr(float(m)), repr(float(q)), series.replicas])
-
-
-def write_circle_trace_csv(path: str, ts: Sequence[float], values: Sequence[float],
-                           comment: Optional[str] = None) -> None:
-    """Circle-average trace: columns (t, h_r, r) with r = e^{-t}."""
-    with open(path, "w", newline="") as fh:
-        _comment_line(fh, comment)
-        w = csv.writer(fh)
-        w.writerow(["t", "h_r", "r"])
-        for t, v in zip(ts, values):
-            w.writerow([repr(float(t)), repr(float(v)), repr(float(np.exp(-t)))])
-
-
-def fit_to_dict(fit) -> Dict[str, float]:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "stderr": fit.stderr,
-        "r2": fit.r2,
-        "residual_rms": fit.residual_rms,
-        "n_scales": fit.n_scales,
-    }
 
 
 def write_json(path: str, payload: dict) -> None:

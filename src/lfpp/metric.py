@@ -122,9 +122,14 @@ def lattice_distance(
 
 @dataclass(frozen=True)
 class PathResult:
+    """A query's distance and path.  ``costs[k]`` is the cumulative cost at
+    ``path[k]``, read off the Dijkstra distances, so ``costs[-1]`` is
+    ``distance``; empty when the target is unreachable."""
+
     distance: float
     path: List[Tuple[int, int]]
     reached: bool
+    costs: List[float]
 
 
 @dataclass(frozen=True)
@@ -220,12 +225,7 @@ class MetricProblem:
         """Recompute a path's cost from the weights (the length-space check)."""
         if len(path) == 0:
             raise ValueError("empty path")
-        if self.convention == VERTEX_SUM:
-            total = float(self.vertex_weight[path[0]])
-            for u, v in zip(path[:-1], path[1:]):
-                total += self.step_weight(u, v)
-            return total
-        total = 0.0
+        total = float(self.vertex_weight[path[0]]) if self.convention == VERTEX_SUM else 0.0
         for u, v in zip(path[:-1], path[1:]):
             total += self.step_weight(u, v)
         return total
@@ -239,9 +239,11 @@ class MetricProblem:
         d = cs_dijkstra(self.graph, directed=True, indices=zid)
         base = float(self.vertex_weight[z]) if self.convention == VERTEX_SUM else 0.0
         if not np.isfinite(d[wid]):
-            return PathResult(distance=math.inf, path=[], reached=False)
+            return PathResult(distance=math.inf, path=[], reached=False, costs=[])
         path = self._reconstruct(d, z, w)
-        return PathResult(distance=base + float(d[wid]), path=path, reached=True)
+        pi, pj = np.array(path).T
+        costs = (base + d[self.ids[pi, pj]]).tolist()
+        return PathResult(distance=costs[-1], path=path, reached=True, costs=costs)
 
     def _reconstruct(self, d: np.ndarray, z: Tuple[int, int], w: Tuple[int, int]) -> List[Tuple[int, int]]:
         """Walk back from w choosing the lexicographically smallest predecessor
@@ -295,17 +297,8 @@ class MetricProblem:
         d = cs_dijkstra(aug, directed=True, indices=nv)
         return self._grid_distances(d[:nv])
 
-    def internal_distance(
-        self, z: Tuple[int, int], w: Tuple[int, int], submask: np.ndarray
-    ) -> PathResult:
-        """Shortest path constrained to submask (must be contained in mask)."""
-        sub = np.asarray(submask, dtype=bool)
-        if np.any(sub & ~self.mask):
-            raise ValueError("submask is not contained in the problem mask")
-        inner = MetricProblem(self.field, self.params, self.convention, mask=sub)
-        return inner.distance(z, w)
-
     def restricted(self, submask: np.ndarray) -> "MetricProblem":
+        """The same metric on submask, which must be contained in the mask."""
         sub = np.asarray(submask, dtype=bool)
         if np.any(sub & ~self.mask):
             raise ValueError("submask is not contained in the problem mask")
@@ -316,6 +309,7 @@ class MetricProblem:
 
         ``square`` is (x0, y0, side) in physical units.  Sources are the
         leftmost column of the square's vertex set, targets the rightmost.
+        Raises ValueError when no target is reachable inside the square.
         """
         x0, y0, side = square
         if side <= 0:
@@ -330,6 +324,8 @@ class MetricProblem:
         right_mask[imax, :] = sub[imax, :]
         d = inner.multi_source_distance(left)
         val = float(np.min(d[right_mask]))
+        if not math.isfinite(val):
+            raise ValueError(f"square {square} has no left-to-right crossing inside the mask")
         return val
 
     def _square_mask(self, x0: float, y0: float, side: float):
@@ -387,15 +383,10 @@ class MetricProblem:
         jc = int(round((z[1] - spec.origin[1]) / self.spacing))
         jc = min(max(jc, 0), self.n - 1)
         xs = spec.origin[0] + self.spacing * np.arange(self.n)
-        cut = np.zeros_like(ann)
-        cut[:, jc] = ann[:, jc] & (xs > z[0])
-        cut_list = [(int(i), jc) for i in np.nonzero(cut[:, jc])[0]]
-        if not cut_list:
+        cut_i = np.nonzero(ann[:, jc] & (xs > z[0]))[0]
+        if cut_i.size == 0:
             raise ValueError("cut ray misses the annulus")
-        dist, cycle = _annulus_cycle(self, ann, cut, jc, cut_list)
-        if cycle is None:
-            return PathResult(distance=math.inf, path=[], reached=False)
-        return PathResult(distance=dist, path=cycle, reached=True)
+        return _annulus_cycle(self, ann, jc, cut_i)
 
 
 def _boundary_vertices(member: np.ndarray) -> List[Tuple[int, int]]:
@@ -409,95 +400,53 @@ def _boundary_vertices(member: np.ndarray) -> List[Tuple[int, int]]:
     return [tuple(v) for v in np.argwhere(bnd)]
 
 
-def _annulus_cycle(problem: MetricProblem, ann, cut, jc, cut_list):
-    """Vertex-duplication reduction: shortest a+ -> a- path over cut vertices a."""
-    n = problem.n
-    ids = -np.ones((n, n), dtype=np.int64)
-    ai, aj = np.nonzero(ann)
-    ids[ai, aj] = np.arange(ai.size)
+def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i) -> PathResult:
+    """Vertex-duplication reduction: shortest a+ -> a- path over cut vertices a.
+
+    The cut vertices (cut_i, jc) keep their lattice ids as the upper copies
+    a+ and get lower copies a- = nv + k, k their place in cut_i.  An edge
+    with one end a on the cut stays on a+ when its other end lies above the
+    ray (j > jc), moves to a- when below, and runs on both copies when on
+    the ray's column; an edge along the cut runs on both copies.
+    """
+    g, ids, (ai, aj) = build_lattice_graph(ann, problem.vertex_weight, problem.spacing,
+                                           problem.convention)
     nv = ai.size
-    dup = -np.ones((n, n), dtype=np.int64)
-    for k, (i, j) in enumerate(cut_list):
-        dup[i, j] = nv + k
-    total = nv + len(cut_list)
+    cut_ids = ids[cut_i, jc]
+    dup = np.full(nv, -1, dtype=np.int64)
+    dup[cut_ids] = nv + np.arange(cut_ids.size)
+    coo = g.tocoo()
+    u, v = coo.row, coo.col
+    u_cut, v_cut = dup[u] >= 0, dup[v] >= 0
+    side = aj[np.where(u_cut, v, u)] - jc  # of the far end; 0 when both ends are cut
+    move = (u_cut | v_cut) & (side < 0)
+    both = (u_cut | v_cut) & (side == 0)
+    du, dv = np.where(u_cut, dup[u], u), np.where(v_cut, dup[v], v)
+    rows = np.concatenate([np.where(move, du, u), du[both]])
+    cols = np.concatenate([np.where(move, dv, v), dv[both]])
+    size = nv + cut_ids.size
+    g = csr_matrix((np.concatenate([coo.data, coo.data[both]]), (rows, cols)), shape=(size, size))
+    grid_i = np.concatenate([ai, cut_i])
+    grid_j = np.concatenate([aj, np.full(cut_i.size, jc)])
 
-    def node(u, side):
-        # side: +1 approaching from above the ray (larger y), -1 from below.
-        if cut[u]:
-            return int(ids[u]) if side > 0 else int(dup[u])
-        return int(ids[u])
-
-    rows, cols, data = [], [], []
-    for i, j in zip(ai, aj):
-        u = (int(i), int(j))
-        for di, dj, _ in OFFSETS:
-            vi, vj = u[0] + di, u[1] + dj
-            if not (0 <= vi < n and 0 <= vj < n) or not ann[vi, vj]:
-                continue
-            v = (vi, vj)
-            wgt = problem.step_weight(u, v)
-            u_cut, v_cut = bool(cut[u]), bool(cut[v])
-            pairs = []
-            if not u_cut and not v_cut:
-                pairs.append((node(u, 0), node(v, 0)))
-            elif u_cut and v_cut:
-                # travel along the cut on either copy
-                pairs.append((node(u, +1), node(v, +1)))
-                pairs.append((node(u, -1), node(v, -1)))
-            elif u_cut:
-                side = 1 if v[1] > jc else (-1 if v[1] < jc else 0)
-                if side == 0:
-                    pairs.append((node(u, +1), node(v, 0)))
-                    pairs.append((node(u, -1), node(v, 0)))
-                else:
-                    pairs.append((node(u, side), node(v, 0)))
-            else:  # v is cut
-                side = 1 if u[1] > jc else (-1 if u[1] < jc else 0)
-                if side == 0:
-                    pairs.append((node(u, 0), node(v, +1)))
-                    pairs.append((node(u, 0), node(v, -1)))
-                else:
-                    pairs.append((node(u, 0), node(v, side)))
-            for a, b in pairs:
-                rows.append(a)
-                cols.append(b)
-                data.append(wgt)
-    g = csr_matrix((data, (rows, cols)), shape=(total, total))
-
-    inv = {}
-    for idx2, (ii, jj) in enumerate(zip(ai, aj)):
-        inv[idx2] = (int(ii), int(jj))
-    for kk, (ii, jj) in enumerate(cut_list):
-        inv[nv + kk] = (ii, jj)
-
-    best = math.inf
-    best_path = None
-    for k, (i, j) in enumerate(cut_list):
-        src = int(ids[i, j])
+    best, best_chain, best_costs = math.inf, None, None
+    for k, src in enumerate(cut_ids.tolist()):
         tgt = nv + k
-        lim = best if math.isfinite(best) else np.inf
-        d, pred = cs_dijkstra(g, directed=True, indices=src, return_predecessors=True, limit=lim)
-        if not np.isfinite(d[tgt]):
-            continue
+        d, pred = cs_dijkstra(g, directed=True, indices=src, return_predecessors=True, limit=best)
         # directed edges charge their target vertex, so d[tgt] already sums
         # every distinct cycle vertex exactly once (vertex-sum) or every
         # cycle edge once (edge-weighted).
-        cost = float(d[tgt])
-        if cost < best:
-            chain = []
-            v = tgt
-            while v >= 0 and v != src:
-                chain.append(v)
-                v = int(pred[v])
-            if v != src:
-                continue
-            chain.append(src)
+        if d[tgt] < best:
+            chain = [tgt]
+            while chain[-1] != src:
+                chain.append(int(pred[chain[-1]]))
             chain.reverse()
-            best = cost
-            best_path = [inv[c] for c in chain]  # closed: first == last grid vertex
-    if best_path is None:
-        return math.inf, None
-    return best, best_path
+            best, best_chain, best_costs = float(d[tgt]), chain, d[chain].tolist()
+    if best_chain is None:
+        return PathResult(distance=math.inf, path=[], reached=False, costs=[])
+    # closed: the first and last chain vertices are the two copies of a
+    path = list(zip(grid_i[best_chain].tolist(), grid_j[best_chain].tolist()))
+    return PathResult(distance=best, path=path, reached=True, costs=best_costs)
 
 
 def cycle_separates(

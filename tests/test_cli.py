@@ -161,20 +161,28 @@ class TestCrossingAndBall:
         assert int(mask.values.sum()) == count
         assert 0 < count < n * n
 
-    def test_annulus_cycle(self, tmp_path, capsys):
+    @pytest.mark.parametrize("convention", ["edge-weighted", "vertex-sum"])
+    def test_annulus_cycle(self, tmp_path, capsys, convention):
         field_path = tmp_path / "flat.lfpf"
         n = 128
         write_constant_field(field_path, n=n, side=2.0, origin=(-1.0, -1.0))
         out = tmp_path / "out"
         rc = main([
-            "annulus-cycle", "--field", str(field_path),
+            "annulus-cycle", "--field", str(field_path), "--config",
+            small_config(tmp_path, convention=convention),
             "--center", "0", "0", "--r1", "0.3", "--r2", "0.7", "--out", str(out),
         ])
         assert rc == 0
         val = float(capsys.readouterr().out.strip())
-        assert 2 * math.pi * 0.3 * 0.99 <= val <= 7.0 * 0.3
         lines = (out / "annulus_cycle.csv").read_text().splitlines()
         assert lines[0].startswith("# master_seed=")
+        if convention == "edge-weighted":
+            assert 2 * math.pi * 0.3 * 0.99 <= val <= 7.0 * 0.3
+        else:
+            assert val == len(lines) - 3  # distinct cycle vertices, each weighing 1
+        costs = [float(row.split(",")[3]) for row in lines[2:]]
+        assert costs[-1] == val
+        assert all(a <= b for a, b in zip(costs[:-1], costs[1:]))
 
 
 class TestExperimentAndSuite:

@@ -1,5 +1,6 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -106,6 +107,9 @@ class TestQueries:
         for u, v in zip(res.path[:-1], res.path[1:]):
             assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) == 1
         assert prob.path_cost(res.path) == pytest.approx(res.distance, rel=1e-12)
+        assert res.costs[-1] == res.distance
+        prefixes = [prob.path_cost(res.path[: k + 1]) for k in range(len(res.path))]
+        assert res.costs == pytest.approx(prefixes, rel=1e-15)
 
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
     def test_symmetry(self, convention):
@@ -171,7 +175,7 @@ class TestQueries:
         sub = np.zeros((32, 32), dtype=bool)
         sub[:8, :] = True
         amb = prob.distance((0, 0), (7, 23)).distance
-        internal = prob.internal_distance((0, 0), (7, 23), sub).distance
+        internal = prob.restricted(sub).distance((0, 0), (7, 23)).distance
         assert internal >= amb - 1e-15
 
     def test_submask_containment_enforced(self):
@@ -180,7 +184,7 @@ class TestQueries:
         prob = zero_problem(n=16, mask=mask)
         bad = np.ones((16, 16), dtype=bool)
         with pytest.raises(ValueError):
-            prob.internal_distance((0, 0), (5, 5), bad)
+            prob.restricted(bad).distance((0, 0), (5, 5))
 
 
 class TestCrossing:
@@ -206,6 +210,14 @@ class TestCrossing:
         with pytest.raises(ValueError):
             prob.crossing_distance((0.0, 0.0, 0.0))
 
+    def test_unreachable_crossing_rejected(self):
+        # a wall two columns thick, so no diagonal step crosses it either
+        mask = np.ones((16, 16), dtype=bool)
+        mask[7:9, :] = False
+        prob = zero_problem(n=16, mask=mask)
+        with pytest.raises(ValueError, match=r"square \(0\.0, 0\.0, 1\.0\)"):
+            prob.crossing_distance((0.0, 0.0, 1.0))
+
 
 class TestAnnulusCycle:
     def _setup(self, convention):
@@ -230,6 +242,40 @@ class TestAnnulusCycle:
         res = prob.distance_around_annulus((0.0, 0.0), 0.3, 0.7)
         assert res.distance == float(len(res.path) - 1)  # each distinct vertex once
 
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_networkx_oracle(self, convention):
+        n, s = 32, 0.1
+        partial = np.zeros((n, n), dtype=bool)
+        partial[4:28, 2:30] = True
+        # (seed, mask, centre, r1, r2); the last centre sits between two
+        # column-jc vertices, both inside the annulus, so the cut vertex next
+        # to z has a neighbour on the ray's column that is not cut
+        cases = [
+            (11, None, (1.53, 1.58), 0.35, 1.2),
+            (12, None, (1.21, 1.74), 0.25, 0.95),
+            (13, partial, (1.47, 1.62), 0.3, 0.85),
+            (14, None, (1.55, 1.51), 0.03, 0.9),
+        ]
+        for seed, mask, z, r1, r2 in cases:
+            prob = random_problem(n, seed, convention, spacing=s)
+            if mask is not None:
+                prob = prob.restricted(mask)
+            res = prob.distance_around_annulus(z, r1, r2)
+            want, fires_column_rule = _nx_annulus_cycle(prob, z, r1, r2)
+            assert res.reached
+            assert res.distance == pytest.approx(want, rel=1e-12)
+            assert res.costs[-1] == res.distance
+            assert fires_column_rule == (r1 < s)
+            if r1 < s:
+                # no vertex lies inside the hole, so there is nothing to separate
+                continue
+            xx, yy = prob.field.spec.mesh()
+            rad = np.hypot(xx - z[0], yy - z[1])
+            inner = [tuple(v) for v in np.argwhere((rad < r1) & prob.mask)]
+            outer = [tuple(v) for v in np.argwhere((rad > r2) & prob.mask)]
+            assert inner and outer
+            assert cycle_separates(prob.mask, res.path, inner, outer)
+
     def test_thin_annulus_rejected(self):
         prob = self._setup(EDGE_WEIGHTED)
         with pytest.raises(ValueError):
@@ -239,6 +285,55 @@ class TestAnnulusCycle:
         prob = self._setup(EDGE_WEIGHTED)
         with pytest.raises(ValueError):
             prob.distance_around_annulus((0.0, 0.0), 0.7, 0.3)
+
+
+def _nx_annulus_cycle(prob, z, r1, r2):
+    """Cheapest separating cycle by brute force over the cut vertices, on a
+    networkx cut-and-duplicate graph built edge by edge.
+
+    Returns the distance and whether some edge joined a cut vertex to a
+    non-cut vertex on the ray's column (the rule that keeps it on both copies).
+    """
+    spec, n = prob.field.spec, prob.n
+    xx, yy = spec.mesh()
+    rad = np.hypot(xx - z[0], yy - z[1])
+    ann = (rad >= r1) & (rad <= r2) & prob.mask
+    jc = min(max(int(round((z[1] - spec.origin[1]) / spec.spacing)), 0), n - 1)
+    cut = {(i, jc) for i in range(n) if ann[i, jc] and xx[i, jc] > z[0]}
+    w = prob.vertex_weight
+    g = nx.DiGraph()
+    fires = False
+    for u in map(tuple, np.argwhere(ann)):
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                v = (u[0] + di, u[1] + dj)
+                if v == u or not (0 <= v[0] < n and 0 <= v[1] < n) or not ann[v]:
+                    continue
+                if prob.convention == VERTEX_SUM:
+                    cost = w[v]
+                else:
+                    ell = SQRT2 if di and dj else 1.0
+                    cost = ell * spec.spacing * math.sqrt(w[u] * w[v])
+                lower = (("-", u) if u in cut else u, ("-", v) if v in cut else v)
+                if u in cut and v in cut:
+                    g.add_edge(u, v, weight=cost)
+                    g.add_edge(*lower, weight=cost)
+                elif u in cut or v in cut:
+                    far = v if u in cut else u
+                    if far[1] >= jc:  # above the ray or on its column: upper copy
+                        g.add_edge(u, v, weight=cost)
+                    if far[1] <= jc:  # below the ray or on its column: lower copy
+                        g.add_edge(*lower, weight=cost)
+                    fires |= far[1] == jc
+                else:
+                    g.add_edge(u, v, weight=cost)
+    best = math.inf
+    for a in cut:
+        try:
+            best = min(best, nx.dijkstra_path_length(g, a, ("-", a)))
+        except nx.NetworkXNoPath:
+            pass
+    return best, fires
 
 
 class TestGeometryHelpers:
