@@ -89,10 +89,6 @@ def _centered_spec(n: int, side: float) -> GridSpec:
     return GridSpec(n=n, spacing=s, origin=(-half, -half))
 
 
-def _default_sampler(spec: GridSpec, seed: int) -> LatticeField:
-    return sample_whole_plane_gff(spec, seed)
-
-
 def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
     """Deterministic map over replica argument tuples, optionally parallel."""
     if workers <= 1 or len(args) <= 1:
@@ -105,41 +101,49 @@ def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
 
 
 def _crossing_replica(args) -> np.ndarray:
-    (n, side, seed, ladder, gamma, d, xi_override, convention, square) = args
+    (n, side, seed, eps_list, ladders, gamma, d, xi_override, square) = args
     params = LqgParams(gamma=gamma, d=d, xi_override=xi_override)
     spec = _centered_spec(n, side)
     f = sample_whole_plane_gff(spec, seed)
-    out = np.empty(len(ladder))
-    for a, (eps, stride) in enumerate(ladder):
-        mf = subsample(mollify_heat(f, eps), stride)
-        prob = MetricProblem(mf, params, convention)
-        out[a] = prob.crossing_distance(square)
+    out = np.empty((len(ladders), len(eps_list)))
+    for a, eps in enumerate(eps_list):
+        mf = mollify_heat(f, eps)
+        for c, (convention, strides) in enumerate(ladders):
+            prob = MetricProblem(subsample(mf, strides[a]), params, convention)
+            out[c, a] = prob.crossing_distance(square)
     return out
 
 
-def crossing_series(params: LqgParams, n: int, side: float, ladder, replicas: int,
-                    master_seed: int, convention: str, square, workers: int = 1) -> ScaleSeries:
-    """Median crossing distances across a ladder of (eps, stride) scales.
+def crossing_series(params: LqgParams, n: int, side: float, eps_list: Sequence[float],
+                    strides: Dict[str, Sequence[int]], replicas: int, master_seed: int,
+                    square, workers: int = 1) -> Dict[str, ScaleSeries]:
+    """Median crossing distances across a ladder of mollification scales,
+    one series per convention in ``strides``.
 
-    One field per replica is reused across the whole ladder, which cancels
-    the replica's common large-scale factor out of the fitted slope.
+    ``strides[convention][a]`` is the lattice stride at ``eps_list[a]``.
+    One field per replica is sampled and mollified once per scale for every
+    convention, and reused across the whole ladder, which cancels the
+    replica's common large-scale factor out of the fitted slope.
     """
+    ladders = tuple(strides.items())
     args = [
-        (n, side, replica_seed(master_seed, k), tuple(ladder), params.gamma, params.d,
-         params.xi_override, convention, square)
+        (n, side, replica_seed(master_seed, k), tuple(eps_list), ladders, params.gamma,
+         params.d, params.xi_override, square)
         for k in range(replicas)
     ]
-    stats_ = np.array(_pool_map(_crossing_replica, args, workers)).T
-    med = np.median(stats_, axis=1)
-    q25 = np.percentile(stats_, 25.0, axis=1)
-    q75 = np.percentile(stats_, 75.0, axis=1)
-    return ScaleSeries(
-        scales=np.array([e for e, _ in ladder]),
-        medians=med,
-        iqr=q75 - q25,
-        replicas=replicas,
-        statistic_kind="crossing",
-    )
+    stats_ = np.array(_pool_map(_crossing_replica, args, workers))
+    out = {}
+    for c, (convention, _) in enumerate(ladders):
+        vals = stats_[:, c, :].T
+        q25, q75 = np.percentile(vals, [25.0, 75.0], axis=1)
+        out[convention] = ScaleSeries(
+            scales=np.array(eps_list),
+            medians=np.median(vals, axis=1),
+            iqr=q75 - q25,
+            replicas=replicas,
+            statistic_kind="crossing",
+        )
+    return out
 
 
 def run_crossing_exponent(params: LqgParams, config: RunConfig,
@@ -154,15 +158,13 @@ def run_crossing_exponent(params: LqgParams, config: RunConfig,
     n, side = 512, 2.02
     s = side / (n - 1)
     square = (-0.5, -0.5, 1.0)
-    vs_ladder = sorted(((2 * (2 ** m) * s, 2 ** m) for m in range(5)), key=lambda t: -t[0])
-    ew_ladder = sorted(((2 * (2 ** m) * s, 1) for m in range(5)), key=lambda t: -t[0])
-
-    ser_vs = crossing_series(params, n, side, vs_ladder, config.replicas,
-                             config.master_seed, VERTEX_SUM, square, config.workers)
-    ser_ew = crossing_series(params, n, side, ew_ladder, config.replicas,
-                             config.master_seed, EDGE_WEIGHTED, square, config.workers)
-    fit_vs = fit_exponent(ser_vs)
-    fit_ew = fit_exponent(ser_ew)
+    ms = range(4, -1, -1)
+    eps_list = [2 * (2 ** m) * s for m in ms]
+    strides = {VERTEX_SUM: [2 ** m for m in ms], EDGE_WEIGHTED: [1] * len(eps_list)}
+    series = crossing_series(params, n, side, eps_list, strides, config.replicas,
+                             config.master_seed, square, config.workers)
+    fit_vs = fit_exponent(series[VERTEX_SUM])
+    fit_ew = fit_exponent(series[EDGE_WEIGHTED])
 
     if params.xi == 0.0:
         # unit weights: crossing cost counts lattice columns, one per step
@@ -548,7 +550,7 @@ def run_circle_average_bm(params: LqgParams, config: RunConfig,
     t0 = time.time()
     n, side = 512, 4.1
     spec = _centered_spec(n, side)
-    sampler = _default_sampler if sampler is None else sampler
+    sampler = sample_whole_plane_gff if sampler is None else sampler
     radii = [1.0, 0.5, 0.25, 0.125, 0.0625]
     vals = np.empty((replicas, len(radii)))
     for k in range(replicas):
@@ -671,7 +673,7 @@ def run_holder_scan(params: LqgParams, config: RunConfig,
     s = spec.spacing
     eps = 2 * s
     seps = (1.0, 2 ** -3, 2 ** -4)
-    sampler = _default_sampler if sampler is None else sampler
+    sampler = sample_whole_plane_gff if sampler is None else sampler
     rng = np.random.default_rng(replica_seed(config.master_seed, 123))
     exponents = []
     for k in range(fields):
@@ -761,7 +763,7 @@ def run_tube_distance(params: LqgParams, config: RunConfig,
     u = (int(round((-0.5 - spec.origin[0]) / s)), int(round((0.0 - spec.origin[1]) / s)))
     v = (int(round((0.5 - spec.origin[0]) / s)), int(round((0.0 - spec.origin[1]) / s)))
     widths = sorted(float(w) for w in widths)[::-1]
-    sampler = _default_sampler if sampler is None else sampler
+    sampler = sample_whole_plane_gff if sampler is None else sampler
 
     strict = 0
     all_ratios = np.empty((replicas, len(widths)))
@@ -810,7 +812,7 @@ def run_geodesic_ball_overlap(params: LqgParams, config: RunConfig,
     s = spec.spacing
     eps = 2 * s
     ladder = [2 ** -2, 2 ** -3, 2 ** -4, 2 ** -5]
-    sampler = _default_sampler if sampler is None else sampler
+    sampler = sample_whole_plane_gff if sampler is None else sampler
     rng = np.random.default_rng(replica_seed(config.master_seed, 55))
     exponents = []
     for k in range(replicas):

@@ -386,7 +386,7 @@ class MetricProblem:
         cut_i = np.nonzero(ann[:, jc] & (xs > z[0]))[0]
         if cut_i.size == 0:
             raise ValueError("cut ray misses the annulus")
-        return _annulus_cycle(self, ann, jc, cut_i)
+        return _annulus_cycle(self, ann, jc, cut_i, z)
 
 
 def _boundary_vertices(member: np.ndarray) -> List[Tuple[int, int]]:
@@ -400,14 +400,16 @@ def _boundary_vertices(member: np.ndarray) -> List[Tuple[int, int]]:
     return [tuple(v) for v in np.argwhere(bnd)]
 
 
-def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i) -> PathResult:
+def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, z) -> PathResult:
     """Vertex-duplication reduction: shortest a+ -> a- path over cut vertices a.
 
     The cut vertices (cut_i, jc) keep their lattice ids as the upper copies
     a+ and get lower copies a- = nv + k, k their place in cut_i.  An edge
     with one end a on the cut stays on a+ when its other end lies above the
-    ray (j > jc), moves to a- when below, and runs on both copies when on
-    the ray's column; an edge along the cut runs on both copies.
+    ray (j > jc) and moves to a- when below; an edge along the cut runs on
+    both copies.  An edge to a non-cut vertex on the ray's column passes
+    beside z, so it goes to a- when that column lies below z and to a+
+    otherwise.
     """
     g, ids, (ai, aj) = build_lattice_graph(ann, problem.vertex_weight, problem.spacing,
                                            problem.convention)
@@ -419,8 +421,9 @@ def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i) -> PathResult:
     u, v = coo.row, coo.col
     u_cut, v_cut = dup[u] >= 0, dup[v] >= 0
     side = aj[np.where(u_cut, v, u)] - jc  # of the far end; 0 when both ends are cut
-    move = (u_cut | v_cut) & (side < 0)
-    both = (u_cut | v_cut) & (side == 0)
+    both = u_cut & v_cut
+    column_below = problem.field.spec.origin[1] + jc * problem.spacing < z[1]
+    move = (u_cut | v_cut) & ~both & ((side < 0) | ((side == 0) & column_below))
     du, dv = np.where(u_cut, dup[u], u), np.where(v_cut, dup[v], v)
     rows = np.concatenate([np.where(move, du, u), du[both]])
     cols = np.concatenate([np.where(move, dv, v), dv[both]])
@@ -457,13 +460,18 @@ def cycle_separates(
 ) -> bool:
     """4-connected flood fill from the inner set, avoiding cycle vertices,
     must not reach the outer set.  (An 8-connected vertex cycle blocks
-    4-connected flood, the standard lattice duality.)"""
+    4-connected flood, the standard lattice duality.)  A cycle through an
+    inner vertex does not separate it."""
+    if len(inner) == 0:
+        raise ValueError("inner set must be nonempty")
     n = mask.shape[0]
     blocked = np.zeros_like(mask)
     for v in cycle:
         blocked[v] = True
+    if any(blocked[v] for v in inner):
+        return False
     visited = np.zeros_like(mask)
-    stack = [v for v in inner if mask[v] and not blocked[v]]
+    stack = [v for v in inner if mask[v]]
     for v in stack:
         visited[v] = True
     while stack:

@@ -16,7 +16,7 @@ import numpy as np
 from . import mollify
 from .field import LatticeField, circle_average
 from .metric import MetricProblem
-from .mollify import HEAT_FULL, MollifiedField
+from .mollify import HEAT_FULL
 from .params import LqgParams
 from .seeds import replica_seed
 
@@ -94,71 +94,6 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
 def median_iqr(values: np.ndarray) -> Tuple[float, float]:
     q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
     return float(q50), float(q75 - q25)
-
-
-def estimate_crossing_median(
-    params: LqgParams,
-    sampler: Callable[[int], LatticeField],
-    eps: float,
-    replicas: int,
-    master_seed: int,
-    convention: str,
-    square: Tuple[float, float, float] = (0.0, 0.0, 1.0),
-    mollifier: str = HEAT_FULL,
-    stride: int = 1,
-) -> Tuple[float, float]:
-    """Median and IQR of the crossing distance of ``square`` over replicas.
-
-    ``sampler`` maps a 64-bit seed to a fresh field (the field family);
-    ``stride`` coarsens the metric lattice after mollification so the
-    lattice step can be tied to eps.
-    """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    vals = np.empty(replicas)
-    for k in range(replicas):
-        f = sampler(replica_seed(master_seed, k))
-        mf = mollify.mollify(f, eps, mollifier)
-        mf = mollify.subsample(mf, stride)
-        prob = MetricProblem(mf, params, convention)
-        vals[k] = prob.crossing_distance(square)
-    return median_iqr(vals)
-
-
-def crossing_median_series(
-    params: LqgParams,
-    sampler: Callable[[int], LatticeField],
-    eps_strides: Sequence[Tuple[float, int]],
-    replicas: int,
-    master_seed: int,
-    convention: str,
-    square: Tuple[float, float, float],
-    mollifier: str = HEAT_FULL,
-) -> ScaleSeries:
-    """Crossing medians over a ladder of (eps, lattice stride) pairs.
-
-    The same replica field is reused across every scale: the common
-    circle-average factor then cancels in the fitted slope, which cuts the
-    slope variance considerably versus independent fields per scale.
-    """
-    eps_list = [e for e, _ in eps_strides]
-    stats = np.empty((len(eps_strides), replicas))
-    for k in range(replicas):
-        f = sampler(replica_seed(master_seed, k))
-        for a, (eps, stride) in enumerate(eps_strides):
-            mf = mollify.subsample(mollify.mollify(f, eps, mollifier), stride)
-            prob = MetricProblem(mf, params, convention)
-            stats[a, k] = prob.crossing_distance(square)
-    med = np.median(stats, axis=1)
-    q25 = np.percentile(stats, 25.0, axis=1)
-    q75 = np.percentile(stats, 75.0, axis=1)
-    return ScaleSeries(
-        scales=np.asarray(eps_list),
-        medians=med,
-        iqr=q75 - q25,
-        replicas=replicas,
-        statistic_kind="crossing",
-    )
 
 
 def scale_ratio_series(

@@ -25,7 +25,7 @@ from lfpp.experiments import (
     bm_integral_cdf,
 )
 from lfpp.field import DETERMINISTIC, GridSpec, LatticeField
-from lfpp.metric import VERTEX_SUM
+from lfpp.metric import EDGE_WEIGHTED, VERTEX_SUM
 from lfpp.params import LqgParams
 
 PARAMS = LqgParams.pure_gravity()
@@ -102,15 +102,66 @@ class TestScalingRelation:
 
 
 class TestCrossing:
+    n, side = 64, 2.2
+    square = (-0.5, -0.5, 1.0)
+
+    def series(self, params, strides, master_seed=11, workers=1):
+        s = self.side / (self.n - 1)
+        return crossing_series(params, self.n, self.side, [4 * s, 2 * s], strides, 3,
+                               master_seed, self.square, workers=workers)
+
+    def lattice_width(self, stride):
+        """Columns of the stride-coarsened centered lattice inside the square,
+        and the physical width between the outer two."""
+        step = stride * self.side / (self.n - 1)
+        xs = -self.side / 2 + step * np.arange((self.n - 1) // stride + 1)
+        x0, _, a = self.square
+        cols = np.nonzero((xs >= x0) & (xs <= x0 + a))[0]
+        return cols.size, (cols[-1] - cols[0]) * step
+
+    def test_unit_weights_give_lattice_width(self):
+        out = self.series(LqgParams.degenerate(), {EDGE_WEIGHTED: [1, 1], VERTEX_SUM: [1, 1]})
+        columns, width = self.lattice_width(1)
+        np.testing.assert_allclose(out[EDGE_WEIGHTED].medians, width, rtol=1e-12)
+        np.testing.assert_array_equal(out[VERTEX_SUM].medians, float(columns))
+        for ser in out.values():
+            np.testing.assert_array_equal(ser.iqr, 0.0)
+            assert ser.statistic_kind == "crossing"
+            assert ser.replicas == 3
+
+    def test_stride_coarsens_lattice(self):
+        out = self.series(LqgParams.degenerate(), {EDGE_WEIGHTED: [2, 1]})
+        assert set(out) == {EDGE_WEIGHTED}
+        (_, coarse), (_, fine) = self.lattice_width(2), self.lattice_width(1)
+        assert coarse < fine
+        np.testing.assert_allclose(out[EDGE_WEIGHTED].medians, [coarse, fine], rtol=1e-12)
+
+    def test_series_deterministic_in_master_seed(self):
+        strides = {VERTEX_SUM: [2, 1], EDGE_WEIGHTED: [1, 1]}
+        a = self.series(PARAMS, strides, master_seed=7)
+        b = self.series(PARAMS, strides, master_seed=7)
+        c = self.series(PARAMS, strides, master_seed=8)
+        for conv in strides:
+            np.testing.assert_array_equal(a[conv].medians, b[conv].medians)
+            np.testing.assert_array_equal(a[conv].iqr, b[conv].iqr)
+            assert not np.array_equal(a[conv].medians, c[conv].medians)
+
     def test_worker_count_does_not_change_results(self):
-        n, side = 64, 2.2
-        s = side / (n - 1)
-        ladder = [(4 * s, 2), (2 * s, 1)]
-        square = (-0.5, -0.5, 1.0)
-        a = crossing_series(PARAMS, n, side, ladder, 3, 11, VERTEX_SUM, square, workers=1)
-        b = crossing_series(PARAMS, n, side, ladder, 3, 11, VERTEX_SUM, square, workers=2)
-        np.testing.assert_array_equal(a.medians, b.medians)
-        np.testing.assert_array_equal(a.iqr, b.iqr)
+        strides = {VERTEX_SUM: [2, 1], EDGE_WEIGHTED: [1, 1]}
+        a = self.series(PARAMS, strides, workers=1)
+        b = self.series(PARAMS, strides, workers=2)
+        for conv in strides:
+            np.testing.assert_array_equal(a[conv].medians, b[conv].medians)
+            np.testing.assert_array_equal(a[conv].iqr, b[conv].iqr)
+
+
+class TestDiameterTail:
+    def test_worker_count_does_not_change_results(self):
+        cfg = config(master_seed=9, workers=1)
+        a = run_diameter_tail(PARAMS, cfg, replicas=4)
+        b = run_diameter_tail(PARAMS, replace(cfg, workers=2), replicas=4)
+        assert "hill_index" in a.metrics
+        assert a.metrics == b.metrics
 
 
 class TestDufresne:

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from lfpp.config import default_config
 from lfpp.field import GridSpec, LatticeField, DETERMINISTIC
 from lfpp.metric import (
     EDGE_WEIGHTED,
@@ -266,6 +267,7 @@ class TestAnnulusCycle:
             assert res.distance == pytest.approx(want, rel=1e-12)
             assert res.costs[-1] == res.distance
             assert fires_column_rule == (r1 < s)
+            assert abs(winding_number(prob.field.spec, res.path, z)) == pytest.approx(1.0)
             if r1 < s:
                 # no vertex lies inside the hole, so there is nothing to separate
                 continue
@@ -275,6 +277,21 @@ class TestAnnulusCycle:
             outer = [tuple(v) for v in np.argwhere((rad > r2) & prob.mask)]
             assert inner and outer
             assert cycle_separates(prob.mask, res.path, inner, outer)
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_hole_below_lattice_step_encloses_z(self, convention):
+        # z sits between two column-jc vertices, (128, 128) and (129, 128),
+        # both inside the annulus: the cycle has to pass beside z, not
+        # step a+ -> (128, 128) -> a- and back
+        cfg = default_config()
+        spec, s = cfg.grid, cfg.grid.spacing
+        z = (spec.origin[0] + 128.5 * s, spec.origin[1] + 128.1 * s)
+        prob = MetricProblem(from_values(spec, np.zeros((spec.n, spec.n)), 0.1), cfg.params,
+                             convention)
+        res = prob.distance_around_annulus(z, 0.3 * s, 0.2)
+        assert res.path[0] == res.path[-1]
+        assert len(res.path) == 4
+        assert abs(winding_number(spec, res.path, z)) == pytest.approx(1.0)
 
     def test_thin_annulus_rejected(self):
         prob = self._setup(EDGE_WEIGHTED)
@@ -292,13 +309,15 @@ def _nx_annulus_cycle(prob, z, r1, r2):
     networkx cut-and-duplicate graph built edge by edge.
 
     Returns the distance and whether some edge joined a cut vertex to a
-    non-cut vertex on the ray's column (the rule that keeps it on both copies).
+    non-cut vertex on the ray's column (the rule that puts it on the side of
+    the ray that the column lies on).
     """
     spec, n = prob.field.spec, prob.n
     xx, yy = spec.mesh()
     rad = np.hypot(xx - z[0], yy - z[1])
     ann = (rad >= r1) & (rad <= r2) & prob.mask
     jc = min(max(int(round((z[1] - spec.origin[1]) / spec.spacing)), 0), n - 1)
+    column_below = yy[0, jc] < z[1]
     cut = {(i, jc) for i in range(n) if ann[i, jc] and xx[i, jc] > z[0]}
     w = prob.vertex_weight
     g = nx.DiGraph()
@@ -320,10 +339,12 @@ def _nx_annulus_cycle(prob, z, r1, r2):
                     g.add_edge(*lower, weight=cost)
                 elif u in cut or v in cut:
                     far = v if u in cut else u
-                    if far[1] >= jc:  # above the ray or on its column: upper copy
-                        g.add_edge(u, v, weight=cost)
-                    if far[1] <= jc:  # below the ray or on its column: lower copy
+                    # on the ray's column the edge passes beside z: it takes
+                    # the side the column lies on
+                    if far[1] < jc or (far[1] == jc and column_below):
                         g.add_edge(*lower, weight=cost)
+                    else:
+                        g.add_edge(u, v, weight=cost)
                     fires |= far[1] == jc
                 else:
                     g.add_edge(u, v, weight=cost)
@@ -334,6 +355,27 @@ def _nx_annulus_cycle(prob, z, r1, r2):
         except nx.NetworkXNoPath:
             pass
     return best, fires
+
+
+def winding_number(spec, path, z):
+    """Turns of a closed lattice path about the point z."""
+    x = spec.origin[0] + spec.spacing * np.array([i for i, _ in path]) - z[0]
+    y = spec.origin[1] + spec.spacing * np.array([j for _, j in path]) - z[1]
+    turn = np.diff(np.arctan2(y, x))
+    return float(np.sum((turn + np.pi) % (2 * np.pi) - np.pi) / (2 * np.pi))
+
+
+class TestCycleSeparates:
+    def test_cycle_through_inner_vertex_does_not_separate(self):
+        # the two-edge walk a+ -> b -> a- around nothing, b the inner vertex
+        mask = np.ones((256, 256), dtype=bool)
+        cycle = [(129, 128), (128, 128), (129, 128)]
+        assert not cycle_separates(mask, cycle, [(128, 128)], [(0, 0)])
+
+    def test_empty_inner_set_rejected(self):
+        mask = np.ones((8, 8), dtype=bool)
+        with pytest.raises(ValueError, match="inner"):
+            cycle_separates(mask, [(1, 1), (1, 2), (2, 2), (1, 1)], [], [(7, 7)])
 
 
 class TestGeometryHelpers:

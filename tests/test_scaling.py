@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfpp.field import DETERMINISTIC, GridSpec, LatticeField, sample_zero_boundary_gff
-from lfpp.metric import EDGE_WEIGHTED, VERTEX_SUM
+from lfpp.field import DETERMINISTIC, GridSpec, LatticeField
+from lfpp.metric import EDGE_WEIGHTED
 from lfpp.params import LqgParams
 from lfpp.scaling import (
     ExponentFit,
     ScaleSeries,
-    crossing_median_series,
-    estimate_crossing_median,
     fit_exponent,
     fit_loglog,
     hill_estimator,
@@ -147,63 +145,6 @@ class TestFitProperties:
         fit = fit_loglog(x, amp * x**slope)
         assert fit.slope == pytest.approx(slope, abs=1e-9)
         assert fit.intercept == pytest.approx(math.log(amp), abs=1e-9)
-
-
-class TestCrossingEstimators:
-    def test_constant_field_median_exact(self):
-        spec = GridSpec(n=64, spacing=1.0 / 63)
-        med, iqr = estimate_crossing_median(
-            PARAMS,
-            zero_sampler(spec),
-            eps=2 * spec.spacing,
-            replicas=4,
-            master_seed=0,
-            convention=EDGE_WEIGHTED,
-        )
-        assert med == pytest.approx(1.0, rel=1e-12)
-        assert iqr == 0.0
-
-    def test_stride_coarsens_lattice(self):
-        spec = GridSpec(n=64, spacing=1.0 / 63)
-        med, _ = estimate_crossing_median(
-            PARAMS,
-            zero_sampler(spec),
-            eps=4 * spec.spacing,
-            replicas=2,
-            master_seed=0,
-            convention=EDGE_WEIGHTED,
-            stride=2,
-        )
-        # coarsened lattice stops at x = 62/63
-        assert med == pytest.approx(62.0 / 63.0, rel=1e-12)
-
-    def test_replica_floor(self):
-        spec = GridSpec(n=64, spacing=1.0 / 63)
-        with pytest.raises(ValueError):
-            estimate_crossing_median(
-                PARAMS, zero_sampler(spec), 2 * spec.spacing, 1, 0, EDGE_WEIGHTED
-            )
-
-    def test_series_deterministic_in_master_seed(self):
-        spec = GridSpec(n=32, spacing=1.0 / 31)
-        sampler = lambda seed: sample_zero_boundary_gff(spec, seed)
-        s = spec.spacing
-        kwargs = dict(
-            params=PARAMS,
-            sampler=sampler,
-            eps_strides=[(4 * s, 2), (2 * s, 1)],
-            replicas=3,
-            master_seed=7,
-            convention=VERTEX_SUM,
-            square=(0.25, 0.25, 0.5),
-        )
-        a = crossing_median_series(**kwargs)
-        b = crossing_median_series(**kwargs)
-        np.testing.assert_array_equal(a.medians, b.medians)
-        np.testing.assert_array_equal(a.iqr, b.iqr)
-        assert a.statistic_kind == "crossing"
-        c = crossing_median_series(**{**kwargs, "master_seed": 8})
-        assert not np.array_equal(a.medians, c.medians)
 
 
 class TestScaleRatioSeries:
