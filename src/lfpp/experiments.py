@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage, stats
+from scipy import ndimage
 
 from .config import RunConfig
 from .field import (
@@ -620,6 +620,8 @@ def simulate_bm_integral(drift: float, n_samples: int, seed: int,
 
 def bm_integral_cdf(x: np.ndarray, shape: float) -> np.ndarray:
     """CDF of the integral's law: the reciprocal 2/X is Gamma(shape)."""
+    from scipy import stats  # loaded on first use: importing it doubles every CLI start
+
     return stats.gamma.sf(2.0 / np.asarray(x, dtype=np.float64), shape)
 
 
@@ -627,6 +629,8 @@ def run_dufresne_check(params: LqgParams, config: RunConfig,
                        alphas: Optional[Sequence[float]] = None,
                        n_samples: int = 10_000) -> ExperimentReport:
     """Exponential-BM integral distribution against its closed-form law."""
+    from scipy import stats
+
     t0 = time.time()
     if alphas is None:
         alphas = (0.0, params.gamma)

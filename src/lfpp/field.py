@@ -27,7 +27,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy import fft as sfft
 
 ZERO_BOUNDARY = "zero-boundary-gff"
 WHOLE_PLANE = "whole-plane-gff-normalized"
@@ -122,6 +121,8 @@ def sample_zero_boundary_gff(spec: GridSpec, seed: int) -> LatticeField:
     covariance matrix is 2*pi * (-Laplacian)^-1 interpreted as an integral
     kernel (the -log|x-y| + harmonic-correction convention).
     """
+    from scipy import fft as sfft  # loaded on first use, off the CLI's import path
+
     m = spec.n - 2
     s = spec.spacing
     j = np.arange(1, m + 1)

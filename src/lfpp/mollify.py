@@ -8,10 +8,14 @@ renormalized to unit mass on the grid, so constants pass through exactly.
 
 The truncated mollifier multiplies the same kernel by a C^1 radial bump
 that is 1 inside radius sqrt(eps)/2 and exactly 0 outside sqrt(eps), and
-convolves in the spatial domain.  Kernel entries beyond the bump radius
-are exact zeros, so the output at z is bit-for-bit independent of the
-base field outside B_sqrt(eps)(z).  This kernel is deliberately NOT
-renormalized: its mass is the actual mass of psi_eps * p_(eps^2/2).
+convolves in the spatial domain, as a direct sum over the kernel's nonzero
+taps only.  A global FFT is ruled out: its roundoff would leak base values
+from outside the support into every output.  The sum is folded by the
+kernel's mirror symmetry, so the four base values that share a weight are
+added first and multiplied once.  Zero taps are never read, so the output
+at z is bit-for-bit independent of the base field outside B_sqrt(eps)(z).
+This kernel is deliberately NOT renormalized: its mass is the actual mass
+of psi_eps * p_(eps^2/2).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from .field import WHOLE_PLANE, GridSpec, LatticeField
 
@@ -114,19 +117,50 @@ def truncated_kernel(spacing: float, eps: float) -> np.ndarray:
     return k
 
 
+def _symmetric_direct_sum(values: np.ndarray, k: np.ndarray, pad_mode: str) -> np.ndarray:
+    """Convolve with a mirror-symmetric (2h+1)^2 kernel, summing nonzero taps only.
+
+    ``pad_mode`` is the ``np.pad`` extension of the base field ("wrap" or
+    "symmetric").  For each row offset a >= 0 the padded rows at +a and -a
+    are added once; for each nonzero tap b >= 0 in that row the column
+    shifts at +b and -b are added, multiplied once by k[h+a, h+b] and
+    accumulated.  The order of the sum is fixed, and base values at zero
+    taps never enter it.
+    """
+    h = (k.shape[0] - 1) // 2
+    n0, n1 = values.shape
+    padded = np.pad(values, h, mode=pad_mode)
+    out = np.zeros((n0, n1))
+    tmp = np.empty((n0, n1))
+    for a in range(h + 1):
+        taps = np.flatnonzero(k[h + a, h:])
+        if taps.size == 0:
+            continue
+        rows = padded[h + a : h + a + n0]
+        if a:
+            rows = rows + padded[h - a : h - a + n0]
+        for b in taps:
+            cols = rows[:, h + b : h + b + n1]
+            if b:
+                cols = np.add(cols, rows[:, h - b : h - b + n1], out=tmp)
+            out += np.multiply(cols, k[h + a, h + b], out=tmp)
+    return out
+
+
 def mollify_truncated(base: LatticeField, eps: float, padding: str | None = None) -> MollifiedField:
     """Spatial convolution with the bump-truncated heat kernel.
 
-    The value at z depends only on base values inside B_sqrt(eps)(z)
-    (exactly: the kernel is zero there, and 0*x contributes an exact 0).
+    A symmetric-folded direct sum over the kernel's nonzero taps (see
+    ``_symmetric_direct_sum``), with the base field extended periodically
+    or by reflection.  The value at z depends only on base values inside
+    B_sqrt(eps)(z), exactly: a base value at a zero tap is never read.
     """
     s = base.spec.spacing
     if math.sqrt(eps) < 4.0 * s:
         raise ValueError(f"truncation radius sqrt({eps}) below 4*spacing = {4 * s}")
     pad_mode = padding if padding is not None else _padding_for(base)
     k = truncated_kernel(s, eps)
-    boundary = "wrap" if pad_mode == "periodic" else "symm"
-    out = signal.convolve2d(base.values, k, mode="same", boundary=boundary)
+    out = _symmetric_direct_sum(base.values, k, "wrap" if pad_mode == "periodic" else "symmetric")
     return MollifiedField(
         base=base, eps=float(eps), kernel=HEAT_TRUNCATED, values=out, spec=base.spec, padding=pad_mode
     )

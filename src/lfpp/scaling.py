@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -89,11 +89,6 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
         residual_rms=math.sqrt(ss_res / m),
         n_scales=m,
     )
-
-
-def median_iqr(values: np.ndarray) -> Tuple[float, float]:
-    q25, q50, q75 = np.percentile(values, [25.0, 50.0, 75.0])
-    return float(q50), float(q75 - q25)
 
 
 def scale_ratio_series(

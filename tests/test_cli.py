@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +219,33 @@ class TestExperimentAndSuite:
         assert lines[0].startswith("# master_seed=0 config_hash=")
         assert lines[1] == "experiment,metric,value,target,tolerance,pass,seconds"
         assert len(lines) == 4
+
+
+# Run in a fresh interpreter: the test process itself has long since imported
+# every module, so only a child can see what `import lfpp.cli` pulls in.
+COLD_START_PROBE = """
+import json, math, sys
+import lfpp.cli
+heavy = sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.stats", "scipy.fft")))
+from lfpp.config import default_config
+from lfpp.experiments import run_dufresne_check
+from lfpp.params import LqgParams
+rep = run_dufresne_check(LqgParams.pure_gravity(), default_config(), alphas=(0.0,), n_samples=10)
+print(json.dumps({"heavy": heavy, "ks": rep.metrics["ks_alpha_0"],
+                  "stats_loaded": "scipy.stats" in sys.modules}))
+"""
+
+
+class TestColdStart:
+    def test_cli_import_skips_heavy_scipy_modules(self):
+        # scipy.signal, scipy.stats and scipy.fft would add more than half a
+        # second to every command; they load on first use, and the Dufresne
+        # check still gets scipy.stats when it runs
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["heavy"] == []
+        assert out["stats_loaded"]
+        assert 0.0 < out["ks"] < 1.0

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lfpp.field import GridSpec, LatticeField, DETERMINISTIC, sample_whole_plane_gff, sample_zero_boundary_gff
+from lfpp.field import (
+    DETERMINISTIC,
+    WHOLE_PLANE,
+    GridSpec,
+    LatticeField,
+    sample_whole_plane_gff,
+    sample_zero_boundary_gff,
+)
 from lfpp.mollify import (
     HEAT_FULL,
     HEAT_TRUNCATED,
@@ -117,6 +124,64 @@ class TestTruncatedMollifier:
         a = mollify_truncated(LatticeField(spec=spec, values=base.values, kind=DETERMINISTIC), eps)
         b = mollify_truncated(f2, eps)
         assert a.values[center] == b.values[center]
+
+    @pytest.mark.parametrize("padding, center", [("reflective", (64, 64)), ("periodic", (5, 120))])
+    def test_zero_taps_inside_kernel_box_never_read(self, padding, center):
+        # tamper only the lattice offsets inside the (2h+1)^2 kernel box whose
+        # kernel entry is exactly 0; a sum that gave one of them a nonzero
+        # weight, e.g. by pairing a weight with an offset outside the support,
+        # would move the center value.  The periodic center's box wraps
+        # across two edges of the grid.
+        spec = GridSpec(n=128, spacing=2 ** -7)
+        eps = 2 ** -4
+        k = truncated_kernel(spec.spacing, eps)
+        h = (k.shape[0] - 1) // 2
+        da, db = np.nonzero(k == 0.0)
+        assert da.size > 0
+        rows = (center[0] + da - h) % spec.n
+        cols = (center[1] + db - h) % spec.n
+        if padding == "reflective":
+            assert rows.min() == center[0] - h and rows.max() == center[0] + h
+        base = sample_zero_boundary_gff(spec, 21).values
+        tampered = base.copy()
+        tampered[rows, cols] += 100.0 + np.arange(da.size)
+        a, b = (
+            mollify_truncated(LatticeField(spec=spec, values=v, kind=DETERMINISTIC), eps, padding)
+            for v in (base, tampered)
+        )
+        assert a.values[center] == b.values[center]
+        assert not np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize(
+        "spacing, eps",
+        [(2.05 / 255, 2.0 ** -m) for m in (3, 4, 5, 6)]
+        + [(2 ** -7, 2 ** -4), (1 / 15, 1.0), (0.013, 0.3)],
+    )
+    def test_kernel_mirror_symmetric(self, spacing, eps):
+        # the folded direct sum gives the four taps (+-a, +-b) one weight
+        k = truncated_kernel(spacing, eps)
+        assert np.array_equal(k, k.T)
+        assert np.array_equal(k, k[::-1, :])
+        assert np.array_equal(k, k[:, ::-1])
+
+    @pytest.mark.parametrize("padding, boundary", [("periodic", "wrap"), ("reflective", "symm")])
+    @pytest.mark.parametrize(
+        "n, spacing, eps",
+        [(16, 1 / 15, 1.0), (16, 1 / 15, 0.25), (128, 2 ** -7, 2 ** -4)],
+    )
+    def test_matches_convolve2d_oracle(self, padding, boundary, n, spacing, eps):
+        # scipy.signal is imported here only: convolve2d is the reference
+        from scipy import signal
+
+        spec = GridSpec(n=n, spacing=spacing)
+        kind = WHOLE_PLANE if padding == "periodic" else DETERMINISTIC
+        vals = np.random.default_rng(n).standard_normal((n, n))
+        base = LatticeField(spec=spec, values=vals, kind=kind)
+        k = truncated_kernel(spacing, eps)
+        out = mollify_truncated(base, eps)
+        assert out.padding == padding
+        ref = signal.convolve2d(vals, k, mode="same", boundary=boundary)
+        assert np.abs(out.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_under_resolved_truncation_rejected(self):
         spec = GridSpec(n=16, spacing=0.1)

@@ -14,7 +14,6 @@ from lfpp.scaling import (
     fit_exponent,
     fit_loglog,
     hill_estimator,
-    median_iqr,
     scale_ratio_series,
 )
 
@@ -70,11 +69,6 @@ class TestFits:
     def test_degenerate_abscissa_rejected(self):
         with pytest.raises(ValueError):
             fit_loglog([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_median_iqr(self):
-        med, iqr = median_iqr(np.arange(101, dtype=float))
-        assert med == 50.0
-        assert iqr == 50.0
 
 
 class TestScaleSeriesValidation:
