@@ -164,4 +164,8 @@ def serialize_config(config: RunConfig) -> str:
 
 
 def config_hash(config: RunConfig) -> str:
-    return hashlib.sha256(serialize_config(config).encode()).hexdigest()[:16]
+    """Digest of the settings that decide a run's results: the serialized
+    config without ``output_dir``, which only says where they are written."""
+    lines = serialize_config(config).splitlines(keepends=True)
+    text = "".join(line for line in lines if not line.startswith("output_dir = "))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]

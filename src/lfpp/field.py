@@ -177,10 +177,18 @@ def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
     g = np.zeros_like(lam)
     nz = lam > 0
     g[nz] = np.sqrt(2.0 * np.pi / (s**2 * lam[nz]))
+    # the (2n)^2 temporaries set peak memory: drop each once it is used
+    del lam, nz
     w = _rng(seed).standard_normal((big, big))
-    torus = np.fft.ifft2(np.fft.fft2(w) * g).real
+    F = np.fft.fft2(w)
+    del w
+    F *= g
+    del g
+    torus = np.fft.ifft2(F).real
+    del F
     off = n // 2
     window = torus[off : off + n, off : off + n].copy()
+    del torus
     raw = LatticeField(spec=spec, values=window, kind=COMPOSITE, seed=int(seed))
     c = circle_average(raw, spec.center, 1.0)
     return LatticeField(spec=spec, values=window - c, kind=WHOLE_PLANE, seed=int(seed))

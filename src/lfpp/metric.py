@@ -19,6 +19,7 @@ predecessor among those that reproduce the distance exactly.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
@@ -59,45 +60,39 @@ def build_lattice_graph(
     Vertex-sum edges u->v carry exp-weight of v (the source weight is
     charged separately, once per query); edge-weighted edges carry the
     Euclidean step length times the geometric mean of the endpoint weights.
-    Returns (graph, vertex-id grid with -1 outside the mask, active index
-    arrays).  Accepts any rectangular shape; grid validation lives upstream.
+    Vertex ids run row-major over the mask and each row lists its edges in
+    ``OFFSETS`` order, which is ascending neighbor id.  Returns (graph,
+    vertex-id grid with -1 outside the mask, active index arrays).  Accepts
+    any rectangular shape; grid validation lives upstream.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     mask = np.asarray(mask, dtype=bool)
-    nr, nc = mask.shape
-    w = np.asarray(vertex_weight, dtype=np.float64)
-    ids = -np.ones((nr, nc), dtype=np.int64)
+    ids = -np.ones(mask.shape, dtype=np.int64)
     act_i, act_j = np.nonzero(mask)
-    ids[act_i, act_j] = np.arange(act_i.size)
-    rows, cols, data = [], [], []
-    for di, dj, ell in OFFSETS:
-        i0s, i0e = max(0, -di), nr - max(0, di)
-        j0s, j0e = max(0, -dj), nc - max(0, dj)
-        src = mask[i0s:i0e, j0s:j0e]
-        dst = mask[i0s + di : i0e + di, j0s + dj : j0e + dj]
-        ii, jj = np.nonzero(src & dst)
-        ii = ii + i0s
-        jj = jj + j0s
-        uid = ids[ii, jj]
-        vid = ids[ii + di, jj + dj]
-        if convention == VERTEX_SUM:
-            wgt = w[ii + di, jj + dj]
-        else:
-            wgt = ell * spacing * np.sqrt(w[ii, jj] * w[ii + di, jj + dj])
-        rows.append(uid)
-        cols.append(vid)
-        data.append(wgt)
     nv = act_i.size
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-    else:
-        rows = np.zeros(0, dtype=np.int64)
-        cols = np.zeros(0, dtype=np.int64)
-        data = np.zeros(0)
-    return csr_matrix((data, (rows, cols)), shape=(nv, nv)), ids, (act_i, act_j)
+    ids[act_i, act_j] = np.arange(nv)
+    # Only the mask's bounding box is scanned.  Framing it with one ring of
+    # id -1 makes every offset's neighbor block a plain slice.
+    i0, i1, j0, j1 = (act_i[0], act_i[-1] + 1, act_j.min(), act_j.max() + 1) if nv else (0, 0, 0, 0)
+    h, wd = i1 - i0, j1 - j0
+    itype = np.int32 if 8 * nv < 2**31 else np.int64
+    fid = np.full((h + 2, wd + 2), -1, dtype=itype)
+    fid[1:-1, 1:-1] = ids[i0:i1, j0:j1]
+    fw = np.ones((h + 2, wd + 2))
+    fw[1:-1, 1:-1] = np.asarray(vertex_weight)[i0:i1, j0:j1]
+    nbr = np.empty((h, wd, len(OFFSETS)), dtype=itype)
+    wgt = np.empty((h, wd, len(OFFSETS)))
+    for k, (di, dj, ell) in enumerate(OFFSETS):
+        nbr[:, :, k] = fid[1 + di : 1 + di + h, 1 + dj : 1 + dj + wd]
+        wv = fw[1 + di : 1 + di + h, 1 + dj : 1 + dj + wd]
+        wgt[:, :, k] = wv if convention == VERTEX_SUM else ell * spacing * np.sqrt(fw[1:-1, 1:-1] * wv)
+    inside = mask[i0:i1, j0:j1]
+    valid = (nbr >= 0) & inside[:, :, None]
+    indptr = np.zeros(nv + 1, dtype=itype)
+    np.cumsum(valid.sum(axis=2)[inside], out=indptr[1:])
+    graph = csr_matrix((wgt[valid], nbr[valid], indptr), shape=(nv, nv))
+    return graph, ids, (act_i, act_j)
 
 
 def lattice_distance(
@@ -156,20 +151,20 @@ class MetricProblem:
         self.field = field
         self.params = params
         self.convention = convention
-        n = field.spec.n
-        if mask is None:
-            mask = np.ones((n, n), dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (n, n):
-            raise ValueError("mask shape does not match the field grid")
-        self.mask = mask.copy()
-        self.mask.setflags(write=False)
-        self.n = n
+        self.n = field.spec.n
         self.spacing = field.spec.spacing
+        self._set_mask(np.ones((self.n, self.n), dtype=bool) if mask is None else mask)
         w = np.exp(params.xi * field.values)
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("vertex weights must be positive and finite")
         self.vertex_weight = w
+
+    def _set_mask(self, mask: np.ndarray) -> None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self.n, self.n):
+            raise ValueError("mask shape does not match the field grid")
+        self.mask = mask.copy()
+        self.mask.setflags(write=False)
         self._graph = None
         self._ids = None
         self._active = None
@@ -279,18 +274,20 @@ class MetricProblem:
         """
         if len(sources) == 0:
             raise ValueError("sources must be nonempty")
-        self._build()
-        nv = self._graph.shape[0]
-        sid = np.array([self._vid(s) for s in sources], dtype=np.int64)
-        if self.convention == VERTEX_SUM:
-            wgt = np.array([self.vertex_weight[s] for s in sources])
-        else:
-            wgt = np.zeros(len(sources))
-        coo = self._graph.tocoo()
+        g = self.graph
+        nv = g.shape[0]
+        si, sj = np.asarray(sources).T
+        sid = self.ids[si, sj]
+        if np.any(sid < 0):
+            k = int(np.argmax(sid < 0))
+            raise ValueError(f"vertex {sources[k]} is outside the mask")
+        wgt = self.vertex_weight[si, sj] if self.convention == VERTEX_SUM else np.zeros(sid.size)
+        # the virtual source is vertex nv, its edges one extra CSR row
         aug = csr_matrix(
             (
-                np.concatenate([coo.data, wgt]),
-                (np.concatenate([coo.row, np.full(sid.size, nv)]), np.concatenate([coo.col, sid])),
+                np.concatenate([g.data, wgt]),
+                np.concatenate([g.indices, sid.astype(g.indices.dtype)]),
+                np.append(g.indptr, g.nnz + sid.size).astype(g.indptr.dtype),
             ),
             shape=(nv + 1, nv + 1),
         )
@@ -299,10 +296,12 @@ class MetricProblem:
 
     def restricted(self, submask: np.ndarray) -> "MetricProblem":
         """The same metric on submask, which must be contained in the mask."""
-        sub = np.asarray(submask, dtype=bool)
-        if np.any(sub & ~self.mask):
+        # same field and parameters, so the weights checked at construction hold
+        inner = copy.copy(self)
+        inner._set_mask(submask)
+        if np.any(inner.mask & ~self.mask):
             raise ValueError("submask is not contained in the problem mask")
-        return MetricProblem(self.field, self.params, self.convention, mask=sub)
+        return inner
 
     def crossing_distance(self, square: Tuple[float, float, float]) -> float:
         """Left-to-right crossing distance of a square, paths inside the square.

@@ -159,8 +159,11 @@ def mollify_truncated(base: LatticeField, eps: float, padding: str | None = None
     if math.sqrt(eps) < 4.0 * s:
         raise ValueError(f"truncation radius sqrt({eps}) below 4*spacing = {4 * s}")
     pad_mode = padding if padding is not None else _padding_for(base)
+    extension = {"periodic": "wrap", "reflective": "symmetric"}.get(pad_mode)
+    if extension is None:
+        raise ValueError(f"unknown padding {pad_mode!r}")
     k = truncated_kernel(s, eps)
-    out = _symmetric_direct_sum(base.values, k, "wrap" if pad_mode == "periodic" else "symmetric")
+    out = _symmetric_direct_sum(base.values, k, extension)
     return MollifiedField(
         base=base, eps=float(eps), kernel=HEAT_TRUNCATED, values=out, spec=base.spec, padding=pad_mode
     )

@@ -104,6 +104,10 @@ class TestConfig:
         b = parse_config("master_seed = 1\n")
         assert config_hash(a) != config_hash(b)
         assert len(config_hash(a)) == 16
+        # where a run is written does not change what it computes
+        c = parse_config("master_seed = 1\noutput_dir = elsewhere\n")
+        assert config_hash(c) == config_hash(b)
+        assert serialize_config(c) != serialize_config(b)
 
 
 class TestFieldFiles:

@@ -3,11 +3,13 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from lfpp.config import default_config
 from lfpp.field import GridSpec, LatticeField, DETERMINISTIC
 from lfpp.metric import (
     EDGE_WEIGHTED,
+    OFFSETS,
     VERTEX_SUM,
     MetricProblem,
     build_lattice_graph,
@@ -38,6 +40,62 @@ def zero_problem(n=64, side=1.0, convention=EDGE_WEIGHTED, mask=None):
     spec = GridSpec(n=n, spacing=side / (n - 1))
     mf = from_values(spec, np.zeros((n, n)), 0.1)
     return MetricProblem(mf, PARAMS, convention, mask=mask)
+
+
+def coo_reference_graph(mask, vertex_weight, spacing, convention):
+    """The per-offset COO construction that ``build_lattice_graph`` replaced:
+    one nonzero scan of the whole grid per offset, assembled into CSR by
+    scipy.  Kept as the reference its CSR arrays must equal exactly."""
+    mask = np.asarray(mask, dtype=bool)
+    nr, nc = mask.shape
+    w = np.asarray(vertex_weight, dtype=np.float64)
+    ids = -np.ones((nr, nc), dtype=np.int64)
+    act_i, act_j = np.nonzero(mask)
+    ids[act_i, act_j] = np.arange(act_i.size)
+    rows, cols, data = [], [], []
+    for di, dj, ell in OFFSETS:
+        i0s, i0e = max(0, -di), nr - max(0, di)
+        j0s, j0e = max(0, -dj), nc - max(0, dj)
+        src = mask[i0s:i0e, j0s:j0e]
+        dst = mask[i0s + di : i0e + di, j0s + dj : j0e + dj]
+        ii, jj = np.nonzero(src & dst)
+        ii = ii + i0s
+        jj = jj + j0s
+        rows.append(ids[ii, jj])
+        cols.append(ids[ii + di, jj + dj])
+        if convention == VERTEX_SUM:
+            data.append(w[ii + di, jj + dj])
+        else:
+            data.append(ell * spacing * np.sqrt(w[ii, jj] * w[ii + di, jj + dj]))
+    nv = act_i.size
+    coo = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
+    return csr_matrix(coo, shape=(nv, nv)), ids, (act_i, act_j)
+
+
+def nx_lattice(prob):
+    """The masked 8-neighbor lattice of a problem as a networkx digraph,
+    each edge priced from the vertex weights."""
+    n, s, w = prob.n, prob.spacing, prob.vertex_weight
+    g = nx.DiGraph()
+    for u in map(tuple, np.argwhere(prob.mask)):
+        g.add_node(u)
+        for di, dj, ell in OFFSETS:
+            v = (u[0] + di, u[1] + dj)
+            if 0 <= v[0] < n and 0 <= v[1] < n and prob.mask[v]:
+                cost = w[v] if prob.convention == VERTEX_SUM else ell * s * math.sqrt(w[u] * w[v])
+                g.add_edge(u, v, weight=cost)
+    return g
+
+
+def nx_multi_source(g, prob, sources):
+    """Distance from the nearest source, each source's own weight charged
+    once under vertex-sum: one networkx Dijkstra per source."""
+    out = {}
+    for src in sources:
+        base = prob.vertex_weight[src] if prob.convention == VERTEX_SUM else 0.0
+        for v, d in nx.single_source_dijkstra_path_length(g, src).items():
+            out[v] = min(out.get(v, math.inf), base + d)
+    return out
 
 
 def random_problem(n, seed, convention, spacing=0.1):
@@ -148,6 +206,8 @@ class TestQueries:
         prob = zero_problem(n=64, mask=mask)
         with pytest.raises(ValueError):
             prob.distance((10, 10), (0, 0))
+        with pytest.raises(ValueError, match=r"vertex \(10, 10\) is outside the mask"):
+            prob.multi_source_distance([(0, 0), (10, 10)])
 
     def test_disconnected_mask_unreachable(self):
         mask = np.ones((16, 16), dtype=bool)
@@ -218,6 +278,63 @@ class TestCrossing:
         prob = zero_problem(n=16, mask=mask)
         with pytest.raises(ValueError, match=r"square \(0\.0, 0\.0, 1\.0\)"):
             prob.crossing_distance((0.0, 0.0, 1.0))
+
+
+class TestNetworkxOracle:
+    """Sweeps against networkx on random masked grids whose mask's bounding
+    box sits off-centre, so the builder's crop and the virtual-source row
+    are both exercised."""
+
+    @staticmethod
+    def _cases(convention):
+        rng = np.random.default_rng(41)
+        for _ in range(4):
+            n = int(rng.choice([16, 32]))  # GridSpec takes powers of two
+            i0, j0 = (int(v) for v in rng.integers(1, n // 3, 2))
+            i1, j1 = (int(v) for v in rng.integers(n // 2 + 3, n, 2))
+            mask = np.zeros((n, n), dtype=bool)
+            mask[i0:i1, j0:j1] = rng.random((i1 - i0, j1 - j0)) < 0.85
+            spec = GridSpec(n=n, spacing=0.1)
+            mf = from_values(spec, rng.normal(0.0, 1.0, (n, n)), 0.5)
+            yield rng, MetricProblem(mf, PARAMS, convention, mask=mask)
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_multi_source_distance(self, convention):
+        for rng, prob in self._cases(convention):
+            active = np.argwhere(prob.mask)
+            sources = [tuple(int(x) for x in active[k]) for k in rng.choice(len(active), 3, replace=False)]
+            d = prob.multi_source_distance(sources)
+            want = nx_multi_source(nx_lattice(prob), prob, sources)
+            assert not np.isfinite(d[~prob.mask]).any()
+            for v in map(tuple, active):
+                if v in want:
+                    assert d[v] == pytest.approx(want[v], rel=1e-12)
+                else:
+                    assert d[v] == math.inf
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_crossing_distance(self, convention):
+        for rng, prob in self._cases(convention):
+            n = prob.n
+            x0, y0 = rng.uniform(0.0, 0.4 * n * prob.spacing, 2)
+            side = rng.uniform(0.4, 0.55) * n * prob.spacing
+            xs = prob.spacing * np.arange(n)
+            in_x = (xs >= x0) & (xs <= x0 + side)
+            in_y = (xs >= y0) & (xs <= y0 + side)
+            sub = in_x[:, None] & in_y[None, :] & prob.mask
+            if not sub.any():
+                continue
+            cols = np.nonzero(sub.any(axis=1))[0]
+            left = [(int(cols[0]), int(j)) for j in np.nonzero(sub[cols[0]])[0]]
+            right = [(int(cols[-1]), int(j)) for j in np.nonzero(sub[cols[-1]])[0]]
+            inner = nx_lattice(prob).subgraph(map(tuple, np.argwhere(sub)))
+            dist = nx_multi_source(inner, prob, left)
+            want = min(dist.get(v, math.inf) for v in right)
+            if math.isfinite(want):
+                assert prob.crossing_distance((x0, y0, side)) == pytest.approx(want, rel=1e-12)
+            else:
+                with pytest.raises(ValueError):
+                    prob.crossing_distance((x0, y0, side))
 
 
 class TestAnnulusCycle:
@@ -420,6 +537,33 @@ class TestGeometryHelpers:
 
 
 class TestGraphConstruction:
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_matches_coo_reference(self, convention):
+        rng = np.random.default_rng(17)
+        masks = [np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool),
+                 np.zeros((6, 5), dtype=bool), np.zeros((7, 7), dtype=bool)]
+        masks[3][2, 5] = True  # a single vertex
+        for _ in range(30):
+            nr, nc = (int(v) for v in rng.integers(1, 25, 2))
+            masks.append(rng.random((nr, nc)) < rng.uniform(0.3, 1.0))  # holes
+            # a ragged blob off-centre in a larger grid
+            m = np.zeros((nr + 6, nc + 4), dtype=bool)
+            m[2 : 2 + nr, 3 : 3 + nc] = rng.random((nr, nc)) < 0.9
+            masks.append(m)
+        for mask in masks:
+            w = np.exp(rng.normal(0.0, 1.0, mask.shape))
+            g, ids, active = build_lattice_graph(mask, w, 0.07, convention)
+            ref, ref_ids, ref_active = coo_reference_graph(mask, w, 0.07, convention)
+            assert g.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(g, name), getattr(ref, name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            assert ids.dtype == ref_ids.dtype
+            np.testing.assert_array_equal(ids, ref_ids)
+            for got, want in zip(active, ref_active):
+                np.testing.assert_array_equal(got, want)
+
     def test_rectangular_shapes_supported(self):
         w = np.ones((3, 5))
         g, ids, _ = build_lattice_graph(np.ones((3, 5), dtype=bool), w, 1.0, EDGE_WEIGHTED)

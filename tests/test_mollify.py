@@ -59,10 +59,11 @@ class TestHeatMollifier:
         with pytest.raises(ValueError):
             mollify_heat(constant_field(spec, 0.0), spec.spacing)
 
-    def test_unknown_padding_rejected(self):
+    @pytest.mark.parametrize("mollifier", [mollify_heat, mollify_truncated], ids=["heat", "truncated"])
+    def test_unknown_padding_rejected(self, mollifier):
         spec = unit_spec()
-        with pytest.raises(ValueError):
-            mollify_heat(constant_field(spec, 0.0), 2 ** -4, padding="toroidal")
+        with pytest.raises(ValueError, match="unknown padding"):
+            mollifier(constant_field(spec, 0.0), 2 ** -4, padding="toroidal")
 
     def test_whole_plane_defaults_to_periodic(self):
         spec = GridSpec(n=64, spacing=2.5 / 63, origin=(-1.25, -1.25))
