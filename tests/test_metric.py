@@ -199,6 +199,8 @@ class TestQueries:
         prob = random_problem(16, 8, VERTEX_SUM)
         d = prob.multi_source_distance([(2, 2)])
         assert d[2, 2] == pytest.approx(prob.vertex_weight[2, 2], rel=1e-12)
+        # a repeated source is still charged once
+        np.testing.assert_array_equal(prob.multi_source_distance([(2, 2), (2, 2)]), d)
 
     def test_masked_vertex_rejected(self):
         mask = np.ones((64, 64), dtype=bool)
