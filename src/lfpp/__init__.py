@@ -15,7 +15,7 @@ from .field import (
     add_function,
     rescale_field,
 )
-from .mollify import MollifiedField, mollify_heat, mollify_truncated
+from .mollify import MollifiedField, mollify_heat, mollify_heat_ladder, mollify_truncated
 from .metric import MetricProblem, PathResult, MetricBall
 from .scaling import ScaleSeries, ExponentFit, fit_exponent, hill_estimator
 from .config import RunConfig, default_config, parse_config, serialize_config, config_hash
@@ -33,6 +33,7 @@ __all__ = [
     "rescale_field",
     "MollifiedField",
     "mollify_heat",
+    "mollify_heat_ladder",
     "mollify_truncated",
     "MetricProblem",
     "PathResult",

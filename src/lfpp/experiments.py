@@ -34,7 +34,14 @@ from .metric import (
     MetricProblem,
     geodesic_tube_area,
 )
-from .mollify import HEAT_FULL, MollifiedField, mollify_heat, mollify_truncated, subsample
+from .mollify import (
+    HEAT_FULL,
+    MollifiedField,
+    mollify_heat,
+    mollify_heat_ladder,
+    mollify_truncated,
+    subsample,
+)
 from .params import LqgParams
 from .scaling import ScaleSeries, fit_exponent, fit_loglog, hill_estimator
 from .seeds import replica_seed
@@ -106,8 +113,7 @@ def _crossing_replica(args) -> np.ndarray:
     spec = _centered_spec(n, side)
     f = sample_whole_plane_gff(spec, seed)
     out = np.empty((len(ladders), len(eps_list)))
-    for a, eps in enumerate(eps_list):
-        mf = mollify_heat(f, eps)
+    for a, mf in enumerate(mollify_heat_ladder(f, eps_list)):
         for c, (convention, strides) in enumerate(ladders):
             prob = MetricProblem(subsample(mf, strides[a]), params, convention)
             out[c, a] = prob.crossing_distance(square)
@@ -422,43 +428,42 @@ def run_locality_check(params: LqgParams, config: RunConfig,
 # -- scaling relation ------------------------------------------------------------
 
 
-def rescaled_mollified(h: LatticeField, r: int, eps: float) -> Tuple[MollifiedField, float]:
+def rescaled_mollified(mf: MollifiedField, r: int) -> Tuple[MollifiedField, float]:
     """The rescaled field h(r.) - h_r(0), smoothed at scale eps/r.
 
-    Realized through the fine-grid convolution: smoothing commutes exactly
-    with the coordinate rescaling, so the values are the fine-grid
-    mollification at physical scale eps, subsampled onto the coarse grid.
-    This avoids the aliasing a direct coarse-grid convolution of the rough
-    field would introduce.
+    ``mf`` is the fine-grid heat mollification of h at physical scale eps.
+    Smoothing commutes exactly with the coordinate rescaling, so the values
+    are ``mf`` subsampled onto the coarse grid.  This avoids the aliasing a
+    direct coarse-grid convolution of the rough field would introduce.
     """
-    coarse = rescale_field(h, r)
-    sub = subsample(mollify_heat(h, eps), r)
+    coarse = rescale_field(mf.base, r)
+    sub = subsample(mf, r)
     vals = sub.values - coarse.recentering
-    mf = MollifiedField(base=coarse, eps=eps / r, kernel=HEAT_FULL,
-                        values=vals, spec=coarse.spec, padding=sub.padding)
-    return mf, coarse.recentering
+    out = MollifiedField(base=coarse, eps=mf.eps / r, kernel=HEAT_FULL,
+                         values=vals, spec=coarse.spec, padding=sub.padding)
+    return out, coarse.recentering
 
 
-def scaling_relation_gaps(h: LatticeField, params: LqgParams, convention: str,
-                          eps: float, pairs: int, rng: np.random.Generator,
-                          r: int = 2) -> np.ndarray:
+def scaling_relation_gaps(mf: MollifiedField, params: LqgParams, convention: str,
+                          pairs: int, rng: np.random.Generator, r: int = 2) -> np.ndarray:
     """Signed relative gaps (LHS - RHS)/RHS of the rescaling identity.
 
-    LHS: distances under the rescaled field at scale eps/r from one coarse
-    source.  RHS: distances under the original field at scale eps from the
-    corresponding fine source, normalized by the recentering factor (and by
-    1/r for the edge-weighted convention, whose costs carry the physical
-    length element; the vertex-sum convention is spacing-free).
+    ``mf`` is the heat mollification of h at scale eps.  LHS: distances
+    under the rescaled field at scale eps/r from one coarse source.  RHS:
+    distances under the original field at scale eps from the corresponding
+    fine source, normalized by the recentering factor (and by 1/r for the
+    edge-weighted convention, whose costs carry the physical length
+    element; the vertex-sum convention is spacing-free).
     """
     xi = params.xi
-    lhs_mf, c = rescaled_mollified(h, r, eps)
+    lhs_mf, c = rescaled_mollified(mf, r)
     lhs_prob = MetricProblem(lhs_mf, params, convention)
     if convention == VERTEX_SUM:
-        rhs_prob = MetricProblem(subsample(mollify_heat(h, eps), r), params, convention)
+        rhs_prob = MetricProblem(subsample(mf, r), params, convention)
         factor = math.exp(-xi * c)
         stretch = 1
     else:
-        rhs_prob = MetricProblem(mollify_heat(h, eps), params, convention)
+        rhs_prob = MetricProblem(mf, params, convention)
         factor = math.exp(-xi * c) / r
         stretch = r
     nc = lhs_mf.spec.n
@@ -487,27 +492,28 @@ def run_scaling_relation_check(params: LqgParams, config: RunConfig,
 
     # constant field: identity exact for both conventions
     const = LatticeField(spec=spec, values=np.full((n, n), 1.3), kind=DETERMINISTIC)
+    const_mf = mollify_heat(const, eps)
     const_gap = 0.0
     for conv in (VERTEX_SUM, EDGE_WEIGHTED):
-        g = scaling_relation_gaps(const, params, conv, eps, 10, np.random.default_rng(0), r)
+        g = scaling_relation_gaps(const_mf, params, conv, 10, np.random.default_rng(0), r)
         const_gap = max(const_gap, float(np.abs(g).max()))
 
     # deterministic linear field pins a reference band
     xx, _ = spec.mesh()
     linear = LatticeField(spec=spec, values=xx.copy(), kind=DETERMINISTIC)
     lin_gap = float(np.abs(
-        scaling_relation_gaps(linear, params, config.convention, eps, 20,
+        scaling_relation_gaps(mollify_heat(linear, eps), params, config.convention, 20,
                               np.random.default_rng(1), r)
     ).max())
 
     gaps_vs = []
     gaps_ew = []
     for rep in range(replicas):
-        h = sample_whole_plane_gff(spec, replica_seed(config.master_seed, rep))
+        mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(config.master_seed, rep)), eps)
         rng = np.random.default_rng(replica_seed(config.master_seed, rep, 3))
-        gaps_vs.append(scaling_relation_gaps(h, params, VERTEX_SUM, eps, pairs, rng, r))
+        gaps_vs.append(scaling_relation_gaps(mf, params, VERTEX_SUM, pairs, rng, r))
         rng = np.random.default_rng(replica_seed(config.master_seed, rep, 4))
-        gaps_ew.append(scaling_relation_gaps(h, params, EDGE_WEIGHTED, eps, pairs, rng, r))
+        gaps_ew.append(scaling_relation_gaps(mf, params, EDGE_WEIGHTED, pairs, rng, r))
     gaps_vs = np.concatenate(gaps_vs)
     gaps_ew = np.concatenate(gaps_ew)
 
@@ -609,11 +615,19 @@ def simulate_bm_integral(drift: float, n_samples: int, seed: int,
     nsteps = int(round(horizon / dt))
     b = np.zeros(n_samples)
     x = np.zeros(n_samples)
+    # per-step buffers, written in place; standard_normal(out=) draws the
+    # same stream as standard_normal(n_samples)
+    z = np.empty(n_samples)
+    tmp = np.empty(n_samples)
     sdt = math.sqrt(dt)
     decay = 0.0
     for _ in range(nsteps):
-        x += np.exp(b - decay) * dt
-        b += sdt * rng.standard_normal(n_samples)
+        np.exp(np.subtract(b, decay, out=tmp), out=tmp)
+        tmp *= dt
+        x += tmp
+        rng.standard_normal(out=z)
+        z *= sdt
+        b += z
         decay += drift * dt
     return x
 

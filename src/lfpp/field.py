@@ -14,7 +14,10 @@ Two samplers are provided, both spectral and both deterministic given a
   unit-circle average about the window center is exactly zero.  This is
   the finite-volume surrogate for the whole-plane field: the short-range
   covariance in the window interior is correct, boundary effects are
-  pushed to the doubled torus.
+  pushed to the doubled torus.  The noise is real, so the synthesis runs
+  on real transforms (``rfft2``/``irfft2``) against the half-spectrum the
+  real transform keeps; that spectrum depends only on (n, spacing) and is
+  built once and cached read-only.
 
 Fields are immutable value objects; everything downstream (mollifiers,
 metrics) treats them as read-only.
@@ -22,6 +25,7 @@ metrics) treats them as read-only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Tuple
@@ -156,6 +160,25 @@ def dirichlet_green_diagonal(spec: GridSpec, index: Tuple[int, int]) -> float:
     return float(np.sum(2.0 * np.pi * v2 / (lam * s**2)))
 
 
+@functools.lru_cache(maxsize=2)
+def _whole_plane_spectrum(n: int, spacing: float) -> np.ndarray:
+    """Read-only half-spectrum of the doubled torus, shape (2n, n + 1).
+
+    Mode (j, k) gets sqrt(2*pi / (lambda_jk * s^2)), with lambda_jk the
+    eigenvalue of the periodic 5-point Laplacian, and the zero mode gets 0.
+    Only the columns ``rfft2`` keeps are built; every sample at (n, spacing)
+    shares the one array.
+    """
+    big = 2 * n
+    lam1 = (4.0 / spacing**2) * np.sin(np.pi * np.arange(big) / big) ** 2
+    lam = lam1[:, None] + lam1[None, : n + 1]
+    g = np.zeros_like(lam)
+    nz = lam > 0
+    g[nz] = np.sqrt(2.0 * np.pi / (spacing**2 * lam[nz]))
+    g.setflags(write=False)
+    return g
+
+
 def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
     """Whole-plane surrogate: doubled-torus spectral sample, recentered.
 
@@ -169,22 +192,11 @@ def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
             "window must strictly contain the unit disk about its center "
             f"(half side {half_side:.4f})"
         )
-    n, s = spec.n, spec.spacing
+    n = spec.n
     big = 2 * n
-    k = np.arange(big)
-    lam1 = (4.0 / s**2) * np.sin(np.pi * k / big) ** 2
-    lam = lam1[:, None] + lam1[None, :]
-    g = np.zeros_like(lam)
-    nz = lam > 0
-    g[nz] = np.sqrt(2.0 * np.pi / (s**2 * lam[nz]))
-    # the (2n)^2 temporaries set peak memory: drop each once it is used
-    del lam, nz
-    w = _rng(seed).standard_normal((big, big))
-    F = np.fft.fft2(w)
-    del w
-    F *= g
-    del g
-    torus = np.fft.ifft2(F).real
+    F = np.fft.rfft2(_rng(seed).standard_normal((big, big)))
+    F *= _whole_plane_spectrum(n, spec.spacing)
+    torus = np.fft.irfft2(F, s=(big, big))
     del F
     off = n // 2
     window = torus[off : off + n, off : off + n].copy()

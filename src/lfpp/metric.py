@@ -504,52 +504,3 @@ def geodesic_tube_area(
     db = ndimage.distance_transform_edt(~b, sampling=spec_spacing)
     both = (da <= eps_r) & (db <= eps_r)
     return float(np.count_nonzero(both)) * spec_spacing**2
-
-
-def ring_vertices(problem: MetricProblem, z: Tuple[float, float], r: float) -> List[Tuple[int, int]]:
-    """Lattice circle: masked vertices inside B_r(z) with an 8-neighbor outside."""
-    spec = problem.field.spec
-    xx, yy = spec.mesh()
-    rad = np.hypot(xx - z[0], yy - z[1])
-    inside = (rad <= r) & problem.mask
-    n = problem.n
-    padded = np.pad(rad <= r, 1, mode="constant", constant_values=False)
-    has_out = np.zeros_like(inside)
-    for di, dj, _ in OFFSETS:
-        has_out |= ~padded[1 + di : 1 + di + n, 1 + dj : 1 + dj + n]
-    ring = inside & has_out
-    return [tuple(v) for v in np.argwhere(ring)]
-
-
-def c_good_statistic(problem: MetricProblem, z: Tuple[float, float], r: float) -> float:
-    """Ratio sup_{u,v on dB_r} D(u,v; A_{r/2,2r}) / D(dB_r, dB_2r).
-
-    The sup over pairs is exact: one Dijkstra pass per boundary vertex of
-    the inner circle, restricted to the annulus A_{r/2, 2r}(z).
-    """
-    spec = problem.field.spec
-    if not spec.contains_disk(z, 2.0 * r):
-        raise ValueError("B_2r(z) leaves the mask window")
-    if r / problem.spacing < 4.0:
-        raise ValueError("annulus under-resolved")
-    ring_r = ring_vertices(problem, z, r)
-    ring_2r = ring_vertices(problem, z, 2.0 * r)
-    xx, yy = spec.mesh()
-    rad = np.hypot(xx - z[0], yy - z[1])
-    ann = (rad >= 0.5 * r) & (rad <= 2.0 * r) & problem.mask
-    inner_prob = problem.restricted(ann)
-    sup_pair = 0.0
-    ring_mask = np.zeros_like(problem.mask)
-    for v in ring_r:
-        ring_mask[v] = True
-    for u in ring_r:
-        d = inner_prob.multi_source_distance([u])
-        vals = d[ring_mask]
-        vals = vals[np.isfinite(vals)]
-        if vals.size:
-            sup_pair = max(sup_pair, float(np.max(vals)))
-    d_cross_grid = problem.multi_source_distance(ring_r)
-    cross = min(float(d_cross_grid[v]) for v in ring_2r)
-    if not (cross > 0.0 and math.isfinite(cross)):
-        raise RuntimeError("degenerate annulus crossing distance")
-    return sup_pair / cross

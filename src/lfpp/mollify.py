@@ -1,10 +1,14 @@
 """Heat-kernel mollification of lattice fields, full and truncated.
 
 The full mollifier convolves with the Gaussian kernel of per-coordinate
-variance eps^2/2 (density (1/(pi*eps^2)) * exp(-|z|^2/eps^2)) by FFT,
+variance eps^2/2 (density (1/(pi*eps^2)) * exp(-|z|^2/eps^2)) by real FFT,
 with padding matched to the field's boundary behavior: periodic for the
 torus-backed whole-plane surrogate, reflective otherwise.  The kernel is
 renormalized to unit mass on the grid, so constants pass through exactly.
+The wrapped kernel is separable, so its spectrum is the outer product of
+one 1-D transform; no 2-D kernel is built.  ``mollify_heat_ladder``
+transforms the field once for a whole list of scales and ``mollify_heat``
+is its one-scale case.
 
 The truncated mollifier multiplies the same kernel by a C^1 radial bump
 that is 1 inside radius sqrt(eps)/2 and exactly 0 outside sqrt(eps), and
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -63,39 +68,60 @@ def _padding_for(base: LatticeField) -> str:
     return "periodic" if base.kind == WHOLE_PLANE else "reflective"
 
 
-def _heat_kernel_wrapped(n: int, spacing: float, eps: float) -> np.ndarray:
-    """Gaussian kernel on an n x n torus, centered at index (0, 0), mass 1."""
-    idx = np.arange(n)
-    d = np.minimum(idx, n - idx) * spacing
-    r2 = d[:, None] ** 2 + d[None, :] ** 2
-    k = np.exp(-r2 / eps**2)
-    return k / k.sum()
+def _heat_spectrum(m: int, spacing: float, eps: float) -> np.ndarray:
+    """``rfft2`` of the unit-mass Gaussian kernel on an m x m torus, centered
+    at index (0, 0): shape (m, m // 2 + 1).
+
+    The wrapped kernel is the outer product u u^T of the normalized 1-D
+    profile u, whose transform is real because u is even, so its spectrum
+    is the outer product of one 1-D transform with the half it keeps.
+    """
+    idx = np.arange(m)
+    d = np.minimum(idx, m - idx) * spacing
+    u = np.exp(-(d**2) / eps**2)
+    u /= u.sum()
+    fu = np.fft.fft(u).real
+    return fu[:, None] * fu[None, : m // 2 + 1]
+
+
+def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float],
+                        padding: str | None = None) -> List[MollifiedField]:
+    """FFT convolution with the heat kernel at time eps^2/2, for each eps.
+
+    The field is transformed once and each scale only multiplies by its
+    kernel's spectrum.  Reflective padding extends the field by
+    min(n - 1, ceil(6.5 eps / s)) samples, so the padded field is
+    re-transformed only when that width changes along the ladder.
+    """
+    s = base.spec.spacing
+    for eps in eps_list:
+        if eps < 2.0 * s:
+            raise ValueError(f"eps {eps} below resolvable scale {2 * s}")
+    pad_mode = padding if padding is not None else _padding_for(base)
+    if pad_mode not in ("periodic", "reflective"):
+        raise ValueError(f"unknown padding {pad_mode!r}")
+    n = base.spec.n
+    out = []
+    width = None
+    for eps in eps_list:
+        p = 0 if pad_mode == "periodic" else min(n - 1, int(math.ceil(6.5 * eps / s)))
+        if p != width:
+            width, m = p, n + 2 * p
+            # 'symmetric' repeats the edge sample, matching scipy.ndimage's
+            # 'reflect' so both mollifiers see the same extension
+            F = np.fft.rfft2(np.pad(base.values, p, mode="symmetric") if p else base.values)
+        conv = np.fft.irfft2(F * _heat_spectrum(m, s, eps), s=(m, m))
+        # a copy of the window, so a padded result does not hold the m x m array
+        values = np.ascontiguousarray(conv[p : p + n, p : p + n])
+        out.append(MollifiedField(
+            base=base, eps=float(eps), kernel=HEAT_FULL, values=values, spec=base.spec, padding=pad_mode,
+        ))
+    return out
 
 
 def mollify_heat(base: LatticeField, eps: float, padding: str | None = None) -> MollifiedField:
     """FFT convolution with the heat kernel at time eps^2/2."""
-    s = base.spec.spacing
-    if eps < 2.0 * s:
-        raise ValueError(f"eps {eps} below resolvable scale {2 * s}")
-    pad_mode = padding if padding is not None else _padding_for(base)
-    n = base.spec.n
-    if pad_mode == "periodic":
-        k = _heat_kernel_wrapped(n, s, eps)
-        out = np.fft.ifft2(np.fft.fft2(base.values) * np.fft.fft2(k)).real
-    elif pad_mode == "reflective":
-        p = min(n - 1, int(math.ceil(6.5 * eps / s)))
-        # 'symmetric' repeats the edge sample, matching scipy.ndimage's
-        # 'reflect' so both mollifiers see the same extension
-        padded = np.pad(base.values, p, mode="symmetric")
-        m = n + 2 * p
-        k = _heat_kernel_wrapped(m, s, eps)
-        conv = np.fft.ifft2(np.fft.fft2(padded) * np.fft.fft2(k)).real
-        out = conv[p : p + n, p : p + n]
-    else:
-        raise ValueError(f"unknown padding {pad_mode!r}")
-    return MollifiedField(
-        base=base, eps=float(eps), kernel=HEAT_FULL, values=out, spec=base.spec, padding=pad_mode
-    )
+    return mollify_heat_ladder(base, [eps], padding)[0]
 
 
 def bump_profile(rho: np.ndarray, eps: float) -> np.ndarray:

@@ -7,6 +7,7 @@ from lfpp.field import (
     GridSpec,
     LatticeField,
     DETERMINISTIC,
+    _whole_plane_spectrum,
     add_function,
     bilinear,
     circle_average,
@@ -131,6 +132,33 @@ class TestWholePlaneSampler:
         a = sample_whole_plane_gff(spec, 5)
         b = sample_whole_plane_gff(spec, 5)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_matches_complex_fft_reference(self, seed):
+        # the doubled-torus synthesis through full complex transforms
+        spec = centered_spec(64, 2.5)
+        n, s = spec.n, spec.spacing
+        big = 2 * n
+        lam1 = (4.0 / s**2) * np.sin(np.pi * np.arange(big) / big) ** 2
+        lam = lam1[:, None] + lam1[None, :]
+        g = np.zeros_like(lam)
+        g[lam > 0] = np.sqrt(2.0 * np.pi / (s**2 * lam[lam > 0]))
+        w = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((big, big))
+        torus = np.fft.ifft2(np.fft.fft2(w) * g).real
+        window = torus[n // 2 : n // 2 + n, n // 2 : n // 2 + n]
+        raw = LatticeField(spec=spec, values=window, kind=DETERMINISTIC)
+        want = window - circle_average(raw, spec.center, 1.0)
+        got = sample_whole_plane_gff(spec, seed)
+        assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
+        assert abs(circle_average(got, spec.center, 1.0)) < 1e-10
+
+    def test_cached_spectrum_read_only(self):
+        spec = centered_spec(64, 2.5)
+        g = _whole_plane_spectrum(spec.n, spec.spacing)
+        assert g.shape == (2 * spec.n, spec.n + 1)
+        assert _whole_plane_spectrum(spec.n, spec.spacing) is g
+        with pytest.raises(ValueError, match="read-only"):
+            g[1, 1] = 0.0
 
 
 class TestBilinear:

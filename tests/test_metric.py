@@ -13,11 +13,9 @@ from lfpp.metric import (
     VERTEX_SUM,
     MetricProblem,
     build_lattice_graph,
-    c_good_statistic,
     cycle_separates,
     geodesic_tube_area,
     lattice_distance,
-    ring_vertices,
 )
 from lfpp.mollify import from_values
 from lfpp.params import LqgParams
@@ -498,32 +496,6 @@ class TestCycleSeparates:
 
 
 class TestGeometryHelpers:
-    def test_ring_vertices_near_radius(self):
-        prob = zero_problem(n=64, side=2.0)
-        spec = prob.field.spec
-        ring = ring_vertices(prob, spec.center, 0.5)
-        assert len(ring) > 0
-        s = prob.spacing
-        for (i, j) in ring:
-            x = spec.origin[0] + i * s
-            y = spec.origin[1] + j * s
-            r = math.hypot(x - spec.center[0], y - spec.center[1])
-            assert r <= 0.5
-            assert r > 0.5 - 2.5 * s
-
-    def test_c_good_statistic_constant_field(self):
-        n = 128
-        spec = GridSpec(n=n, spacing=2.0 / (n - 1), origin=(-1.0, -1.0))
-        mf = from_values(spec, np.zeros((n, n)), 0.1)
-        prob = MetricProblem(mf, PARAMS, EDGE_WEIGHTED)
-        c = c_good_statistic(prob, (0.0, 0.0), 0.35)
-        assert 2.0 <= c <= 3.2
-
-    def test_c_good_validates_geometry(self):
-        prob = zero_problem(n=64, side=1.0)
-        with pytest.raises(ValueError):
-            c_good_statistic(prob, (0.5, 0.5), 0.4)  # B_2r leaves the window
-
     def test_geodesic_tube_area(self):
         s = 0.1
         shape = (32, 32)

@@ -14,11 +14,13 @@ from lfpp.field import (
 from lfpp.mollify import (
     HEAT_FULL,
     HEAT_TRUNCATED,
+    _heat_spectrum,
     bump_profile,
     constant_mollified,
     from_values,
     mollify,
     mollify_heat,
+    mollify_heat_ladder,
     mollify_truncated,
     subsample,
     truncated_kernel,
@@ -72,6 +74,36 @@ class TestHeatMollifier:
         assert out.padding == "periodic"
         assert out.kernel == HEAT_FULL
         assert out.eps == 2 ** -3
+
+    @pytest.mark.parametrize("m", [64, 64 + 2 * 26])
+    def test_separable_spectrum_matches_2d_kernel(self, m):
+        # the periodic size n and a reflective size n + 2p
+        s, eps = 1.0 / 63, 4.0 / 63
+        idx = np.arange(m)
+        d = np.minimum(idx, m - idx) * s
+        k = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / eps**2)
+        want = np.fft.rfft2(k / k.sum())
+        got = _heat_spectrum(m, s, eps)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("padding", ["periodic", "reflective"])
+    def test_ladder_equals_single_scale(self, padding):
+        spec = GridSpec(n=128, spacing=2.5 / 127, origin=(-1.25, -1.25))
+        f = sample_whole_plane_gff(spec, 9)
+        # the reflective widths are 26, 26, 14 and 13 samples
+        eps_list = [4 * spec.spacing, 3.9 * spec.spacing, 2.1 * spec.spacing, 2 * spec.spacing]
+        ladder = mollify_heat_ladder(f, eps_list, padding=padding)
+        assert [mf.eps for mf in ladder] == eps_list
+        for eps, mf in zip(eps_list, ladder):
+            single = mollify_heat(f, eps, padding=padding)
+            assert mf.padding == single.padding == padding
+            assert np.array_equal(mf.values, single.values)
+
+    def test_ladder_validates_every_scale(self):
+        spec = unit_spec()
+        with pytest.raises(ValueError, match="resolvable"):
+            mollify_heat_ladder(constant_field(spec, 0.0), [2 ** -4, spec.spacing])
 
 
 class TestTruncatedMollifier:
