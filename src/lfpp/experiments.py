@@ -32,7 +32,7 @@ from .metric import (
     EDGE_WEIGHTED,
     VERTEX_SUM,
     MetricProblem,
-    geodesic_tube_area,
+    geodesic_tube_areas,
 )
 from .mollify import (
     HEAT_FULL,
@@ -108,9 +108,7 @@ def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
 
 
 def _crossing_replica(args) -> np.ndarray:
-    (n, side, seed, eps_list, ladders, gamma, d, xi_override, square) = args
-    params = LqgParams(gamma=gamma, d=d, xi_override=xi_override)
-    spec = _centered_spec(n, side)
+    params, spec, seed, eps_list, ladders, square = args
     f = sample_whole_plane_gff(spec, seed)
     out = np.empty((len(ladders), len(eps_list)))
     for a, mf in enumerate(mollify_heat_ladder(f, eps_list)):
@@ -132,11 +130,9 @@ def crossing_series(params: LqgParams, n: int, side: float, eps_list: Sequence[f
     replica's common large-scale factor out of the fitted slope.
     """
     ladders = tuple(strides.items())
-    args = [
-        (n, side, replica_seed(master_seed, k), tuple(eps_list), ladders, params.gamma,
-         params.d, params.xi_override, square)
-        for k in range(replicas)
-    ]
+    spec = _centered_spec(n, side)
+    args = [(params, spec, replica_seed(master_seed, k), tuple(eps_list), ladders, square)
+            for k in range(replicas)]
     stats_ = np.array(_pool_map(_crossing_replica, args, workers))
     out = {}
     for c, (convention, _) in enumerate(ladders):
@@ -147,7 +143,6 @@ def crossing_series(params: LqgParams, n: int, side: float, eps_list: Sequence[f
             medians=np.median(vals, axis=1),
             iqr=q75 - q25,
             replicas=replicas,
-            statistic_kind="crossing",
         )
     return out
 
@@ -202,6 +197,54 @@ def run_crossing_exponent(params: LqgParams, config: RunConfig,
     )
 
 
+# -- window-scale ratio ------------------------------------------------------------
+
+
+def _scale_ratio_replica(args) -> np.ndarray:
+    params, spec, seed, eps, r_values = args
+    f = sample_whole_plane_gff(spec, seed)
+    prob = MetricProblem(mollify_heat(f, eps), params, EDGE_WEIGHTED)
+    return np.array([
+        math.exp(-params.xi * circle_average(f, (0.0, 0.0), r)) * prob.crossing_distance((0.0, 0.0, r))
+        for r in r_values
+    ])
+
+
+def run_scale_ratio_exponent(params: LqgParams, config: RunConfig,
+                             tolerance: float = 0.10) -> ExperimentReport:
+    """Slope of the normalized crossing statistic against the window scale.
+
+    Per replica and window r: exp(-xi*h_r(0)) * crossing distance of the
+    square (0, r)^2, with h_r(0) the circle average about the origin.  The
+    mollification scale stays fixed while the window scales, so the slope of
+    log median against log r estimates xi*Q.
+    """
+    t0 = time.time()
+    n, side = 512, 4.1
+    spec = _centered_spec(n, side)
+    eps = 2 * spec.spacing
+    r_values = (1.0, 0.5, 0.25, 0.125)
+    args = [(params, spec, replica_seed(config.master_seed, k), eps, r_values)
+            for k in range(config.replicas)]
+    medians = np.median(_pool_map(_scale_ratio_replica, args, config.workers), axis=0)
+    fit = fit_loglog(r_values, medians)
+    metrics = {"slope": fit.slope, "stderr": fit.stderr}
+    for r, m in zip(r_values, medians):
+        metrics[f"median_r_{r:g}"] = m
+    checks = [
+        _check("slope", fit.slope, params.xi_q, tolerance,
+               abs(fit.slope - params.xi_q) <= tolerance),
+    ]
+    return _report(
+        "scale-ratio",
+        {"n": n, "side": side, "eps": eps, "r_values": list(r_values),
+         "replicas": config.replicas, "master_seed": config.master_seed},
+        metrics,
+        checks,
+        t0,
+    )
+
+
 # -- Weyl scaling --------------------------------------------------------------
 
 
@@ -215,6 +258,46 @@ def default_test_function(spec: GridSpec) -> np.ndarray:
     return np.cos(2.0 * math.pi * xx) * np.cos(2.0 * math.pi * yy)
 
 
+def _weyl_replica(args) -> Tuple[float, int, float, float, int]:
+    """One field's constant-shift error, sandwich violations, reweight-ratio
+    range and lower-bound violations; ``points[c]`` holds the query pairs
+    for the c-th convention."""
+    params, spec, seed, f, c_shift, points = args
+    xi = params.xi
+    f_lo, f_hi = math.exp(xi * f.min()), math.exp(xi * f.max())
+    osc = float(f.max() - f.min())
+    mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
+    max_shift_err = 0.0
+    sandwich_violations = 0
+    min_ratio = math.inf
+    max_ratio = -math.inf
+    lower_bound_violations = 0
+    for conv, pairs in zip((VERTEX_SUM, EDGE_WEIGHTED), points):
+        base_prob = MetricProblem(mf, params, conv)
+        shift_prob = MetricProblem(_shifted(mf, np.full((spec.n, spec.n), c_shift)), params, conv)
+        pert_prob = MetricProblem(_shifted(mf, f), params, conv)
+        for z, w in pairs:
+            z, w = tuple(int(x) for x in z), tuple(int(x) for x in w)
+            if z == w:
+                continue
+            res = base_prob.distance(z, w)
+            d0 = res.distance
+            dc = shift_prob.distance(z, w).distance
+            max_shift_err = max(max_shift_err, abs(dc - math.exp(xi * c_shift) * d0)
+                                / (math.exp(xi * c_shift) * d0))
+            df = pert_prob.distance(z, w).distance
+            if not (f_lo * d0 * (1 - 1e-12) <= df <= f_hi * d0 * (1 + 1e-12)):
+                sandwich_violations += 1
+            # the unperturbed geodesic, re-costed under the perturbed weights,
+            # upper-bounds the perturbed distance
+            ratio = df / pert_prob.path_cost(res.path)
+            min_ratio = min(min_ratio, ratio)
+            max_ratio = max(max_ratio, ratio)
+            if ratio < math.exp(-xi * osc) * (1 - 1e-12):
+                lower_bound_violations += 1
+    return max_shift_err, sandwich_violations, min_ratio, max_ratio, lower_bound_violations
+
+
 def run_weyl_check(params: LqgParams, config: RunConfig,
                    f_values: Optional[np.ndarray] = None,
                    queries: int = 100, replicas: int = 20,
@@ -223,50 +306,22 @@ def run_weyl_check(params: LqgParams, config: RunConfig,
     smooth perturbations are sandwiched by the min/max factor, and the
     perturbed distance stays below the reweighted unperturbed geodesic."""
     t0 = time.time()
-    xi = params.xi
     spec = _centered_spec(n, side)
-    eps = 2 * spec.spacing
     f = default_test_function(spec) if f_values is None else np.asarray(f_values, dtype=np.float64)
     c_shift = 1.5
-    rng = np.random.default_rng(replica_seed(config.master_seed, 999))
-
-    max_shift_err = 0.0
-    sandwich_violations = 0
-    min_ratio = math.inf
-    max_ratio = -math.inf
-    lower_bound_violations = 0
-    f_lo, f_hi = math.exp(xi * f.min()), math.exp(xi * f.max())
-    osc = float(f.max() - f.min())
     per_query = max(1, queries // replicas)
-
-    for rep in range(replicas):
-        h = sample_whole_plane_gff(spec, replica_seed(config.master_seed, rep))
-        mf = mollify_heat(h, eps)
-        for conv in (VERTEX_SUM, EDGE_WEIGHTED):
-            base_prob = MetricProblem(mf, params, conv)
-            shift_prob = MetricProblem(_shifted(mf, np.full((n, n), c_shift)), params, conv)
-            pert_prob = MetricProblem(_shifted(mf, f), params, conv)
-            for _ in range(per_query):
-                z = tuple(int(x) for x in rng.integers(0, n, 2))
-                w = tuple(int(x) for x in rng.integers(0, n, 2))
-                if z == w:
-                    continue
-                res = base_prob.distance(z, w)
-                d0 = res.distance
-                dc = shift_prob.distance(z, w).distance
-                max_shift_err = max(max_shift_err, abs(dc - math.exp(xi * c_shift) * d0)
-                                    / (math.exp(xi * c_shift) * d0))
-                df = pert_prob.distance(z, w).distance
-                if not (f_lo * d0 * (1 - 1e-12) <= df <= f_hi * d0 * (1 + 1e-12)):
-                    sandwich_violations += 1
-                # the unperturbed geodesic, re-costed under the perturbed weights,
-                # upper-bounds the perturbed distance
-                reweighted = pert_prob.path_cost(res.path)
-                ratio = df / reweighted
-                min_ratio = min(min_ratio, ratio)
-                max_ratio = max(max_ratio, ratio)
-                if ratio < math.exp(-xi * osc) * (1 - 1e-12):
-                    lower_bound_violations += 1
+    # (replica, convention, query, endpoint, axis): the draws do not depend
+    # on the fields, so one batch keeps the sequential order
+    rng = np.random.default_rng(replica_seed(config.master_seed, 999))
+    points = rng.integers(0, n, size=(replicas, 2, per_query, 2, 2))
+    args = [(params, spec, replica_seed(config.master_seed, rep), f, c_shift, points[rep])
+            for rep in range(replicas)]
+    errs, sandwich, lows, highs, lower = np.array(
+        _pool_map(_weyl_replica, args, config.workers)).T
+    max_shift_err = errs.max()
+    sandwich_violations = sandwich.sum()
+    min_ratio, max_ratio = lows.min(), highs.max()
+    lower_bound_violations = lower.sum()
 
     checks = [
         _check("constant_shift_rel_error", max_shift_err, 0.0, 1e-12,
@@ -286,63 +341,48 @@ def run_weyl_check(params: LqgParams, config: RunConfig,
          "sandwich_violations": sandwich_violations,
          "min_reweight_ratio": min_ratio,
          "max_reweight_ratio": max_ratio,
-         "f_oscillation": osc},
+         "f_oscillation": float(f.max() - f.min())},
         checks,
         t0,
     )
 
 
-def weyl_ratio_ladder(params: LqgParams, config: RunConfig,
-                      eps_list: Sequence[float] = (2 ** -4, 2 ** -5, 2 ** -6),
-                      replicas: int = 5, queries: int = 10,
-                      n: int = 512, side: float = 2.05) -> Dict[str, np.ndarray]:
-    """Smooth-perturbation ratio across smoothing scales.
-
-    Compares the metric of the smoothed composite field h + f (where the
-    metric sees the mollified f) against the metric with the exact e^(xi*f)
-    reweighting.  Every vertex weight of the two metrics differs by at most
-    the factor e^(xi * sup|f - f_eps|), so the log of the distance ratio is
-    bounded both ways by xi times that sup-gap, computed directly; the gap
-    shrinks with eps for smooth f, and the ratio deviation must follow.
-    """
-    xi = params.xi
-    spec = _centered_spec(n, side)
-    f = default_test_function(spec)
-    base = LatticeField(spec=spec, values=f, kind=DETERMINISTIC)
-    gaps = np.array([
-        float(np.abs(mollify_heat(base, e).values - f).max()) for e in eps_list
-    ])
-    rng = np.random.default_rng(replica_seed(config.master_seed, 444))
-    max_dev = np.zeros(len(eps_list))
-    bound_violations = 0
-    per_query = max(1, queries // replicas)
-    for rep in range(replicas):
-        h = sample_whole_plane_gff(spec, replica_seed(config.master_seed, rep))
-        hf = LatticeField(spec=spec, values=h.values + f, kind=DETERMINISTIC)
-        pts = [(tuple(int(x) for x in rng.integers(0, n, 2)),
-                tuple(int(x) for x in rng.integers(0, n, 2)))
-               for _ in range(per_query)]
-        for a, eps in enumerate(eps_list):
-            mf = mollify_heat(h, eps)
-            pert_prob = MetricProblem(mollify_heat(hf, eps, padding=mf.padding),
-                                      params, config.convention)
-            ref_prob = MetricProblem(_shifted(mf, f), params, config.convention)
-            for z, w in pts:
-                if z == w:
-                    continue
-                ratio = pert_prob.distance(z, w).distance / ref_prob.distance(z, w).distance
-                max_dev[a] = max(max_dev[a], abs(ratio - 1.0))
-                if abs(math.log(ratio)) > xi * gaps[a] * (1 + 1e-9) + 1e-12:
-                    bound_violations += 1
-    return {
-        "eps": np.array(list(eps_list)),
-        "mollification_gap": gaps,
-        "max_abs_ratio_dev": max_dev,
-        "bound_violations": np.array([bound_violations]),
-    }
-
-
 # -- locality and mollifier gap -------------------------------------------------
+
+
+def _locality_replica(args) -> int:
+    """Query pairs whose internal distance moved when the base field was
+    replaced outside the buffer: by zeros on even replicas, and by an
+    independent fresh field (the stronger perturbation) on odd ones."""
+    params, spec, master_seed, rep, eps, convention, domain, outside_buffer, pairs = args
+    base = sample_zero_boundary_gff(spec, replica_seed(master_seed, rep)).values
+    if rep % 2 == 0:
+        repl_values = np.zeros_like(base)
+    else:
+        repl_values = sample_zero_boundary_gff(spec, replica_seed(master_seed, rep, 1)).values
+    perturbed_vals = base.copy()
+    perturbed_vals[outside_buffer] = repl_values[outside_buffer]
+    p1, p2 = (
+        MetricProblem(mollify_truncated(LatticeField(spec=spec, values=v, kind=DETERMINISTIC), eps),
+                      params, convention, mask=domain)
+        for v in (base, perturbed_vals)
+    )
+    changed = 0
+    for a, b in pairs:
+        a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
+        if p1.distance(a, b).distance != p2.distance(a, b).distance:
+            changed += 1
+    return changed
+
+
+def _mollifier_gap_replica(args) -> List[float]:
+    """Sup-gap between the full and truncated mollifications, per scale."""
+    spec, seed, gap_eps = args
+    g = sample_zero_boundary_gff(spec, seed)
+    return [
+        float(np.abs(mollify_heat(g, e).values - mollify_truncated(g, e).values).max())
+        for e in gap_eps
+    ]
 
 
 def run_locality_check(params: LqgParams, config: RunConfig,
@@ -363,45 +403,18 @@ def run_locality_check(params: LqgParams, config: RunConfig,
     dist_to_domain = ndimage.distance_transform_edt(~domain, sampling=s)
     outside_buffer = dist_to_domain > radius + 2 * s
     domain_vertices = np.argwhere(domain)
+    # (replica, query, endpoint): field-independent draws, batched in order
     rng = np.random.default_rng(replica_seed(config.master_seed, 777))
-
-    changed = 0
-    per_rep = max(1, queries)
-    for rep in range(replicas):
-        base = sample_zero_boundary_gff(spec, replica_seed(config.master_seed, rep))
-        # alternate the two replacement regimes: zeroing out, and an
-        # independent fresh field (the stronger perturbation)
-        if rep % 2 == 0:
-            repl_values = np.zeros((n, n))
-        else:
-            repl_values = sample_zero_boundary_gff(
-                spec, replica_seed(config.master_seed, rep, 1)
-            ).values
-        perturbed_vals = base.values.copy()
-        perturbed_vals[outside_buffer] = repl_values[outside_buffer]
-        perturbed = LatticeField(spec=spec, values=perturbed_vals, kind=DETERMINISTIC)
-        base_det = LatticeField(spec=spec, values=base.values, kind=DETERMINISTIC)
-        p1 = MetricProblem(mollify_truncated(base_det, eps), params, config.convention, mask=domain)
-        p2 = MetricProblem(mollify_truncated(perturbed, eps), params, config.convention, mask=domain)
-        for _ in range(per_rep):
-            a = tuple(int(x) for x in domain_vertices[rng.integers(len(domain_vertices))])
-            b = tuple(int(x) for x in domain_vertices[rng.integers(len(domain_vertices))])
-            if p1.distance(a, b).distance != p2.distance(a, b).distance:
-                changed += 1
+    pairs = domain_vertices[rng.integers(len(domain_vertices), size=(replicas, max(1, queries), 2))]
+    args = [(params, spec, config.master_seed, rep, eps, config.convention, domain,
+             outside_buffer, pairs[rep]) for rep in range(replicas)]
+    changed = sum(_pool_map(_locality_replica, args, config.workers))
 
     # sup-gap between the two mollifiers, one row per replica across the ladder
     gap_eps = (2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6)
-    gap_rows = []
-    monotone = 0
-    for rep in range(gap_replicas):
-        g = sample_zero_boundary_gff(spec, replica_seed(config.master_seed, rep, 2))
-        gaps = [
-            float(np.abs(mollify_heat(g, e).values - mollify_truncated(g, e).values).max())
-            for e in gap_eps
-        ]
-        gap_rows.append(gaps)
-        monotone += all(gaps[i] > gaps[i + 1] for i in range(len(gaps) - 1))
-    gap_rows = np.array(gap_rows)
+    args = [(spec, replica_seed(config.master_seed, rep, 2), gap_eps) for rep in range(gap_replicas)]
+    gap_rows = np.array(_pool_map(_mollifier_gap_replica, args, config.workers))
+    monotone = int(np.sum(np.all(gap_rows[:, :-1] > gap_rows[:, 1:], axis=1)))
 
     checks = [
         _check("changed_internal_distances", changed, 0.0, 0.0, changed == 0, kind="property"),
@@ -481,6 +494,17 @@ def scaling_relation_gaps(mf: MollifiedField, params: LqgParams, convention: str
     return np.array(gaps)
 
 
+def _scaling_relation_replica(args) -> Tuple[np.ndarray, np.ndarray]:
+    """One field's vertex-sum and edge-weighted relative gaps."""
+    params, spec, master_seed, rep, eps, pairs, r = args
+    mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, rep)), eps)
+    return tuple(
+        scaling_relation_gaps(mf, params, conv, pairs,
+                              np.random.default_rng(replica_seed(master_seed, rep, key)), r)
+        for conv, key in ((VERTEX_SUM, 3), (EDGE_WEIGHTED, 4))
+    )
+
+
 def run_scaling_relation_check(params: LqgParams, config: RunConfig,
                                replicas: int = 20, pairs: int = 50,
                                band: float = 0.03) -> ExperimentReport:
@@ -506,16 +530,9 @@ def run_scaling_relation_check(params: LqgParams, config: RunConfig,
                               np.random.default_rng(1), r)
     ).max())
 
-    gaps_vs = []
-    gaps_ew = []
-    for rep in range(replicas):
-        mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(config.master_seed, rep)), eps)
-        rng = np.random.default_rng(replica_seed(config.master_seed, rep, 3))
-        gaps_vs.append(scaling_relation_gaps(mf, params, VERTEX_SUM, pairs, rng, r))
-        rng = np.random.default_rng(replica_seed(config.master_seed, rep, 4))
-        gaps_ew.append(scaling_relation_gaps(mf, params, EDGE_WEIGHTED, pairs, rng, r))
-    gaps_vs = np.concatenate(gaps_vs)
-    gaps_ew = np.concatenate(gaps_ew)
+    args = [(params, spec, config.master_seed, rep, eps, pairs, r) for rep in range(replicas)]
+    gaps_vs, gaps_ew = (np.concatenate(g) for g in
+                        zip(*_pool_map(_scaling_relation_replica, args, config.workers)))
 
     checks = [
         _check("constant_field_max_gap", const_gap, 0.0, 1e-12,
@@ -546,35 +563,23 @@ def run_scaling_relation_check(params: LqgParams, config: RunConfig,
 # -- circle-average Brownian motion ----------------------------------------------
 
 
+def _circle_average_replica(args) -> List[float]:
+    spec, seed, radii = args
+    h = sample_whole_plane_gff(spec, seed)
+    return [circle_average(h, (0.0, 0.0), rr) for rr in radii]
+
+
 def run_circle_average_bm(params: LqgParams, config: RunConfig,
-                          replicas: int = 200,
-                          sampler: Optional[Callable[[GridSpec, int], LatticeField]] = None,
-                          ) -> ExperimentReport:
+                          replicas: int = 200) -> ExperimentReport:
     """Circle averages about the center must perform a unit-diffusivity
     random walk in log scale: dyadic increments have variance log 2 and
     disjoint increments are uncorrelated."""
     t0 = time.time()
     n, side = 512, 4.1
     spec = _centered_spec(n, side)
-    sampler = sample_whole_plane_gff if sampler is None else sampler
     radii = [1.0, 0.5, 0.25, 0.125, 0.0625]
-    vals = np.empty((replicas, len(radii)))
-    for k in range(replicas):
-        h = sampler(spec, replica_seed(config.master_seed, k))
-        vals[k] = [circle_average(h, (0.0, 0.0), rr) for rr in radii]
-    inc = np.diff(vals, axis=1)
-    if np.allclose(inc, 0.0):
-        # deterministic input: no diffusion to measure
-        checks = [_check("degenerate_zero_increments", 0.0, 0.0, 0.0, True,
-                         kind="not-applicable")]
-        return _report(
-            "circle-average-bm",
-            {"n": n, "side": side, "replicas": replicas, "radii": radii,
-             "master_seed": config.master_seed},
-            {"degenerate": 1.0},
-            checks,
-            t0,
-        )
+    args = [(spec, replica_seed(config.master_seed, k), radii) for k in range(replicas)]
+    inc = np.diff(np.array(_pool_map(_circle_average_replica, args, config.workers)), axis=1)
     ratios = inc.var(axis=0, ddof=1) / math.log(2.0)
     corr = np.corrcoef(inc.T)
     max_corr = float(np.abs(corr[np.triu_indices(inc.shape[1], 1)]).max())
@@ -639,26 +644,33 @@ def bm_integral_cdf(x: np.ndarray, shape: float) -> np.ndarray:
     return stats.gamma.sf(2.0 / np.asarray(x, dtype=np.float64), shape)
 
 
+def _dufresne_task(args) -> float:
+    """KS distance of one drift's Euler samples from the closed-form law."""
+    from scipy import stats
+
+    drift, n_samples, seed = args
+    x = simulate_bm_integral(drift, n_samples, seed)
+    return float(stats.kstest(x, lambda v: bm_integral_cdf(v, 2.0 * drift)).statistic)
+
+
 def run_dufresne_check(params: LqgParams, config: RunConfig,
                        alphas: Optional[Sequence[float]] = None,
                        n_samples: int = 10_000) -> ExperimentReport:
     """Exponential-BM integral distribution against its closed-form law."""
-    from scipy import stats
-
     t0 = time.time()
     if alphas is None:
         alphas = (0.0, params.gamma)
-    checks = []
-    metrics = {}
-    for idx, alpha in enumerate(alphas):
+    for alpha in alphas:
         if alpha >= params.q:
             raise ValueError(f"alpha {alpha} must be below q = {params.q}")
-        drift = (params.q - alpha) / params.xi
-        shape = 2.0 * drift
-        x = simulate_bm_integral(drift, n_samples, replica_seed(config.master_seed, idx))
-        ks = stats.kstest(x, lambda v: bm_integral_cdf(v, shape)).statistic
-        metrics[f"ks_alpha_{idx}"] = float(ks)
-        metrics[f"tail_exponent_alpha_{idx}"] = shape
+    drifts = [(params.q - alpha) / params.xi for alpha in alphas]
+    args = [(drift, n_samples, replica_seed(config.master_seed, idx))
+            for idx, drift in enumerate(drifts)]
+    checks = []
+    metrics = {}
+    for idx, (drift, ks) in enumerate(zip(drifts, _pool_map(_dufresne_task, args, config.workers))):
+        metrics[f"ks_alpha_{idx}"] = ks
+        metrics[f"tail_exponent_alpha_{idx}"] = 2.0 * drift
         checks.append(_check(f"ks_alpha_{idx}", ks, 0.0, 0.05, ks < 0.05,
                              kind="one-sided-upper"))
     return _report(
@@ -674,11 +686,43 @@ def run_dufresne_check(params: LqgParams, config: RunConfig,
 # -- Hoelder scan -----------------------------------------------------------------
 
 
+def _holder_replica(args) -> List[float]:
+    """Local exponents of one field, from each source along each direction."""
+    params, spec, seed, sources, directions, seps = args
+    n, s = spec.n, spec.spacing
+    prob = MetricProblem(mollify_heat(sample_whole_plane_gff(spec, seed), 2 * s),
+                         params, EDGE_WEIGHTED)
+    exponents = []
+    for ci in sources:
+        u = (int(ci[0]), int(ci[1]))
+        d = prob.multi_source_distance([u])
+        ux = spec.origin[0] + u[0] * s
+        uy = spec.origin[1] + u[1] * s
+        for th in np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False):
+            pts = []
+            ok = True
+            for sep in seps:
+                vx = ux + sep * math.cos(th)
+                vy = uy + sep * math.sin(th)
+                vi = (int(round((vx - spec.origin[0]) / s)),
+                      int(round((vy - spec.origin[1]) / s)))
+                if not (0 <= vi[0] < n and 0 <= vi[1] < n):
+                    ok = False
+                    break
+                sep_actual = math.hypot(spec.origin[0] + vi[0] * s - ux,
+                                        spec.origin[1] + vi[1] * s - uy)
+                pts.append((sep_actual, float(d[vi])))
+            if not ok:
+                continue
+            (r0, d0) = pts[0]
+            for (r1, d1) in pts[1:]:
+                exponents.append(math.log(d1 / d0) / math.log(r1 / r0))
+    return exponents
+
+
 def run_holder_scan(params: LqgParams, config: RunConfig,
                     fields: int = 10, sources_per_field: int = 2,
-                    directions: int = 28,
-                    sampler: Optional[Callable[[GridSpec, int], LatticeField]] = None,
-                    ) -> ExperimentReport:
+                    directions: int = 28) -> ExperimentReport:
     """Local distance exponents log D / log |u-v| over ~10^3 point pairs.
 
     Each pair's exponent is measured against the same pair's unit-separation
@@ -688,42 +732,14 @@ def run_holder_scan(params: LqgParams, config: RunConfig,
     xi, q = params.xi, params.q
     n, side = 512, 2.05
     spec = _centered_spec(n, side)
-    s = spec.spacing
-    eps = 2 * s
+    eps = 2 * spec.spacing
     seps = (1.0, 2 ** -3, 2 ** -4)
-    sampler = sample_whole_plane_gff if sampler is None else sampler
+    # (field, source, axis): field-independent draws, batched in order
     rng = np.random.default_rng(replica_seed(config.master_seed, 123))
-    exponents = []
-    for k in range(fields):
-        h = sampler(spec, replica_seed(config.master_seed, k))
-        mf = mollify_heat(h, eps)
-        prob = MetricProblem(mf, params, EDGE_WEIGHTED)
-        for _ in range(sources_per_field):
-            ci = rng.integers(n // 2 - 20, n // 2 + 20, 2)
-            u = (int(ci[0]), int(ci[1]))
-            d = prob.multi_source_distance([u])
-            ux = spec.origin[0] + u[0] * s
-            uy = spec.origin[1] + u[1] * s
-            for th in np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False):
-                pts = []
-                ok = True
-                for sep in seps:
-                    vx = ux + sep * math.cos(th)
-                    vy = uy + sep * math.sin(th)
-                    vi = (int(round((vx - spec.origin[0]) / s)),
-                          int(round((vy - spec.origin[1]) / s)))
-                    if not (0 <= vi[0] < n and 0 <= vi[1] < n):
-                        ok = False
-                        break
-                    sep_actual = math.hypot(spec.origin[0] + vi[0] * s - ux,
-                                            spec.origin[1] + vi[1] * s - uy)
-                    pts.append((sep_actual, float(d[vi])))
-                if not ok:
-                    continue
-                (r0, d0) = pts[0]
-                for (r1, d1) in pts[1:]:
-                    exponents.append(math.log(d1 / d0) / math.log(r1 / r0))
-    exponents = np.array(exponents)
+    sources = rng.integers(n // 2 - 20, n // 2 + 20, size=(fields, sources_per_field, 2))
+    args = [(params, spec, replica_seed(config.master_seed, k), sources[k], directions, seps)
+            for k in range(fields)]
+    exponents = np.concatenate(_pool_map(_holder_replica, args, config.workers))
     med = float(np.median(exponents))
     lo = float(exponents.min())
     hi = float(exponents.max())
@@ -760,12 +776,16 @@ def tube_ratio_profile(prob: MetricProblem, u, v, seg_dist: np.ndarray,
     ])
 
 
+def _tube_replica(args) -> np.ndarray:
+    params, spec, seed, convention, u, v, seg_dist, widths = args
+    mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
+    return tube_ratio_profile(MetricProblem(mf, params, convention), u, v, seg_dist, widths)
+
+
 def run_tube_distance(params: LqgParams, config: RunConfig,
                       replicas: int = 50,
                       widths: Sequence[float] = (2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6),
-                      min_fraction: float = 0.9,
-                      sampler: Optional[Callable[[GridSpec, int], LatticeField]] = None,
-                      ) -> ExperimentReport:
+                      min_fraction: float = 0.9) -> ExperimentReport:
     """Distance confined to a shrinking tube around a segment, against the
     ambient distance; the ratio should strictly grow as the tube narrows."""
     t0 = time.time()
@@ -781,17 +801,10 @@ def run_tube_distance(params: LqgParams, config: RunConfig,
     u = (int(round((-0.5 - spec.origin[0]) / s)), int(round((0.0 - spec.origin[1]) / s)))
     v = (int(round((0.5 - spec.origin[0]) / s)), int(round((0.0 - spec.origin[1]) / s)))
     widths = sorted(float(w) for w in widths)[::-1]
-    sampler = sample_whole_plane_gff if sampler is None else sampler
-
-    strict = 0
-    all_ratios = np.empty((replicas, len(widths)))
-    for k in range(replicas):
-        h = sampler(spec, replica_seed(config.master_seed, k))
-        mf = mollify_heat(h, eps)
-        prob = MetricProblem(mf, params, config.convention)
-        ratios = tube_ratio_profile(prob, u, v, seg_dist, widths)
-        all_ratios[k] = ratios
-        strict += all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
+    args = [(params, spec, replica_seed(config.master_seed, k), config.convention, u, v,
+             seg_dist, widths) for k in range(replicas)]
+    all_ratios = np.array(_pool_map(_tube_replica, args, config.workers))
+    strict = int(np.sum(np.all(all_ratios[:, :-1] < all_ratios[:, 1:], axis=1)))
     median_ratios = np.median(all_ratios, axis=0)
     growth_fit = fit_loglog(widths, median_ratios)
     fraction = strict / replicas
@@ -818,40 +831,39 @@ def run_tube_distance(params: LqgParams, config: RunConfig,
 # -- geodesic / ball-boundary overlap ------------------------------------------------
 
 
+def _ball_overlap_replica(args) -> float:
+    """Fitted exponent of the geodesic / ball-boundary overlap area against
+    the neighborhood width, averaged over targets outside the half-radius
+    ball.  The targets are drawn from the field, so each replica owns its
+    generator."""
+    params, spec, master_seed, k, convention, targets, ladder = args
+    n, s = spec.n, spec.spacing
+    mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), 2 * s)
+    prob = MetricProblem(mf, params, convention)
+    center = (n // 2, n // 2)
+    dall = prob.multi_source_distance([center])
+    finite = np.isfinite(dall)
+    radius = 0.5 * float(dall[finite].max())
+    ball = prob.metric_ball(center, radius)
+    outside = np.argwhere(~ball.membership & finite)
+    rng = np.random.default_rng(replica_seed(master_seed, k, 55))
+    pick = rng.choice(len(outside), size=min(targets, len(outside)), replace=False)
+    geodesics = prob.geodesics(center, [tuple(int(x) for x in outside[t]) for t in pick])
+    areas = geodesic_tube_areas(s, (n, n), [g.path for g in geodesics], ball.boundary, ladder)
+    return fit_loglog(ladder, areas / len(pick)).slope
+
+
 def run_geodesic_ball_overlap(params: LqgParams, config: RunConfig,
-                              replicas: int = 20, targets: int = 20,
-                              sampler: Optional[Callable[[GridSpec, int], LatticeField]] = None,
-                              ) -> ExperimentReport:
+                              replicas: int = 20, targets: int = 20) -> ExperimentReport:
     """Area near both a geodesic and the metric-ball boundary must vanish
     super-linearly in the neighborhood width."""
     t0 = time.time()
     n, side = 256, 2.05
     spec = _centered_spec(n, side)
-    s = spec.spacing
-    eps = 2 * s
     ladder = [2 ** -2, 2 ** -3, 2 ** -4, 2 ** -5]
-    sampler = sample_whole_plane_gff if sampler is None else sampler
-    rng = np.random.default_rng(replica_seed(config.master_seed, 55))
-    exponents = []
-    for k in range(replicas):
-        h = sampler(spec, replica_seed(config.master_seed, k))
-        mf = mollify_heat(h, eps)
-        prob = MetricProblem(mf, params, config.convention)
-        center = (n // 2, n // 2)
-        dall = prob.multi_source_distance([center])
-        finite = np.isfinite(dall)
-        radius = 0.5 * float(dall[finite].max())
-        ball = prob.metric_ball(center, radius)
-        outside = np.argwhere(~ball.membership & finite)
-        pick = rng.choice(len(outside), size=min(targets, len(outside)), replace=False)
-        areas = np.zeros(len(ladder))
-        for t_idx in pick:
-            tgt = tuple(int(x) for x in outside[t_idx])
-            geo = prob.distance(center, tgt).path
-            for a, er in enumerate(ladder):
-                areas[a] += geodesic_tube_area(s, (n, n), geo, ball.boundary, er)
-        exponents.append(fit_loglog(ladder, areas / len(pick)).slope)
-    exponents = np.array(exponents)
+    args = [(params, spec, config.master_seed, k, config.convention, targets, ladder)
+            for k in range(replicas)]
+    exponents = np.array(_pool_map(_ball_overlap_replica, args, config.workers))
     med = float(np.median(exponents))
 
     checks = [
@@ -859,7 +871,7 @@ def run_geodesic_ball_overlap(params: LqgParams, config: RunConfig,
     ]
     return _report(
         "geodesic-ball-overlap",
-        {"n": n, "side": side, "eps": eps, "replicas": replicas, "targets": targets,
+        {"n": n, "side": side, "eps": 2 * spec.spacing, "replicas": replicas, "targets": targets,
          "ladder": ladder, "master_seed": config.master_seed,
          "convention": config.convention},
         {"median_area_exponent": med, "min_area_exponent": float(exponents.min()),
@@ -873,17 +885,10 @@ def run_geodesic_ball_overlap(params: LqgParams, config: RunConfig,
 
 
 def _diameter_replica(args) -> float:
-    (n, side, seed, gamma, d, xi_override, convention, constant_value) = args
-    params = LqgParams(gamma=gamma, d=d, xi_override=xi_override)
-    spec = _centered_spec(n, side)
+    params, spec, seed, convention = args
     xx, yy = spec.mesh()
     square = (np.abs(xx) <= 0.5) & (np.abs(yy) <= 0.5)
-    if constant_value is None:
-        h = sample_whole_plane_gff(spec, seed)
-    else:
-        h = LatticeField(spec=spec, values=np.full((n, n), float(constant_value)),
-                         kind=DETERMINISTIC)
-    mf = mollify_heat(h, 2 * spec.spacing)
+    mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
     prob = MetricProblem(mf, params, convention, mask=square)
     anchor = tuple(int(x) for x in np.argwhere(square)[0])
     d0 = prob.multi_source_distance([anchor])
@@ -894,8 +899,7 @@ def _diameter_replica(args) -> float:
 
 
 def run_diameter_tail(params: LqgParams, config: RunConfig,
-                      replicas: int = 500, tolerance_fraction: float = 0.4,
-                      constant_value: Optional[float] = None) -> ExperimentReport:
+                      replicas: int = 500, tolerance_fraction: float = 0.4) -> ExperimentReport:
     """Upper tail index of the internal diameter of the unit square.
 
     The diameter is approximated by a two-sweep pass (farthest point from an
@@ -905,26 +909,19 @@ def run_diameter_tail(params: LqgParams, config: RunConfig,
     """
     t0 = time.time()
     n, side = 256, 2.05
+    spec = _centered_spec(n, side)
     target = 4.0 * params.d / params.gamma ** 2
-    args = [
-        (n, side, replica_seed(config.master_seed, k), params.gamma, params.d,
-         params.xi_override, config.convention, constant_value)
-        for k in range(replicas)
-    ]
+    settings = {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed,
+                "convention": config.convention}
+    args = [(params, spec, replica_seed(config.master_seed, k), config.convention)
+            for k in range(replicas)]
     vals = np.array(_pool_map(_diameter_replica, args, config.workers))
     vals = vals / np.median(vals)
     if np.all(vals == vals[0]):
         # deterministic diameter: no upper tail exists
         checks = [_check("degenerate_deterministic_diameter", math.inf, None, None, True,
                          kind="not-applicable")]
-        return _report(
-            "diameter-tail",
-            {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed,
-             "convention": config.convention},
-            {"degenerate": 1.0},
-            checks,
-            t0,
-        )
+        return _report("diameter-tail", settings, {"degenerate": 1.0}, checks, t0)
     hill = hill_estimator(vals)
 
     # estimator self-check on a synthetic heavy-tail sample of known index
@@ -940,8 +937,7 @@ def run_diameter_tail(params: LqgParams, config: RunConfig,
     ]
     return _report(
         "diameter-tail",
-        {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed,
-         "convention": config.convention},
+        settings,
         {"hill_index": hill, "hill_synthetic": hill_synthetic,
          "diameter_median": 1.0},
         checks,
@@ -954,6 +950,7 @@ def run_diameter_tail(params: LqgParams, config: RunConfig,
 
 EXPERIMENTS: Dict[str, Callable[[LqgParams, RunConfig], ExperimentReport]] = {
     "crossing-exponent": run_crossing_exponent,
+    "scale-ratio": run_scale_ratio_exponent,
     "weyl-check": run_weyl_check,
     "locality-check": run_locality_check,
     "scaling-relation": run_scaling_relation_check,

@@ -229,16 +229,25 @@ class MetricProblem:
 
     def distance(self, z: Tuple[int, int], w: Tuple[int, int]) -> PathResult:
         """Exact shortest-path distance with the realized geodesic."""
+        return self.geodesics(z, [w])[0]
+
+    def geodesics(self, z: Tuple[int, int], targets: Sequence[Tuple[int, int]]) -> List[PathResult]:
+        """Distances and realized geodesics from z to each target, all read
+        off one Dijkstra sweep from z."""
         zid = self._vid(z)
-        wid = self._vid(w)
+        wids = [self._vid(w) for w in targets]
         d = cs_dijkstra(self.graph, directed=True, indices=zid)
         base = float(self.vertex_weight[z]) if self.convention == VERTEX_SUM else 0.0
-        if not np.isfinite(d[wid]):
-            return PathResult(distance=math.inf, path=[], reached=False, costs=[])
-        path = self._reconstruct(d, z, w)
-        pi, pj = np.array(path).T
-        costs = (base + d[self.ids[pi, pj]]).tolist()
-        return PathResult(distance=costs[-1], path=path, reached=True, costs=costs)
+        out = []
+        for w, wid in zip(targets, wids):
+            if not np.isfinite(d[wid]):
+                out.append(PathResult(distance=math.inf, path=[], reached=False, costs=[]))
+                continue
+            path = self._reconstruct(d, z, w)
+            pi, pj = np.array(path).T
+            costs = (base + d[self.ids[pi, pj]]).tolist()
+            out.append(PathResult(distance=costs[-1], path=path, reached=True, costs=costs))
+        return out
 
     def _reconstruct(self, d: np.ndarray, z: Tuple[int, int], w: Tuple[int, int]) -> List[Tuple[int, int]]:
         """Walk back from w choosing the lexicographically smallest predecessor
@@ -483,24 +492,32 @@ def cycle_separates(
     return not any(visited[v] for v in outer if 0 <= v[0] < n and 0 <= v[1] < n)
 
 
-def geodesic_tube_area(
+def geodesic_tube_areas(
     spec_spacing: float,
     shape: Tuple[int, int],
-    geodesic: Sequence[Tuple[int, int]],
+    geodesics: Sequence[Sequence[Tuple[int, int]]],
     target: Sequence[Tuple[int, int]],
-    eps_r: float,
-) -> float:
-    """Lattice area of {within eps_r of the geodesic} intersect {within eps_r
-    of the target set}, in physical units (vertex count * spacing^2)."""
-    if len(geodesic) == 0 or len(target) == 0:
-        raise ValueError("geodesic and target must be nonempty")
-    a = np.zeros(shape, dtype=bool)
-    b = np.zeros(shape, dtype=bool)
-    for v in geodesic:
-        a[v] = True
-    for v in target:
-        b[v] = True
-    da = ndimage.distance_transform_edt(~a, sampling=spec_spacing)
-    db = ndimage.distance_transform_edt(~b, sampling=spec_spacing)
-    both = (da <= eps_r) & (db <= eps_r)
-    return float(np.count_nonzero(both)) * spec_spacing**2
+    widths: Sequence[float],
+) -> np.ndarray:
+    """Lattice area of {within w of a geodesic} intersect {within w of the
+    target set}, in physical units (vertex count * spacing^2), summed over
+    the geodesics; one entry per width w.  Each vertex set's distance
+    transform is computed once."""
+    if len(target) == 0 or any(len(g) == 0 for g in geodesics):
+        raise ValueError("geodesics and target must be nonempty")
+    db = _set_distance(spec_spacing, shape, target)
+    areas = np.zeros(len(widths))
+    for geodesic in geodesics:
+        da = _set_distance(spec_spacing, shape, geodesic)
+        for a, w in enumerate(widths):
+            areas[a] += float(np.count_nonzero((da <= w) & (db <= w))) * spec_spacing**2
+    return areas
+
+
+def _set_distance(spacing: float, shape: Tuple[int, int],
+                  vertices: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Euclidean distance from every lattice vertex to the nearest listed one."""
+    far = np.ones(shape, dtype=bool)
+    for v in vertices:
+        far[v] = False
+    return ndimage.distance_transform_edt(far, sampling=spacing)

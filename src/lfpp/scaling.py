@@ -9,18 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-from . import mollify
-from .field import LatticeField, circle_average
-from .metric import MetricProblem
-from .mollify import HEAT_FULL
-from .params import LqgParams
-from .seeds import replica_seed
-
-STATISTIC_KINDS = ("crossing", "point_to_circle", "diameter", "annulus_cycle")
 
 
 @dataclass(frozen=True)
@@ -29,11 +20,8 @@ class ScaleSeries:
     medians: np.ndarray
     iqr: np.ndarray
     replicas: int
-    statistic_kind: str
 
     def __post_init__(self):
-        if self.statistic_kind not in STATISTIC_KINDS:
-            raise ValueError(f"unknown statistic kind {self.statistic_kind!r}")
         s = np.asarray(self.scales, dtype=np.float64)
         if s.size < 2 or np.any(np.diff(s) >= 0):
             raise ValueError("scales must be strictly decreasing")
@@ -88,48 +76,6 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
         r2=r2,
         residual_rms=math.sqrt(ss_res / m),
         n_scales=m,
-    )
-
-
-def scale_ratio_series(
-    params: LqgParams,
-    r_values: Sequence[float],
-    eps: float,
-    replicas: int,
-    master_seed: int,
-    sampler: Callable[[int], LatticeField],
-    convention: str,
-    stride: int = 1,
-    mollifier: str = HEAT_FULL,
-) -> ScaleSeries:
-    """Normalized crossing statistic across window scales r at fixed eps.
-
-    Per replica and per r: exp(-xi*h_r(0)) * crossing distance of the
-    square (0, r)^2, with h_r(0) the circle average about the physical
-    origin.  The physical mollification scale stays fixed while the window
-    scales, so the fitted slope of the median against r estimates xi*Q.
-    """
-    r_sorted = sorted(float(r) for r in r_values)
-    xi = params.xi
-    stats = np.empty((len(r_sorted), replicas))
-    for k in range(replicas):
-        f = sampler(replica_seed(master_seed, k))
-        mf = mollify.subsample(mollify.mollify(f, eps, mollifier), stride)
-        prob = MetricProblem(mf, params, convention)
-        for a, r in enumerate(r_sorted):
-            h_r = circle_average(f, (0.0, 0.0), r)
-            stats[a, k] = math.exp(-xi * h_r) * prob.crossing_distance((0.0, 0.0, r))
-    # ScaleSeries wants strictly decreasing scales
-    order = np.arange(len(r_sorted))[::-1]
-    med = np.median(stats, axis=1)[order]
-    q25 = np.percentile(stats, 25.0, axis=1)[order]
-    q75 = np.percentile(stats, 75.0, axis=1)[order]
-    return ScaleSeries(
-        scales=np.asarray(r_sorted)[order],
-        medians=med,
-        iqr=q75 - q25,
-        replicas=replicas,
-        statistic_kind="crossing",
     )
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from lfpp.config import default_config
 from lfpp.experiments import (
+    EXPERIMENTS,
     run_circle_average_bm,
     run_crossing_exponent,
     run_diameter_tail,
@@ -25,10 +26,8 @@ from lfpp.experiments import (
     run_tube_distance,
     run_weyl_check,
 )
-from lfpp.field import GridSpec, sample_whole_plane_gff
-from lfpp.metric import EDGE_WEIGHTED, lattice_distance
+from lfpp.metric import lattice_distance
 from lfpp.params import LqgParams
-from lfpp.scaling import fit_exponent, scale_ratio_series
 
 from oracle_paths import compile_paths, enumerate_simple_paths, min_path_cost
 
@@ -81,24 +80,11 @@ def test_crossing_exponent_edge_weighted(crossing_report):
 
 
 def test_scale_ratio_exponent():
-    n, side = 512, 4.1
-    s = side / (n - 1)
-    half = (n - 1) * s / 2.0
-    spec = GridSpec(n=n, spacing=s, origin=(-half, -half))
-    series = scale_ratio_series(
-        PARAMS,
-        r_values=[1.0, 0.5, 0.25, 0.125],
-        eps=2 * s,
-        replicas=100,
-        master_seed=2024,
-        sampler=lambda seed: sample_whole_plane_gff(spec, seed),
-        convention=EDGE_WEIGHTED,
-    )
-    fit = fit_exponent(series)
-    target, tol = PARAMS.xi_q, 0.10
-    passed = abs(fit.slope - target) <= tol
-    emit(3, "normalized crossing scale exponent", fit.slope, target, tol, passed)
-    assert passed
+    report = EXPERIMENTS["scale-ratio"](PARAMS, config(replicas=100, master_seed=2024))
+    c = check_of(report, "slope")
+    emit(3, "normalized crossing scale exponent", c["value"], c["target"], c["tolerance"],
+         c["passed"])
+    assert c["passed"]
 
 
 def test_weyl_constant_shift(weyl_report):

@@ -180,7 +180,6 @@ class TestCsvWriters:
             medians=np.array([2.0, 1.0]),
             iqr=np.array([0.1, 0.05]),
             replicas=9,
-            statistic_kind="crossing",
         )
         path = tmp_path / "series.csv"
         write_scale_series_csv(str(path), series)

@@ -7,6 +7,8 @@ import pytest
 from lfpp.config import default_config
 from lfpp.experiments import (
     EXPERIMENTS,
+    _centered_spec,
+    _shifted,
     crossing_series,
     default_test_function,
     run_circle_average_bm,
@@ -21,12 +23,14 @@ from lfpp.experiments import (
     run_weyl_check,
     simulate_bm_integral,
     suite_summary_rows,
-    weyl_ratio_ladder,
     bm_integral_cdf,
 )
-from lfpp.field import DETERMINISTIC, GridSpec, LatticeField
-from lfpp.metric import EDGE_WEIGHTED, VERTEX_SUM
+from lfpp.field import DETERMINISTIC, GridSpec, LatticeField, sample_whole_plane_gff
+from lfpp.metric import EDGE_WEIGHTED, VERTEX_SUM, MetricProblem
+from lfpp.mollify import mollify_heat
 from lfpp.params import LqgParams
+from lfpp.scaling import fit_loglog
+from lfpp.seeds import replica_seed
 
 PARAMS = LqgParams.pure_gravity()
 
@@ -35,12 +39,52 @@ def config(**overrides):
     return replace(default_config(), **overrides)
 
 
-def constant_sampler(value=0.0):
-    def sampler(spec, seed):
-        return LatticeField(spec=spec, values=np.full((spec.n, spec.n), value),
-                            kind=DETERMINISTIC)
+def weyl_ratio_ladder(params, config, eps_list=(2 ** -4, 2 ** -5, 2 ** -6),
+                      replicas=5, queries=10, n=512, side=2.05):
+    """Smooth-perturbation ratio across smoothing scales.
 
-    return sampler
+    Compares the metric of the smoothed composite field h + f (where the
+    metric sees the mollified f) against the metric with the exact e^(xi*f)
+    reweighting.  Every vertex weight of the two metrics differs by at most
+    the factor e^(xi * sup|f - f_eps|), so the log of the distance ratio is
+    bounded both ways by xi times that sup-gap, computed directly; the gap
+    shrinks with eps for smooth f, and the ratio deviation must follow.
+    """
+    xi = params.xi
+    spec = _centered_spec(n, side)
+    f = default_test_function(spec)
+    base = LatticeField(spec=spec, values=f, kind=DETERMINISTIC)
+    gaps = np.array([
+        float(np.abs(mollify_heat(base, e).values - f).max()) for e in eps_list
+    ])
+    rng = np.random.default_rng(replica_seed(config.master_seed, 444))
+    max_dev = np.zeros(len(eps_list))
+    bound_violations = 0
+    per_query = max(1, queries // replicas)
+    for rep in range(replicas):
+        h = sample_whole_plane_gff(spec, replica_seed(config.master_seed, rep))
+        hf = LatticeField(spec=spec, values=h.values + f, kind=DETERMINISTIC)
+        pts = [(tuple(int(x) for x in rng.integers(0, n, 2)),
+                tuple(int(x) for x in rng.integers(0, n, 2)))
+               for _ in range(per_query)]
+        for a, eps in enumerate(eps_list):
+            mf = mollify_heat(h, eps)
+            pert_prob = MetricProblem(mollify_heat(hf, eps, padding=mf.padding),
+                                      params, config.convention)
+            ref_prob = MetricProblem(_shifted(mf, f), params, config.convention)
+            for z, w in pts:
+                if z == w:
+                    continue
+                ratio = pert_prob.distance(z, w).distance / ref_prob.distance(z, w).distance
+                max_dev[a] = max(max_dev[a], abs(ratio - 1.0))
+                if abs(math.log(ratio)) > xi * gaps[a] * (1 + 1e-9) + 1e-12:
+                    bound_violations += 1
+    return {
+        "eps": np.array(list(eps_list)),
+        "mollification_gap": gaps,
+        "max_abs_ratio_dev": max_dev,
+        "bound_violations": np.array([bound_violations]),
+    }
 
 
 class TestWeyl:
@@ -126,7 +170,6 @@ class TestCrossing:
         np.testing.assert_array_equal(out[VERTEX_SUM].medians, float(columns))
         for ser in out.values():
             np.testing.assert_array_equal(ser.iqr, 0.0)
-            assert ser.statistic_kind == "crossing"
             assert ser.replicas == 3
 
     def test_stride_coarsens_lattice(self):
@@ -155,13 +198,16 @@ class TestCrossing:
             np.testing.assert_array_equal(a[conv].iqr, b[conv].iqr)
 
 
-class TestDiameterTail:
-    def test_worker_count_does_not_change_results(self):
-        cfg = config(master_seed=9, workers=1)
-        a = run_diameter_tail(PARAMS, cfg, replicas=4)
-        b = run_diameter_tail(PARAMS, replace(cfg, workers=2), replicas=4)
-        assert "hill_index" in a.metrics
-        assert a.metrics == b.metrics
+class TestScaleRatio:
+    def test_unit_weights_give_lattice_widths(self):
+        rep = EXPERIMENTS["scale-ratio"](LqgParams.degenerate(), config(replicas=2))
+        s = rep.settings["side"] / (rep.settings["n"] - 1)
+        # unit weights: the statistic is the crossing width of the snapped
+        # square, floor(r/s - 1/2) lattice steps
+        for r in rep.settings["r_values"]:
+            want = math.floor(r / s - 0.5) * s
+            assert rep.metrics[f"median_r_{r:g}"] == pytest.approx(want, rel=1e-12)
+        assert rep.metrics["slope"] == pytest.approx(1.0, abs=0.06)
 
 
 class TestDufresne:
@@ -181,22 +227,14 @@ class TestDufresne:
 
 
 class TestDegenerateOracles:
-    def test_circle_average_bm_flags_deterministic_input(self):
-        rep = run_circle_average_bm(PARAMS, config(master_seed=1), replicas=3,
-                                    sampler=constant_sampler(2.0))
-        assert rep.passed
-        assert rep.checks[0]["kind"] == "not-applicable"
-        assert rep.metrics["degenerate"] == 1.0
-
     def test_diameter_tail_flags_constant_field(self):
-        rep = run_diameter_tail(PARAMS, config(master_seed=2), replicas=3,
-                                constant_value=0.7)
+        rep = run_diameter_tail(LqgParams.degenerate(), config(master_seed=2), replicas=3)
         assert rep.passed
         assert rep.checks[0]["kind"] == "not-applicable"
 
     def test_tube_ratios_exactly_one_on_flat_field(self):
-        rep = run_tube_distance(PARAMS, config(master_seed=3), replicas=2,
-                                min_fraction=0.0, sampler=constant_sampler())
+        rep = run_tube_distance(LqgParams.degenerate(), config(master_seed=3), replicas=2,
+                                min_fraction=0.0)
         assert rep.passed
         for k, v in rep.metrics.items():
             if k.startswith("median_ratio_width_"):
@@ -209,17 +247,16 @@ class TestDegenerateOracles:
             run_tube_distance(PARAMS, config(), replicas=1, widths=(2 ** -3, 2 ** -12))
 
     def test_holder_exponents_near_one_on_flat_field(self):
-        rep = run_holder_scan(PARAMS, config(master_seed=4), fields=1,
-                              sources_per_field=1, directions=8,
-                              sampler=constant_sampler())
+        rep = run_holder_scan(LqgParams.degenerate(), config(master_seed=4), fields=1,
+                              sources_per_field=1, directions=8)
         # unit weights: distances are chamfer, exponent 1 up to lattice rounding
         assert rep.metrics["median_local_exponent"] == pytest.approx(1.0, abs=0.05)
         assert rep.metrics["min_local_exponent"] > 0.9
         assert rep.metrics["max_local_exponent"] < 1.1
 
     def test_ball_overlap_flat_field_superlinear(self):
-        rep = run_geodesic_ball_overlap(PARAMS, config(master_seed=5), replicas=1,
-                                        targets=5, sampler=constant_sampler())
+        rep = run_geodesic_ball_overlap(LqgParams.degenerate(), config(master_seed=5),
+                                        replicas=1, targets=5)
         assert rep.passed
         assert rep.metrics["median_area_exponent"] > 1.0
 
@@ -231,14 +268,13 @@ class TestSuitePlumbing:
 
     def test_registry_names(self):
         assert set(EXPERIMENTS) == {
-            "crossing-exponent", "weyl-check", "locality-check", "scaling-relation",
+            "crossing-exponent", "scale-ratio", "weyl-check", "locality-check", "scaling-relation",
             "circle-average-bm", "dufresne-check", "holder-scan", "tube-distance",
             "geodesic-ball-overlap", "diameter-tail",
         }
 
     def test_report_to_dict_and_summary_rows(self):
-        rep = run_circle_average_bm(PARAMS, config(master_seed=1), replicas=3,
-                                    sampler=constant_sampler(1.0))
+        rep = run_circle_average_bm(PARAMS, config(master_seed=1), replicas=3)
         d = rep.to_dict()
         assert set(d) == {"name", "settings", "metrics", "checks", "passed",
                           "runtime_seconds"}
@@ -247,3 +283,30 @@ class TestSuitePlumbing:
         assert rows[0]["experiment"] == "circle-average-bm"
         assert set(rows[0]) == {"experiment", "metric", "value", "target",
                                 "tolerance", "pass", "seconds"}
+
+
+# the smallest run each protocol's signature allows, at least two tasks each
+SMALL_RUNS = {
+    "crossing-exponent": {},
+    "scale-ratio": {},
+    "weyl-check": dict(queries=4, replicas=2),
+    "locality-check": dict(replicas=2, queries=3, gap_replicas=2),
+    "scaling-relation": dict(replicas=2, pairs=3),
+    "circle-average-bm": dict(replicas=3),
+    "dufresne-check": dict(n_samples=50),
+    "holder-scan": dict(fields=2, sources_per_field=1, directions=4),
+    "tube-distance": dict(replicas=2),
+    "geodesic-ball-overlap": dict(replicas=2, targets=3),
+    "diameter-tail": dict(replicas=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_workers_do_not_change_reports(name):
+    cfg = config(master_seed=9, replicas=2, workers=1)
+    reports = [EXPERIMENTS[name](PARAMS, replace(cfg, workers=w), **SMALL_RUNS[name]).to_dict()
+               for w in (1, 2)]
+    for rep in reports:
+        del rep["runtime_seconds"]
+    assert "degenerate" not in reports[0]["metrics"]
+    assert reports[0] == reports[1]

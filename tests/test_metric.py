@@ -14,7 +14,7 @@ from lfpp.metric import (
     MetricProblem,
     build_lattice_graph,
     cycle_separates,
-    geodesic_tube_area,
+    geodesic_tube_areas,
     lattice_distance,
 )
 from lfpp.mollify import from_values
@@ -167,6 +167,20 @@ class TestQueries:
         assert res.costs[-1] == res.distance
         prefixes = [prob.path_cost(res.path[: k + 1]) for k in range(len(res.path))]
         assert res.costs == pytest.approx(prefixes, rel=1e-15)
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_geodesics_equal_single_queries(self, convention):
+        mask = np.ones((32, 32), dtype=bool)
+        mask[8:10, :] = False  # (20, 5) cannot reach the rows above the wall
+        prob = MetricProblem(random_problem(32, 9, convention).field, PARAMS, convention, mask=mask)
+        targets = [(31, 0), (20, 17), (20, 5), (3, 3)]
+        d = prob.multi_source_distance([(20, 5)])
+        for got, w in zip(prob.geodesics((20, 5), targets), targets):
+            assert got == prob.distance((20, 5), w)
+            assert got.distance == pytest.approx(d[w], rel=1e-12)
+        assert not prob.geodesics((20, 5), [(3, 3)])[0].reached
+        with pytest.raises(ValueError, match="outside the mask"):
+            prob.geodesics((20, 5), [(31, 0), (8, 0)])
 
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
     def test_symmetry(self, convention):
@@ -501,13 +515,13 @@ class TestGeometryHelpers:
         shape = (32, 32)
         geo = [(16, j) for j in range(32)]        # horizontal line
         target = [(16, 31)]
-        area = geodesic_tube_area(s, shape, geo, target, 0.25)
+        (area,) = geodesic_tube_areas(s, shape, [geo], target, [0.25])
         # vertices within 0.25 of both the line and the endpoint: a half
         # disk of radius 2.5 lattice steps around (16, 31), 13 vertices
         count = area / s ** 2
         assert count == 13
         with pytest.raises(ValueError):
-            geodesic_tube_area(s, shape, [], target, 0.25)
+            geodesic_tube_areas(s, shape, [[]], target, [0.25])
 
 
 class TestGraphConstruction:

@@ -5,19 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfpp.field import DETERMINISTIC, GridSpec, LatticeField
-from lfpp.metric import EDGE_WEIGHTED
-from lfpp.params import LqgParams
 from lfpp.scaling import (
     ExponentFit,
     ScaleSeries,
     fit_exponent,
     fit_loglog,
     hill_estimator,
-    scale_ratio_series,
 )
-
-PARAMS = LqgParams.pure_gravity()
 
 
 def series(scales, medians):
@@ -28,13 +22,7 @@ def series(scales, medians):
         medians=medians,
         iqr=np.zeros_like(medians),
         replicas=10,
-        statistic_kind="crossing",
     )
-
-
-def zero_sampler(spec):
-    vals = np.zeros((spec.n, spec.n))
-    return lambda seed: LatticeField(spec=spec, values=vals, kind=DETERMINISTIC)
 
 
 class TestFits:
@@ -79,16 +67,6 @@ class TestScaleSeriesValidation:
     def test_non_dyadic_ratio_rejected(self):
         with pytest.raises(ValueError):
             series([1.0, 0.3, 0.1], [1.0, 1.0, 1.0])
-
-    def test_unknown_statistic_kind_rejected(self):
-        with pytest.raises(ValueError):
-            ScaleSeries(
-                scales=np.array([1.0, 0.5]),
-                medians=np.ones(2),
-                iqr=np.zeros(2),
-                replicas=2,
-                statistic_kind="bogus",
-            )
 
     def test_single_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -140,26 +118,3 @@ class TestFitProperties:
         assert fit.slope == pytest.approx(slope, abs=1e-9)
         assert fit.intercept == pytest.approx(math.log(amp), abs=1e-9)
 
-
-class TestScaleRatioSeries:
-    def test_constant_field_slope_near_one(self):
-        n = 256
-        s = 4.1 / (n - 1)
-        half = (n - 1) * s / 2.0
-        spec = GridSpec(n=n, spacing=s, origin=(-half, -half))
-        out = scale_ratio_series(
-            PARAMS,
-            r_values=[1.0, 0.5, 0.25, 0.125],
-            eps=2 * s,
-            replicas=2,
-            master_seed=0,
-            sampler=zero_sampler(spec),
-            convention=EDGE_WEIGHTED,
-        )
-        assert np.all(np.diff(out.scales) < 0)
-        # zero field: the statistic is the crossing width of the snapped
-        # square, floor(r/s - 1/2) lattice steps
-        expect = np.array([math.floor(r / s - 0.5) * s for r in out.scales])
-        np.testing.assert_allclose(out.medians, expect, rtol=1e-12)
-        fit = fit_exponent(out)
-        assert fit.slope == pytest.approx(1.0, abs=0.06)
