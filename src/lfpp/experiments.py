@@ -210,8 +210,7 @@ def _scale_ratio_replica(args) -> np.ndarray:
     ])
 
 
-def run_scale_ratio_exponent(params: LqgParams, config: RunConfig,
-                             tolerance: float = 0.10) -> ExperimentReport:
+def run_scale_ratio_exponent(params: LqgParams, config: RunConfig) -> ExperimentReport:
     """Slope of the normalized crossing statistic against the window scale.
 
     Per replica and window r: exp(-xi*h_r(0)) * crossing distance of the
@@ -224,6 +223,7 @@ def run_scale_ratio_exponent(params: LqgParams, config: RunConfig,
     spec = _centered_spec(n, side)
     eps = 2 * spec.spacing
     r_values = (1.0, 0.5, 0.25, 0.125)
+    tolerance = 0.10
     args = [(params, spec, replica_seed(config.master_seed, k), eps, r_values)
             for k in range(config.replicas)]
     medians = np.median(_pool_map(_scale_ratio_replica, args, config.workers), axis=0)
@@ -261,11 +261,10 @@ def default_test_function(spec: GridSpec) -> np.ndarray:
 def _weyl_replica(args) -> Tuple[float, int, float, float, int]:
     """One field's constant-shift error, sandwich violations, reweight-ratio
     range and lower-bound violations; ``points[c]`` holds the query pairs
-    for the c-th convention."""
-    params, spec, seed, f, c_shift, points = args
+    for the c-th convention; ``f_lo`` and ``f_hi`` are the min/max factors
+    exp(xi*f) and ``osc`` the oscillation of ``f``."""
+    params, spec, seed, f, f_lo, f_hi, osc, c_shift, points = args
     xi = params.xi
-    f_lo, f_hi = math.exp(xi * f.min()), math.exp(xi * f.max())
-    osc = float(f.max() - f.min())
     mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
     max_shift_err = 0.0
     sandwich_violations = 0
@@ -308,13 +307,16 @@ def run_weyl_check(params: LqgParams, config: RunConfig,
     t0 = time.time()
     spec = _centered_spec(n, side)
     f = default_test_function(spec) if f_values is None else np.asarray(f_values, dtype=np.float64)
+    f_lo, f_hi = math.exp(params.xi * f.min()), math.exp(params.xi * f.max())
+    osc = float(f.max() - f.min())
     c_shift = 1.5
     per_query = max(1, queries // replicas)
     # (replica, convention, query, endpoint, axis): the draws do not depend
     # on the fields, so one batch keeps the sequential order
     rng = np.random.default_rng(replica_seed(config.master_seed, 999))
     points = rng.integers(0, n, size=(replicas, 2, per_query, 2, 2))
-    args = [(params, spec, replica_seed(config.master_seed, rep), f, c_shift, points[rep])
+    args = [(params, spec, replica_seed(config.master_seed, rep), f, f_lo, f_hi, osc, c_shift,
+             points[rep])
             for rep in range(replicas)]
     errs, sandwich, lows, highs, lower = np.array(
         _pool_map(_weyl_replica, args, config.workers)).T
@@ -341,7 +343,7 @@ def run_weyl_check(params: LqgParams, config: RunConfig,
          "sandwich_violations": sandwich_violations,
          "min_reweight_ratio": min_ratio,
          "max_reweight_ratio": max_ratio,
-         "f_oscillation": float(f.max() - f.min())},
+         "f_oscillation": osc},
         checks,
         t0,
     )
