@@ -12,7 +12,6 @@ from .field import (
     sample_zero_boundary_gff,
     sample_whole_plane_gff,
     circle_average,
-    add_function,
     rescale_field,
 )
 from .mollify import MollifiedField, mollify_heat, mollify_heat_ladder, mollify_truncated
@@ -29,7 +28,6 @@ __all__ = [
     "sample_zero_boundary_gff",
     "sample_whole_plane_gff",
     "circle_average",
-    "add_function",
     "rescale_field",
     "MollifiedField",
     "mollify_heat",

@@ -3,6 +3,9 @@
 Lines are ``key = value``; blank lines and ``#`` comments are ignored.
 Unknown keys are fatal, so a typo cannot silently fall back to a default.
 Round trip is lossless: ``parse_config(serialize_config(c)) == c``.
+
+``replicas`` is every protocol's one size input; left out (``None``), each
+protocol runs at its own pinned size.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +31,7 @@ class RunConfig:
     params: LqgParams
     grid: GridSpec
     eps_list: Tuple[float, ...]
-    replicas: int
+    replicas: Optional[int]
     master_seed: int
     convention: str
     mollifier: str
@@ -44,7 +47,7 @@ class RunConfig:
             raise ValueError(f"unknown convention {self.convention!r}")
         if self.mollifier not in MOLLIFIER_KINDS:
             raise ValueError(f"unknown mollifier {self.mollifier!r}")
-        if self.replicas < 1:
+        if self.replicas is not None and self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
@@ -70,7 +73,7 @@ def default_config() -> RunConfig:
         params=LqgParams(gamma=DEFAULT_GAMMA, d=DEFAULT_D),
         grid=GridSpec(n=n, spacing=spacing, origin=(-half, -half)),
         eps_list=(2**-3, 2**-4, 2**-5, 2**-6),
-        replicas=50,
+        replicas=None,
         master_seed=0,
         convention=EDGE_WEIGHTED,
         mollifier=HEAT_TRUNCATED,
@@ -135,7 +138,7 @@ def parse_config(text: str) -> RunConfig:
         params=params,
         grid=grid,
         eps_list=eps_list,
-        replicas=int(seen.get("replicas", base.replicas)),
+        replicas=int(seen["replicas"]) if "replicas" in seen else base.replicas,
         master_seed=int(seen.get("master_seed", base.master_seed)),
         convention=seen.get("convention", base.convention),
         mollifier=seen.get("mollifier", base.mollifier),
@@ -153,7 +156,10 @@ def serialize_config(config: RunConfig) -> str:
         f"origin_x = {config.grid.origin[0]!r}",
         f"origin_y = {config.grid.origin[1]!r}",
         "eps_list = " + ",".join(repr(e) for e in config.eps_list),
-        f"replicas = {config.replicas}",
+    ]
+    if config.replicas is not None:
+        lines.append(f"replicas = {config.replicas}")
+    lines += [
         f"master_seed = {config.master_seed}",
         f"convention = {config.convention}",
         f"mollifier = {config.mollifier}",
@@ -165,7 +171,8 @@ def serialize_config(config: RunConfig) -> str:
 
 def config_hash(config: RunConfig) -> str:
     """Digest of the settings that decide a run's results: the serialized
-    config without ``output_dir``, which only says where they are written."""
+    config without ``output_dir``, which only says where they are written,
+    and ``workers``, which only says how many processes compute them."""
     lines = serialize_config(config).splitlines(keepends=True)
-    text = "".join(line for line in lines if not line.startswith("output_dir = "))
+    text = "".join(line for line in lines if not line.startswith(("output_dir = ", "workers = ")))
     return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -2,9 +2,10 @@
 structural property of the weighted-lattice metric family and returns an
 ExperimentReport with named metrics, targets, and a pass flag.
 
-Protocol geometry (window sizes, ladders, query counts) is pinned here so
-reports are reproducible bit-for-bit from (config, master_seed); the config
-supplies replica counts, seeds, convention, and worker count.
+Protocol geometry (window sizes, ladders, query counts, tolerances) is
+pinned here so reports are reproducible bit-for-bit from the config.  Every
+protocol takes exactly ``(params, config)``; ``config.replicas`` is its only
+size input, and ``None`` keeps the protocol's pinned size.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,14 +58,7 @@ class ExperimentReport:
     runtime_seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "settings": self.settings,
-            "metrics": self.metrics,
-            "checks": self.checks,
-            "passed": self.passed,
-            "runtime_seconds": self.runtime_seconds,
-        }
+        return asdict(self)
 
 
 def _check(metric: str, value: float, target: Optional[float], tolerance: Optional[float],
@@ -94,6 +88,11 @@ def _centered_spec(n: int, side: float) -> GridSpec:
     s = side / (n - 1)
     half = (n - 1) * s / 2.0
     return GridSpec(n=n, spacing=s, origin=(-half, -half))
+
+
+def _size(config: RunConfig, pinned: int) -> int:
+    """The run's replica count: ``config.replicas``, or the protocol's pinned size."""
+    return pinned if config.replicas is None else config.replicas
 
 
 def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
@@ -147,8 +146,7 @@ def crossing_series(params: LqgParams, n: int, side: float, eps_list: Sequence[f
     return out
 
 
-def run_crossing_exponent(params: LqgParams, config: RunConfig,
-                          tolerance: float = 0.07) -> ExperimentReport:
+def run_crossing_exponent(params: LqgParams, config: RunConfig) -> ExperimentReport:
     """Slope of log median crossing distance against log scale.
 
     The path-count convention (vertex-sum) lives on the lattice whose step
@@ -157,35 +155,31 @@ def run_crossing_exponent(params: LqgParams, config: RunConfig,
     """
     t0 = time.time()
     n, side = 512, 2.02
+    replicas = _size(config, 50)
+    tolerance = 0.07
     s = side / (n - 1)
     square = (-0.5, -0.5, 1.0)
     ms = range(4, -1, -1)
     eps_list = [2 * (2 ** m) * s for m in ms]
     strides = {VERTEX_SUM: [2 ** m for m in ms], EDGE_WEIGHTED: [1] * len(eps_list)}
-    series = crossing_series(params, n, side, eps_list, strides, config.replicas,
+    series = crossing_series(params, n, side, eps_list, strides, replicas,
                              config.master_seed, square, config.workers)
     fit_vs = fit_exponent(series[VERTEX_SUM])
     fit_ew = fit_exponent(series[EDGE_WEIGHTED])
 
-    if params.xi == 0.0:
-        # unit weights: crossing cost counts lattice columns, one per step
-        target_vs = -1.0
-        checks = [
-            _check("slope_vertex_sum", fit_vs.slope, target_vs, tolerance,
-                   abs(fit_vs.slope - target_vs) <= tolerance),
-        ]
-    else:
-        target_vs = -params.xi_q
+    # unit weights: crossing cost counts lattice columns, one per step
+    target_vs = -1.0 if params.xi == 0.0 else -params.xi_q
+    checks = [
+        _check("slope_vertex_sum", fit_vs.slope, target_vs, tolerance,
+               abs(fit_vs.slope - target_vs) <= tolerance),
+    ]
+    if params.xi != 0.0:
         target_ew = 1.0 - params.xi_q
-        checks = [
-            _check("slope_vertex_sum", fit_vs.slope, target_vs, tolerance,
-                   abs(fit_vs.slope - target_vs) <= tolerance),
-            _check("slope_edge_weighted", fit_ew.slope, target_ew, tolerance,
-                   abs(fit_ew.slope - target_ew) <= tolerance),
-        ]
+        checks.append(_check("slope_edge_weighted", fit_ew.slope, target_ew, tolerance,
+                             abs(fit_ew.slope - target_ew) <= tolerance))
     return _report(
         "crossing-exponent",
-        {"n": n, "side": side, "replicas": config.replicas, "master_seed": config.master_seed},
+        {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed},
         {
             "slope_vertex_sum": fit_vs.slope,
             "stderr_vertex_sum": fit_vs.stderr,
@@ -224,8 +218,9 @@ def run_scale_ratio_exponent(params: LqgParams, config: RunConfig) -> Experiment
     eps = 2 * spec.spacing
     r_values = (1.0, 0.5, 0.25, 0.125)
     tolerance = 0.10
+    replicas = _size(config, 50)
     args = [(params, spec, replica_seed(config.master_seed, k), eps, r_values)
-            for k in range(config.replicas)]
+            for k in range(replicas)]
     medians = np.median(_pool_map(_scale_ratio_replica, args, config.workers), axis=0)
     fit = fit_loglog(r_values, medians)
     metrics = {"slope": fit.slope, "stderr": fit.stderr}
@@ -238,7 +233,7 @@ def run_scale_ratio_exponent(params: LqgParams, config: RunConfig) -> Experiment
     return _report(
         "scale-ratio",
         {"n": n, "side": side, "eps": eps, "r_values": list(r_values),
-         "replicas": config.replicas, "master_seed": config.master_seed},
+         "replicas": replicas, "master_seed": config.master_seed},
         metrics,
         checks,
         t0,
@@ -297,20 +292,19 @@ def _weyl_replica(args) -> Tuple[float, int, float, float, int]:
     return max_shift_err, sandwich_violations, min_ratio, max_ratio, lower_bound_violations
 
 
-def run_weyl_check(params: LqgParams, config: RunConfig,
-                   f_values: Optional[np.ndarray] = None,
-                   queries: int = 100, replicas: int = 20,
-                   n: int = 128, side: float = 2.05) -> ExperimentReport:
+def run_weyl_check(params: LqgParams, config: RunConfig) -> ExperimentReport:
     """Conformal-factor checks: constant shifts rescale distances exactly,
     smooth perturbations are sandwiched by the min/max factor, and the
     perturbed distance stays below the reweighted unperturbed geodesic."""
     t0 = time.time()
+    n, side = 128, 2.05
+    replicas = _size(config, 20)
+    per_query = 5
     spec = _centered_spec(n, side)
-    f = default_test_function(spec) if f_values is None else np.asarray(f_values, dtype=np.float64)
+    f = default_test_function(spec)
     f_lo, f_hi = math.exp(params.xi * f.min()), math.exp(params.xi * f.max())
     osc = float(f.max() - f.min())
     c_shift = 1.5
-    per_query = max(1, queries // replicas)
     # (replica, convention, query, endpoint, axis): the draws do not depend
     # on the fields, so one batch keeps the sequential order
     rng = np.random.default_rng(replica_seed(config.master_seed, 999))
@@ -337,7 +331,7 @@ def run_weyl_check(params: LqgParams, config: RunConfig,
     ]
     return _report(
         "weyl-check",
-        {"n": n, "side": side, "queries": queries, "replicas": replicas,
+        {"n": n, "side": side, "queries": per_query * replicas, "replicas": replicas,
          "master_seed": config.master_seed, "constant_shift": c_shift},
         {"constant_shift_rel_error": max_shift_err,
          "sandwich_violations": sandwich_violations,
@@ -387,15 +381,16 @@ def _mollifier_gap_replica(args) -> List[float]:
     ]
 
 
-def run_locality_check(params: LqgParams, config: RunConfig,
-                       replicas: int = 20, queries: int = 100,
-                       eps: float = 2 ** -4, gap_replicas: int = 20) -> ExperimentReport:
+def run_locality_check(params: LqgParams, config: RunConfig) -> ExperimentReport:
     """Internal distances in a subdomain must not move at all when the base
     field is replaced outside the truncated kernel's support buffer; the
     sup-gap between the full and truncated mollifications must shrink with
-    the scale."""
+    the scale.  ``config.replicas`` sizes both loops."""
     t0 = time.time()
     n = 128
+    replicas = _size(config, 20)
+    queries = 100
+    eps = 2 ** -4
     spec = GridSpec(n=n, spacing=2 ** -7)
     s = spec.spacing
     radius = math.sqrt(eps)
@@ -407,21 +402,21 @@ def run_locality_check(params: LqgParams, config: RunConfig,
     domain_vertices = np.argwhere(domain)
     # (replica, query, endpoint): field-independent draws, batched in order
     rng = np.random.default_rng(replica_seed(config.master_seed, 777))
-    pairs = domain_vertices[rng.integers(len(domain_vertices), size=(replicas, max(1, queries), 2))]
+    pairs = domain_vertices[rng.integers(len(domain_vertices), size=(replicas, queries, 2))]
     args = [(params, spec, config.master_seed, rep, eps, config.convention, domain,
              outside_buffer, pairs[rep]) for rep in range(replicas)]
     changed = sum(_pool_map(_locality_replica, args, config.workers))
 
     # sup-gap between the two mollifiers, one row per replica across the ladder
     gap_eps = (2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6)
-    args = [(spec, replica_seed(config.master_seed, rep, 2), gap_eps) for rep in range(gap_replicas)]
+    args = [(spec, replica_seed(config.master_seed, rep, 2), gap_eps) for rep in range(replicas)]
     gap_rows = np.array(_pool_map(_mollifier_gap_replica, args, config.workers))
     monotone = int(np.sum(np.all(gap_rows[:, :-1] > gap_rows[:, 1:], axis=1)))
 
     checks = [
         _check("changed_internal_distances", changed, 0.0, 0.0, changed == 0, kind="property"),
-        _check("gap_monotone_replicas", monotone, gap_replicas, 0.0,
-               monotone == gap_replicas, kind="property"),
+        _check("gap_monotone_replicas", monotone, replicas, 0.0,
+               monotone == replicas, kind="property"),
     ]
     metrics = {
         "changed_internal_distances": changed,
@@ -432,7 +427,7 @@ def run_locality_check(params: LqgParams, config: RunConfig,
     return _report(
         "locality-check",
         {"n": n, "eps": eps, "replicas": replicas, "queries": queries,
-         "gap_replicas": gap_replicas, "master_seed": config.master_seed,
+         "gap_replicas": replicas, "master_seed": config.master_seed,
          "convention": config.convention},
         metrics,
         checks,
@@ -507,11 +502,12 @@ def _scaling_relation_replica(args) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
-def run_scaling_relation_check(params: LqgParams, config: RunConfig,
-                               replicas: int = 20, pairs: int = 50,
-                               band: float = 0.03) -> ExperimentReport:
+def run_scaling_relation_check(params: LqgParams, config: RunConfig) -> ExperimentReport:
     t0 = time.time()
     n, side = 512, 4.1
+    replicas = _size(config, 20)
+    pairs = 50
+    band = 0.03
     spec = _centered_spec(n, side)
     eps = 2 ** -4
     r = 2
@@ -571,12 +567,14 @@ def _circle_average_replica(args) -> List[float]:
     return [circle_average(h, (0.0, 0.0), rr) for rr in radii]
 
 
-def run_circle_average_bm(params: LqgParams, config: RunConfig,
-                          replicas: int = 200) -> ExperimentReport:
+def run_circle_average_bm(params: LqgParams, config: RunConfig) -> ExperimentReport:
     """Circle averages about the center must perform a unit-diffusivity
     random walk in log scale: dyadic increments have variance log 2 and
     disjoint increments are uncorrelated."""
     t0 = time.time()
+    replicas = _size(config, 200)
+    if replicas < 2:
+        raise ValueError("circle-average-bm needs at least 2 replicas for its increment variances")
     n, side = 512, 4.1
     spec = _centered_spec(n, side)
     radii = [1.0, 0.5, 0.25, 0.125, 0.0625]
@@ -611,13 +609,17 @@ def run_circle_average_bm(params: LqgParams, config: RunConfig,
 # -- exponential Brownian integral -----------------------------------------------
 
 
-def simulate_bm_integral(drift: float, n_samples: int, seed: int,
-                         horizon: Optional[float] = None, dt: float = 1e-3) -> np.ndarray:
-    """Euler samples of the perpetual integral int_0^inf e^(B_s - drift*s) ds."""
+_BM_DT = 1e-3  # Euler step of simulate_bm_integral
+
+
+def simulate_bm_integral(drift: float, n_samples: int, seed: int) -> np.ndarray:
+    """Euler samples of the perpetual integral int_0^inf e^(B_s - drift*s) ds,
+    truncated at the horizon max(40, 60/drift), where the remaining mass is
+    negligible."""
     if drift <= 0.0:
         raise ValueError("drift must be positive for the integral to converge")
-    if horizon is None:
-        horizon = max(40.0, 60.0 / drift)
+    dt = _BM_DT
+    horizon = max(40.0, 60.0 / drift)
     rng = np.random.default_rng(seed)
     nsteps = int(round(horizon / dt))
     b = np.zeros(n_samples)
@@ -655,16 +657,15 @@ def _dufresne_task(args) -> float:
     return float(stats.kstest(x, lambda v: bm_integral_cdf(v, 2.0 * drift)).statistic)
 
 
-def run_dufresne_check(params: LqgParams, config: RunConfig,
-                       alphas: Optional[Sequence[float]] = None,
-                       n_samples: int = 10_000) -> ExperimentReport:
-    """Exponential-BM integral distribution against its closed-form law."""
+def run_dufresne_check(params: LqgParams, config: RunConfig) -> ExperimentReport:
+    """Exponential-BM integral distribution against its closed-form law, at
+    the drifts (q - alpha)/xi for alpha in (0, gamma); ``config.replicas``
+    is the sample count per drift."""
     t0 = time.time()
-    if alphas is None:
-        alphas = (0.0, params.gamma)
-    for alpha in alphas:
-        if alpha >= params.q:
-            raise ValueError(f"alpha {alpha} must be below q = {params.q}")
+    if params.xi == 0.0:
+        raise ValueError("dufresne-check: the drift (q - alpha)/xi is undefined at xi = 0")
+    n_samples = _size(config, 10_000)
+    alphas = (0.0, params.gamma)
     drifts = [(params.q - alpha) / params.xi for alpha in alphas]
     args = [(drift, n_samples, replica_seed(config.master_seed, idx))
             for idx, drift in enumerate(drifts)]
@@ -677,7 +678,7 @@ def run_dufresne_check(params: LqgParams, config: RunConfig,
                              kind="one-sided-upper"))
     return _report(
         "dufresne-check",
-        {"alphas": list(alphas), "n_samples": n_samples, "dt": 1e-3,
+        {"alphas": list(alphas), "n_samples": n_samples, "dt": _BM_DT,
          "master_seed": config.master_seed},
         metrics,
         checks,
@@ -702,37 +703,35 @@ def _holder_replica(args) -> List[float]:
         uy = spec.origin[1] + u[1] * s
         for th in np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False):
             pts = []
-            ok = True
             for sep in seps:
                 vx = ux + sep * math.cos(th)
                 vy = uy + sep * math.sin(th)
                 vi = (int(round((vx - spec.origin[0]) / s)),
                       int(round((vy - spec.origin[1]) / s)))
                 if not (0 <= vi[0] < n and 0 <= vi[1] < n):
-                    ok = False
                     break
                 sep_actual = math.hypot(spec.origin[0] + vi[0] * s - ux,
                                         spec.origin[1] + vi[1] * s - uy)
                 pts.append((sep_actual, float(d[vi])))
-            if not ok:
-                continue
-            (r0, d0) = pts[0]
-            for (r1, d1) in pts[1:]:
-                exponents.append(math.log(d1 / d0) / math.log(r1 / r0))
+            else:
+                (r0, d0) = pts[0]
+                for (r1, d1) in pts[1:]:
+                    exponents.append(math.log(d1 / d0) / math.log(r1 / r0))
     return exponents
 
 
-def run_holder_scan(params: LqgParams, config: RunConfig,
-                    fields: int = 10, sources_per_field: int = 2,
-                    directions: int = 28) -> ExperimentReport:
+def run_holder_scan(params: LqgParams, config: RunConfig) -> ExperimentReport:
     """Local distance exponents log D / log |u-v| over ~10^3 point pairs.
 
     Each pair's exponent is measured against the same pair's unit-separation
     distance, which cancels the point-to-point normalization constant.
+    ``config.replicas`` is the number of fields.
     """
     t0 = time.time()
     xi, q = params.xi, params.q
     n, side = 512, 2.05
+    fields = _size(config, 10)
+    sources_per_field, directions = 2, 28
     spec = _centered_spec(n, side)
     eps = 2 * spec.spacing
     seps = (1.0, 2 ** -3, 2 ** -4)
@@ -768,9 +767,11 @@ def run_holder_scan(params: LqgParams, config: RunConfig,
 # -- tube-confined distances -------------------------------------------------------
 
 
-def tube_ratio_profile(prob: MetricProblem, u, v, seg_dist: np.ndarray,
-                       widths: Sequence[float]) -> np.ndarray:
+def _tube_replica(args) -> np.ndarray:
     """Ratios (tube-internal distance / ambient distance), one per width."""
+    params, spec, seed, convention, u, v, seg_dist, widths = args
+    mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
+    prob = MetricProblem(mf, params, convention)
     ambient = prob.distance(u, v).distance
     return np.array([
         prob.restricted(seg_dist <= w).distance(u, v).distance / ambient
@@ -778,31 +779,22 @@ def tube_ratio_profile(prob: MetricProblem, u, v, seg_dist: np.ndarray,
     ])
 
 
-def _tube_replica(args) -> np.ndarray:
-    params, spec, seed, convention, u, v, seg_dist, widths = args
-    mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
-    return tube_ratio_profile(MetricProblem(mf, params, convention), u, v, seg_dist, widths)
-
-
-def run_tube_distance(params: LqgParams, config: RunConfig,
-                      replicas: int = 50,
-                      widths: Sequence[float] = (2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6),
-                      min_fraction: float = 0.9) -> ExperimentReport:
+def run_tube_distance(params: LqgParams, config: RunConfig) -> ExperimentReport:
     """Distance confined to a shrinking tube around a segment, against the
     ambient distance; the ratio should strictly grow as the tube narrows."""
     t0 = time.time()
     n, side = 256, 2.05
+    replicas = _size(config, 50)
+    widths = [2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6]  # widest first, all above the spacing
+    min_fraction = 0.9
     spec = _centered_spec(n, side)
     s = spec.spacing
-    if min(widths) < s:
-        raise ValueError("tube width below lattice spacing is unresolvable")
     eps = 2 * s
     xx, yy = spec.mesh()
     seg_dist = np.where(np.abs(xx) <= 0.5, np.abs(yy),
                         np.hypot(np.abs(xx) - 0.5, yy))
     u = (int(round((-0.5 - spec.origin[0]) / s)), int(round((0.0 - spec.origin[1]) / s)))
     v = (int(round((0.5 - spec.origin[0]) / s)), int(round((0.0 - spec.origin[1]) / s)))
-    widths = sorted(float(w) for w in widths)[::-1]
     args = [(params, spec, replica_seed(config.master_seed, k), config.convention, u, v,
              seg_dist, widths) for k in range(replicas)]
     all_ratios = np.array(_pool_map(_tube_replica, args, config.workers))
@@ -855,12 +847,13 @@ def _ball_overlap_replica(args) -> float:
     return fit_loglog(ladder, areas / len(pick)).slope
 
 
-def run_geodesic_ball_overlap(params: LqgParams, config: RunConfig,
-                              replicas: int = 20, targets: int = 20) -> ExperimentReport:
+def run_geodesic_ball_overlap(params: LqgParams, config: RunConfig) -> ExperimentReport:
     """Area near both a geodesic and the metric-ball boundary must vanish
     super-linearly in the neighborhood width."""
     t0 = time.time()
     n, side = 256, 2.05
+    replicas = _size(config, 20)
+    targets = 20
     spec = _centered_spec(n, side)
     ladder = [2 ** -2, 2 ** -3, 2 ** -4, 2 ** -5]
     args = [(params, spec, config.master_seed, k, config.convention, targets, ladder)
@@ -900,8 +893,7 @@ def _diameter_replica(args) -> float:
     return float(d1[np.isfinite(d1) & square].max())
 
 
-def run_diameter_tail(params: LqgParams, config: RunConfig,
-                      replicas: int = 500, tolerance_fraction: float = 0.4) -> ExperimentReport:
+def run_diameter_tail(params: LqgParams, config: RunConfig) -> ExperimentReport:
     """Upper tail index of the internal diameter of the unit square.
 
     The diameter is approximated by a two-sweep pass (farthest point from an
@@ -911,19 +903,22 @@ def run_diameter_tail(params: LqgParams, config: RunConfig,
     """
     t0 = time.time()
     n, side = 256, 2.05
+    replicas = _size(config, 500)
+    if replicas < 3:
+        raise ValueError("diameter-tail needs at least 3 replicas for its Hill estimate")
     spec = _centered_spec(n, side)
     target = 4.0 * params.d / params.gamma ** 2
     settings = {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed,
                 "convention": config.convention}
+    if params.xi == 0.0:
+        # unit weights: the diameter is deterministic, so no upper tail exists
+        checks = [_check("degenerate_deterministic_diameter", math.inf, None, None, True,
+                         kind="not-applicable")]
+        return _report("diameter-tail", settings, {"degenerate": 1.0}, checks, t0)
     args = [(params, spec, replica_seed(config.master_seed, k), config.convention)
             for k in range(replicas)]
     vals = np.array(_pool_map(_diameter_replica, args, config.workers))
     vals = vals / np.median(vals)
-    if np.all(vals == vals[0]):
-        # deterministic diameter: no upper tail exists
-        checks = [_check("degenerate_deterministic_diameter", math.inf, None, None, True,
-                         kind="not-applicable")]
-        return _report("diameter-tail", settings, {"degenerate": 1.0}, checks, t0)
     hill = hill_estimator(vals)
 
     # estimator self-check on a synthetic heavy-tail sample of known index
@@ -931,7 +926,7 @@ def run_diameter_tail(params: LqgParams, config: RunConfig,
     synthetic = rng.pareto(target, 20_000) + 1.0
     hill_synthetic = hill_estimator(synthetic)
 
-    tol = tolerance_fraction * target
+    tol = 0.4 * target
     checks = [
         _check("hill_index", hill, target, tol, abs(hill - target) <= tol),
         _check("hill_synthetic", hill_synthetic, target, 0.5,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -68,17 +68,10 @@ class GridSpec:
     def center(self) -> Tuple[float, float]:
         return (self.origin[0] + 0.5 * self.side, self.origin[1] + 0.5 * self.side)
 
-    def axis(self) -> np.ndarray:
-        return self.origin[0] + self.spacing * np.arange(self.n)
-
     def mesh(self) -> Tuple[np.ndarray, np.ndarray]:
         x = self.origin[0] + self.spacing * np.arange(self.n)
         y = self.origin[1] + self.spacing * np.arange(self.n)
         return np.meshgrid(x, y, indexing="ij")
-
-    def contains_point(self, z: Tuple[float, float]) -> bool:
-        x0, y0 = self.origin
-        return (x0 <= z[0] <= x0 + self.side) and (y0 <= z[1] <= y0 + self.side)
 
     def contains_disk(self, z: Tuple[float, float], r: float) -> bool:
         x0, y0 = self.origin
@@ -240,49 +233,6 @@ def circle_average(field: LatticeField, z: Tuple[float, float], r: float) -> flo
     theta = 2.0 * np.pi * np.arange(npts) / npts
     pts = np.stack([z[0] + r * np.cos(theta), z[1] + r * np.sin(theta)], axis=1)
     return float(np.mean(bilinear(field, pts)))
-
-
-def circle_average_trace(
-    field: LatticeField, z: Tuple[float, float], radii: np.ndarray
-) -> np.ndarray:
-    """Circle averages at several radii; rows (t, h_r, r) with t = log(1/r)."""
-    rows = []
-    for r in radii:
-        rows.append((math.log(1.0 / r), circle_average(field, z, float(r)), float(r)))
-    return np.array(rows)
-
-
-def sample_function(spec: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
-    """Evaluate a continuous function on the grid mesh."""
-    xx, yy = spec.mesh()
-    return np.asarray(fn(xx, yy), dtype=np.float64)
-
-
-def log_singularity(spec: GridSpec, alpha: float, z0: Tuple[float, float]) -> np.ndarray:
-    """Grid sample of -alpha*log|z - z0|, clamped at half a grid step.
-
-    Vertices closer to z0 than spacing/2 (in particular a vertex that
-    coincides with z0) take the value at distance spacing/2, keeping all
-    weights finite.
-    """
-    xx, yy = spec.mesh()
-    dist = np.hypot(xx - z0[0], yy - z0[1])
-    dist = np.maximum(dist, 0.5 * spec.spacing)
-    return -alpha * np.log(dist)
-
-
-def add_function(field: LatticeField, f: np.ndarray) -> LatticeField:
-    """Pointwise sum of the field and a function sampled on the same grid."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != field.values.shape:
-        raise ValueError("sampled function shape does not match the field grid")
-    return LatticeField(
-        spec=field.spec,
-        values=field.values + f,
-        kind=COMPOSITE,
-        seed=field.seed,
-        recentering=field.recentering,
-    )
 
 
 def rescale_field(field: LatticeField, r: int) -> LatticeField:

@@ -87,15 +87,6 @@ def write_geodesic_csv(path: str, spec: GridSpec, geodesic: Sequence[Tuple[int, 
             w.writerow([k, repr(x), repr(y), repr(float(c))])
 
 
-def write_scale_series_csv(path: str, series, comment: Optional[str] = None) -> None:
-    with open(path, "w", newline="") as fh:
-        _comment_line(fh, comment)
-        w = csv.writer(fh)
-        w.writerow(["eps", "median", "iqr", "replicas"])
-        for s, m, q in zip(series.scales, series.medians, series.iqr):
-            w.writerow([repr(float(s)), repr(float(m)), repr(float(q)), series.replicas])
-
-
 def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

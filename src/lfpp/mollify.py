@@ -224,17 +224,6 @@ def subsample(mf: MollifiedField, stride: int) -> MollifiedField:
     )
 
 
-def constant_mollified(spec: GridSpec, value: float, eps: float) -> MollifiedField:
-    """Deterministic constant 'mollified' field, for oracle tests and smoke runs."""
-    from .field import DETERMINISTIC
-
-    base = LatticeField(spec=spec, values=np.full((spec.n, spec.n), value), kind=DETERMINISTIC)
-    return MollifiedField(
-        base=base, eps=float(eps), kernel=HEAT_FULL,
-        values=np.full((spec.n, spec.n), float(value)), spec=spec, padding="reflective",
-    )
-
-
 def from_values(spec: GridSpec, values: np.ndarray, eps: float) -> MollifiedField:
     """Wrap explicit per-vertex values as a mollified field (weight tables in tests)."""
     from .field import DETERMINISTIC

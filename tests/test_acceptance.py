@@ -145,7 +145,7 @@ def test_holder_bracket():
 
 
 def test_diameter_tail():
-    report = run_diameter_tail(PARAMS, config(master_seed=600), replicas=500)
+    report = run_diameter_tail(PARAMS, config(master_seed=600))
     for c in report.checks:
         emit(12, f"diameter upper tail: {c['metric']}", c["value"], c["target"],
              c["tolerance"], c["passed"])
@@ -176,7 +176,7 @@ def test_oracle_equivalence():
 
 
 def test_tube_distance_monotone():
-    report = run_tube_distance(PARAMS, config(master_seed=700), replicas=50)
+    report = run_tube_distance(PARAMS, config(master_seed=700))
     c = check_of(report, "strictly_increasing_fraction")
     emit("14a", "tube-confined ratio strictly increasing", c["value"], 0.9, None, c["passed"])
     assert report.passed

@@ -225,12 +225,13 @@ class TestExperimentAndSuite:
 # every module, so only a child can see what `import lfpp.cli` pulls in.
 COLD_START_PROBE = """
 import json, math, sys
+from dataclasses import replace
 import lfpp.cli
 heavy = sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.stats", "scipy.fft")))
 from lfpp.config import default_config
 from lfpp.experiments import run_dufresne_check
 from lfpp.params import LqgParams
-rep = run_dufresne_check(LqgParams.pure_gravity(), default_config(), alphas=(0.0,), n_samples=10)
+rep = run_dufresne_check(LqgParams.pure_gravity(), replace(default_config(), replicas=10))
 print(json.dumps({"heavy": heavy, "ks": rep.metrics["ks_alpha_0"],
                   "stats_loaded": "scipy.stats" in sys.modules}))
 """

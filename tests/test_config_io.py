@@ -10,11 +10,9 @@ from lfpp.io import (
     load_field,
     save_field,
     write_geodesic_csv,
-    write_scale_series_csv,
     write_suite_summary_csv,
 )
 from lfpp.params import LqgParams
-from lfpp.scaling import ScaleSeries
 
 
 def random_config(rng):
@@ -28,7 +26,7 @@ def random_config(rng):
         params=LqgParams(gamma=float(rng.uniform(0.1, 1.99)), d=float(rng.uniform(2.0, 6.0))),
         grid=GridSpec(n=n, spacing=spacing, origin=origin),
         eps_list=eps_list,
-        replicas=int(rng.integers(1, 500)),
+        replicas=None if rng.random() < 0.25 else int(rng.integers(1, 500)),
         master_seed=int(rng.integers(0, 2**62)),
         convention=str(rng.choice(["vertex-sum", "edge-weighted"])),
         mollifier=str(rng.choice(["heat-full", "heat-truncated"])),
@@ -52,6 +50,8 @@ class TestConfig:
         assert c.params.d == 4.0
         assert c.convention == "edge-weighted"
         assert c.mollifier == "heat-truncated"
+        assert c.replicas is None
+        assert "replicas" not in serialize_config(c)
         assert c.grid.center == (pytest.approx(0.0), pytest.approx(0.0))
 
     def test_comments_and_blanks_ignored(self):
@@ -108,6 +108,12 @@ class TestConfig:
         c = parse_config("master_seed = 1\noutput_dir = elsewhere\n")
         assert config_hash(c) == config_hash(b)
         assert serialize_config(c) != serialize_config(b)
+        # nor how many processes compute it
+        w = parse_config("master_seed = 1\nworkers = 2\n")
+        assert config_hash(w) == config_hash(b)
+        assert serialize_config(w) != serialize_config(b)
+        # an explicit replica count is a different run from the pinned sizes
+        assert config_hash(parse_config("replicas = 20\n")) != config_hash(a)
 
 
 class TestFieldFiles:
@@ -173,19 +179,6 @@ class TestCsvWriters:
         spec = GridSpec(n=8, spacing=0.5)
         with pytest.raises(ValueError):
             write_geodesic_csv(str(tmp_path / "x.csv"), spec, [(0, 0)], [0.0, 1.0])
-
-    def test_scale_series_csv(self, tmp_path):
-        series = ScaleSeries(
-            scales=np.array([0.5, 0.25]),
-            medians=np.array([2.0, 1.0]),
-            iqr=np.array([0.1, 0.05]),
-            replicas=9,
-        )
-        path = tmp_path / "series.csv"
-        write_scale_series_csv(str(path), series)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "eps,median,iqr,replicas"
-        assert lines[1] == "0.5,2.0,0.1,9"
 
     def test_suite_summary_csv(self, tmp_path):
         rows = [

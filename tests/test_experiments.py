@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from lfpp.experiments import (
     EXPERIMENTS,
     _centered_spec,
     _shifted,
+    _weyl_replica,
     crossing_series,
     default_test_function,
     run_circle_average_bm,
@@ -89,7 +91,7 @@ def weyl_ratio_ladder(params, config, eps_list=(2 ** -4, 2 ** -5, 2 ** -6),
 
 class TestWeyl:
     def test_small_run_passes(self):
-        rep = run_weyl_check(PARAMS, config(master_seed=4), queries=8, replicas=2)
+        rep = run_weyl_check(PARAMS, config(master_seed=4, replicas=2))
         assert rep.passed
         assert rep.name == "weyl-check"
         assert len(rep.checks) == 4
@@ -100,14 +102,18 @@ class TestWeyl:
 
     def test_zero_perturbation_is_identity(self):
         n = 128
-        rep = run_weyl_check(PARAMS, config(master_seed=5), queries=6, replicas=1,
-                             f_values=np.zeros((n, n)))
-        assert rep.passed
-        # f = 0: the perturbed metric is the base metric; the ratio compares
-        # a search total against a fold-left re-costing, so allow rounding
-        assert rep.metrics["max_reweight_ratio"] <= 1.0 + 1e-12
-        assert rep.metrics["min_reweight_ratio"] == pytest.approx(1.0, rel=1e-12)
-        assert rep.metrics["f_oscillation"] == 0.0
+        spec = _centered_spec(n, 2.05)
+        # six query pairs per convention, drawn as the protocol draws them
+        points = np.random.default_rng(replica_seed(5, 999)).integers(0, n, size=(2, 6, 2, 2))
+        # f = 0: the min/max factors e^(xi*f) are 1 and the oscillation is 0
+        shift_err, sandwich, min_ratio, max_ratio, lower = _weyl_replica(
+            (PARAMS, spec, replica_seed(5, 0), np.zeros((n, n)), 1.0, 1.0, 0.0, 1.5, points))
+        assert shift_err <= 1e-12
+        assert sandwich == 0 and lower == 0
+        # the perturbed metric is the base metric; the ratio compares a
+        # search total against a fold-left re-costing, so allow rounding
+        assert max_ratio <= 1.0 + 1e-12
+        assert min_ratio == pytest.approx(1.0, rel=1e-12)
 
     def test_ratio_ladder_bound_holds(self):
         out = weyl_ratio_ladder(PARAMS, config(master_seed=6),
@@ -129,16 +135,15 @@ class TestWeyl:
 
 class TestLocality:
     def test_small_run_passes(self):
-        rep = run_locality_check(PARAMS, config(master_seed=7), replicas=2,
-                                 queries=5, gap_replicas=3)
+        rep = run_locality_check(PARAMS, config(master_seed=7, replicas=2))
         assert rep.passed
         assert rep.metrics["changed_internal_distances"] == 0.0
-        assert rep.metrics["gap_monotone_replicas"] == 3.0
+        assert rep.metrics["gap_monotone_replicas"] == 2.0
 
 
 class TestScalingRelation:
     def test_small_run_passes(self):
-        rep = run_scaling_relation_check(PARAMS, config(master_seed=8), replicas=1, pairs=5)
+        rep = run_scaling_relation_check(PARAMS, config(master_seed=8, replicas=1))
         assert rep.passed
         assert rep.metrics["constant_field_max_gap"] <= 1e-12
         assert rep.metrics["vertex_sum_max_abs_gap"] <= 1e-12
@@ -211,9 +216,10 @@ class TestScaleRatio:
 
 
 class TestDufresne:
-    def test_alpha_at_or_above_q_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            run_dufresne_check(PARAMS, config(), alphas=(PARAMS.q,), n_samples=10)
+    def test_flat_field_rejected(self):
+        # the drifts (q - alpha)/xi do not exist at xi = 0
+        with pytest.raises(ValueError, match="dufresne-check.*xi = 0"):
+            run_dufresne_check(LqgParams.degenerate(), config(replicas=10))
 
     def test_nonpositive_drift_rejected(self):
         with pytest.raises(ValueError, match="drift"):
@@ -228,35 +234,41 @@ class TestDufresne:
 
 class TestDegenerateOracles:
     def test_diameter_tail_flags_constant_field(self):
-        rep = run_diameter_tail(LqgParams.degenerate(), config(master_seed=2), replicas=3)
+        rep = run_diameter_tail(LqgParams.degenerate(), config(master_seed=2, replicas=3))
         assert rep.passed
         assert rep.checks[0]["kind"] == "not-applicable"
 
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_diameter_tail_rejects_too_few_replicas(self, replicas):
+        # one replica used to read as a deterministic diameter and pass;
+        # two failed deep inside the Hill estimator
+        with pytest.raises(ValueError, match="diameter-tail"):
+            run_diameter_tail(PARAMS, config(replicas=replicas))
+
+    def test_circle_average_rejects_one_replica(self):
+        # one replica has no increment variance
+        with pytest.raises(ValueError, match="circle-average-bm"):
+            run_circle_average_bm(PARAMS, config(replicas=1))
+
     def test_tube_ratios_exactly_one_on_flat_field(self):
-        rep = run_tube_distance(LqgParams.degenerate(), config(master_seed=3), replicas=2,
-                                min_fraction=0.0)
-        assert rep.passed
+        rep = run_tube_distance(LqgParams.degenerate(), config(master_seed=3, replicas=2))
         for k, v in rep.metrics.items():
             if k.startswith("median_ratio_width_"):
                 # the straight segment is the geodesic inside every tube
                 assert v == 1.0
+        # so no replica's ratio strictly grows, and the check fails
         assert rep.metrics["strictly_increasing_fraction"] == 0.0
-
-    def test_tube_width_below_spacing_rejected(self):
-        with pytest.raises(ValueError, match="width"):
-            run_tube_distance(PARAMS, config(), replicas=1, widths=(2 ** -3, 2 ** -12))
+        assert not rep.passed
 
     def test_holder_exponents_near_one_on_flat_field(self):
-        rep = run_holder_scan(LqgParams.degenerate(), config(master_seed=4), fields=1,
-                              sources_per_field=1, directions=8)
+        rep = run_holder_scan(LqgParams.degenerate(), config(master_seed=4, replicas=1))
         # unit weights: distances are chamfer, exponent 1 up to lattice rounding
         assert rep.metrics["median_local_exponent"] == pytest.approx(1.0, abs=0.05)
         assert rep.metrics["min_local_exponent"] > 0.9
         assert rep.metrics["max_local_exponent"] < 1.1
 
     def test_ball_overlap_flat_field_superlinear(self):
-        rep = run_geodesic_ball_overlap(LqgParams.degenerate(), config(master_seed=5),
-                                        replicas=1, targets=5)
+        rep = run_geodesic_ball_overlap(LqgParams.degenerate(), config(master_seed=5, replicas=1))
         assert rep.passed
         assert rep.metrics["median_area_exponent"] > 1.0
 
@@ -274,7 +286,7 @@ class TestSuitePlumbing:
         }
 
     def test_report_to_dict_and_summary_rows(self):
-        rep = run_circle_average_bm(PARAMS, config(master_seed=1), replicas=3)
+        rep = run_circle_average_bm(PARAMS, config(master_seed=1, replicas=3))
         d = rep.to_dict()
         assert set(d) == {"name", "settings", "metrics", "checks", "passed",
                           "runtime_seconds"}
@@ -285,28 +297,42 @@ class TestSuitePlumbing:
                                 "tolerance", "pass", "seconds"}
 
 
-# the smallest run each protocol's signature allows, at least two tasks each
-SMALL_RUNS = {
-    "crossing-exponent": {},
-    "scale-ratio": {},
-    "weyl-check": dict(queries=4, replicas=2),
-    "locality-check": dict(replicas=2, queries=3, gap_replicas=2),
-    "scaling-relation": dict(replicas=2, pairs=3),
-    "circle-average-bm": dict(replicas=3),
-    "dufresne-check": dict(n_samples=50),
-    "holder-scan": dict(fields=2, sources_per_field=1, directions=4),
-    "tube-distance": dict(replicas=2),
-    "geodesic-ball-overlap": dict(replicas=2, targets=3),
-    "diameter-tail": dict(replicas=4),
-}
+    def test_every_protocol_takes_params_and_config(self):
+        # config.replicas is the one size input: no protocol has keywords
+        for name, protocol in EXPERIMENTS.items():
+            assert list(inspect.signature(protocol).parameters) == ["params", "config"], name
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_workers_do_not_change_reports(name):
-    cfg = config(master_seed=9, replicas=2, workers=1)
-    reports = [EXPERIMENTS[name](PARAMS, replace(cfg, workers=w), **SMALL_RUNS[name]).to_dict()
-               for w in (1, 2)]
+# small enough to be quick, large enough for the diameter's Hill estimate
+REPLICAS = 3
+
+
+@pytest.fixture(scope="module", params=sorted(EXPERIMENTS))
+def small_reports(request):
+    """One protocol at REPLICAS replicas: its reports on 1 and on 2 workers."""
+    cfg = config(master_seed=9, replicas=REPLICAS)
+    return [EXPERIMENTS[request.param](PARAMS, replace(cfg, workers=w)) for w in (1, 2)]
+
+
+def test_workers_do_not_change_reports(small_reports):
+    reports = [rep.to_dict() for rep in small_reports]
     for rep in reports:
         del rep["runtime_seconds"]
     assert "degenerate" not in reports[0]["metrics"]
     assert reports[0] == reports[1]
+
+
+def test_replicas_size_every_protocol(small_reports):
+    rep = small_reports[0]
+    settings = rep.settings
+    if rep.name == "dufresne-check":
+        recorded = settings["n_samples"]
+    elif rep.name == "holder-scan":
+        # Hoelder records no field count: a field gives at most 2 sources x
+        # 28 directions x 2 separations = 112 pairs, and here each gives over 90
+        recorded = math.ceil(settings["pairs"] / 112)
+    else:
+        recorded = settings["replicas"]
+    assert recorded == REPLICAS
+    if rep.name == "locality-check":
+        assert settings["gap_replicas"] == REPLICAS

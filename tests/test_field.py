@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -8,14 +7,10 @@ from lfpp.field import (
     LatticeField,
     DETERMINISTIC,
     _whole_plane_spectrum,
-    add_function,
     bilinear,
     circle_average,
-    circle_average_trace,
     dirichlet_green_diagonal,
-    log_singularity,
     rescale_field,
-    sample_function,
     sample_whole_plane_gff,
     sample_zero_boundary_gff,
 )
@@ -42,16 +37,12 @@ class TestGridSpec:
         spec = GridSpec(n=16, spacing=0.5, origin=(1.0, -2.0))
         assert spec.side == pytest.approx(7.5)
         assert spec.center == (pytest.approx(4.75), pytest.approx(1.75))
-        ax = spec.axis()
-        assert ax[0] == 1.0 and ax[-1] == pytest.approx(8.5)
         xx, yy = spec.mesh()
         assert xx[3, 0] == pytest.approx(1.0 + 3 * 0.5)
         assert yy[0, 3] == pytest.approx(-2.0 + 3 * 0.5)
 
     def test_containment(self):
         spec = GridSpec(n=16, spacing=0.1, origin=(0.0, 0.0))
-        assert spec.contains_point((1.0, 1.0))
-        assert not spec.contains_point((2.0, 0.0))
         assert spec.contains_disk((0.75, 0.75), 0.5)
         assert not spec.contains_disk((0.75, 0.75), 0.8)
 
@@ -206,15 +197,6 @@ class TestCircleAverage:
         with pytest.raises(ValueError):
             circle_average(f, (0.9, 0.0), 0.5)
 
-    def test_trace_columns(self):
-        spec = centered_spec(64, 4.0)
-        f = LatticeField(spec=spec, values=np.zeros((64, 64)), kind=DETERMINISTIC)
-        rows = circle_average_trace(f, (0.0, 0.0), np.array([1.0, 0.5]))
-        assert rows.shape == (2, 3)
-        assert rows[0, 0] == pytest.approx(0.0)          # t = log(1/r)
-        assert rows[1, 0] == pytest.approx(math.log(2.0))
-        assert rows[1, 2] == pytest.approx(0.5)
-
 
 class TestRescale:
     def test_values_and_recentering(self):
@@ -235,27 +217,6 @@ class TestRescale:
         h = sample_whole_plane_gff(spec, 9)
         with pytest.raises(ValueError):
             rescale_field(h, 3)
-
-
-class TestFunctionHelpers:
-    def test_sample_function(self):
-        spec = GridSpec(n=8, spacing=1.0)
-        vals = sample_function(spec, lambda x, y: x + 10.0 * y)
-        assert vals[2, 3] == pytest.approx(2.0 + 30.0)
-
-    def test_add_function_shape_mismatch(self):
-        spec = GridSpec(n=8, spacing=1.0)
-        f = LatticeField(spec=spec, values=np.zeros((8, 8)), kind=DETERMINISTIC)
-        with pytest.raises(ValueError):
-            add_function(f, np.zeros((4, 4)))
-
-    def test_log_singularity_clamped(self):
-        spec = GridSpec(n=16, spacing=0.1, origin=(0.0, 0.0))
-        vals = log_singularity(spec, 1.5, (0.5, 0.5))
-        at_center = vals[5, 5]
-        assert at_center == pytest.approx(-1.5 * math.log(0.05))
-        assert np.all(np.isfinite(vals))
-        assert vals.max() == at_center
 
 
 class TestSeeds:

@@ -16,7 +16,6 @@ from lfpp.mollify import (
     HEAT_TRUNCATED,
     _heat_spectrum,
     bump_profile,
-    constant_mollified,
     from_values,
     mollify,
     mollify_heat,
@@ -255,8 +254,6 @@ class TestDispatchAndViews:
 
     def test_constant_and_explicit_wrappers(self):
         spec = GridSpec(n=16, spacing=0.1)
-        cm = constant_mollified(spec, 1.5, 0.3)
-        assert np.all(cm.values == 1.5)
         vals = np.arange(256, dtype=float).reshape(16, 16)
         fv = from_values(spec, vals, 0.3)
         np.testing.assert_array_equal(fv.values, vals)
