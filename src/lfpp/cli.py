@@ -10,7 +10,6 @@ the master seed and the config hash.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -19,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import io as lio
-from .config import RunConfig, config_hash, default_config, parse_config, serialize_config
+from .config import RunConfig, config_hash, default_config, parse_config
 from .experiments import EXPERIMENTS, run_suite, suite_summary_rows
 from .field import (
     DETERMINISTIC,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from .config import RunConfig
 from .field import (
@@ -99,6 +97,8 @@ def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
     """Deterministic map over replica argument tuples, optionally parallel."""
     if workers <= 1 or len(args) <= 1:
         return [fn(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # loaded on first use: serial runs skip it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args))
 
@@ -276,10 +276,10 @@ def _weyl_replica(args) -> Tuple[float, int, float, float, int]:
                 continue
             res = base_prob.distance(z, w)
             d0 = res.distance
-            dc = shift_prob.distance(z, w).distance
+            dc = shift_prob.distance_value(z, w)
             max_shift_err = max(max_shift_err, abs(dc - math.exp(xi * c_shift) * d0)
                                 / (math.exp(xi * c_shift) * d0))
-            df = pert_prob.distance(z, w).distance
+            df = pert_prob.distance_value(z, w)
             if not (f_lo * d0 * (1 - 1e-12) <= df <= f_hi * d0 * (1 + 1e-12)):
                 sandwich_violations += 1
             # the unperturbed geodesic, re-costed under the perturbed weights,
@@ -366,7 +366,7 @@ def _locality_replica(args) -> int:
     changed = 0
     for a, b in pairs:
         a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
-        if p1.distance(a, b).distance != p2.distance(a, b).distance:
+        if p1.distance_value(a, b) != p2.distance_value(a, b):
             changed += 1
     return changed
 
@@ -386,6 +386,8 @@ def run_locality_check(params: LqgParams, config: RunConfig) -> ExperimentReport
     field is replaced outside the truncated kernel's support buffer; the
     sup-gap between the full and truncated mollifications must shrink with
     the scale.  ``config.replicas`` sizes both loops."""
+    from scipy import ndimage  # loaded on first use: only this check and tube areas need it
+
     t0 = time.time()
     n = 128
     replicas = _size(config, 20)
@@ -755,7 +757,7 @@ def run_holder_scan(params: LqgParams, config: RunConfig) -> ExperimentReport:
     ]
     return _report(
         "holder-scan",
-        {"n": n, "side": side, "eps": eps, "separations": list(seps),
+        {"n": n, "side": side, "eps": eps, "separations": list(seps), "fields": fields,
          "pairs": int(exponents.size), "master_seed": config.master_seed},
         {"median_local_exponent": med, "min_local_exponent": lo,
          "max_local_exponent": hi, "pairs": exponents.size},
@@ -772,9 +774,9 @@ def _tube_replica(args) -> np.ndarray:
     params, spec, seed, convention, u, v, seg_dist, widths = args
     mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
     prob = MetricProblem(mf, params, convention)
-    ambient = prob.distance(u, v).distance
+    ambient = prob.distance_value(u, v)
     return np.array([
-        prob.restricted(seg_dist <= w).distance(u, v).distance / ambient
+        prob.restricted(seg_dist <= w).distance_value(u, v) / ambient
         for w in widths
     ])
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -131,26 +131,6 @@ def sample_zero_boundary_gff(spec: GridSpec, seed: int) -> LatticeField:
     values = np.zeros((spec.n, spec.n))
     values[1:-1, 1:-1] = interior
     return LatticeField(spec=spec, values=values, kind=ZERO_BOUNDARY, seed=int(seed))
-
-
-def dirichlet_green_diagonal(spec: GridSpec, index: Tuple[int, int]) -> float:
-    """Direct eigen-sum for Var(h(x)) at a grid vertex of the Dirichlet field.
-
-    Independent of the DST synthesis path: sums 2*pi * v_jk(x)^2 / (lambda_jk
-    * s^2) over all retained modes with orthonormal eigenvectors v_jk.
-    """
-    m = spec.n - 2
-    s = spec.spacing
-    ix, iy = index
-    if not (1 <= ix <= m and 1 <= iy <= m):
-        raise ValueError("index must be an interior vertex")
-    j = np.arange(1, m + 1)
-    lam1 = (4.0 / s**2) * np.sin(np.pi * j / (2.0 * (m + 1))) ** 2
-    lam = lam1[:, None] + lam1[None, :]
-    vx = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * j * ix / (m + 1))
-    vy = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * j * iy / (m + 1))
-    v2 = (vx[:, None] * vy[None, :]) ** 2
-    return float(np.sum(2.0 * np.pi * v2 / (lam * s**2)))
 
 
 @functools.lru_cache(maxsize=2)

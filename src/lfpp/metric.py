@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import ndimage
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as cs_dijkstra
 
 from .mollify import MollifiedField
 from .params import LqgParams
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 VERTEX_SUM = "vertex-sum"
 EDGE_WEIGHTED = "edge-weighted"
@@ -50,6 +50,17 @@ OFFSETS = (
     (1, 0, 1.0),
     (1, 1, SQRT2),
 )
+
+
+def _csr(arg, shape: Tuple[int, int]) -> csr_matrix:
+    from scipy.sparse import csr_matrix  # loaded on first use: over 400 modules, most of a cold start
+    return csr_matrix(arg, shape=shape)
+
+
+def _dijkstra(graph: csr_matrix, source: int, **kwargs):
+    """scipy's directed Dijkstra from one source vertex."""
+    from scipy.sparse.csgraph import dijkstra  # loaded on first use, with scipy.sparse
+    return dijkstra(graph, directed=True, indices=source, **kwargs)
 
 
 def build_lattice_graph(
@@ -91,7 +102,7 @@ def build_lattice_graph(
     valid = (nbr >= 0) & inside[:, :, None]
     indptr = np.zeros(nv + 1, dtype=itype)
     np.cumsum(valid.sum(axis=2)[inside], out=indptr[1:])
-    graph = csr_matrix((wgt[valid], nbr[valid], indptr), shape=(nv, nv))
+    graph = _csr((wgt[valid], nbr[valid], indptr), (nv, nv))
     return graph, ids, (act_i, act_j)
 
 
@@ -110,7 +121,7 @@ def lattice_distance(
     """
     mask = np.ones(np.asarray(weights).shape, dtype=bool)
     graph, ids, _ = build_lattice_graph(mask, weights, spacing, convention)
-    d = cs_dijkstra(graph, directed=True, indices=int(ids[src]))
+    d = _dijkstra(graph, int(ids[src]))
     base = float(weights[src]) if convention == VERTEX_SUM else 0.0
     return base + float(d[int(ids[dst])])
 
@@ -206,6 +217,11 @@ class MetricProblem:
 
     # -- elementary costs ----------------------------------------------------
 
+    def _source_charge(self, z: Tuple[int, int]) -> float:
+        """What every path from z pays before its first step: z's own weight
+        under vertex-sum, nothing under edge-weighted."""
+        return float(self.vertex_weight[z]) if self.convention == VERTEX_SUM else 0.0
+
     def step_weight(self, u: Tuple[int, int], v: Tuple[int, int]) -> float:
         """Cost of traversing the edge u -> v (directed, per convention)."""
         di, dj = v[0] - u[0], v[1] - u[1]
@@ -220,7 +236,7 @@ class MetricProblem:
         """Recompute a path's cost from the weights (the length-space check)."""
         if len(path) == 0:
             raise ValueError("empty path")
-        total = float(self.vertex_weight[path[0]]) if self.convention == VERTEX_SUM else 0.0
+        total = self._source_charge(path[0])
         for u, v in zip(path[:-1], path[1:]):
             total += self.step_weight(u, v)
         return total
@@ -231,13 +247,20 @@ class MetricProblem:
         """Exact shortest-path distance with the realized geodesic."""
         return self.geodesics(z, [w])[0]
 
+    def distance_value(self, z: Tuple[int, int], w: Tuple[int, int]) -> float:
+        """``distance(z, w).distance`` without reconstructing the geodesic
+        (inf when w is unreachable)."""
+        zid, wid = self._vid(z), self._vid(w)
+        d = _dijkstra(self.graph, zid)
+        return float(self._source_charge(z) + d[wid])
+
     def geodesics(self, z: Tuple[int, int], targets: Sequence[Tuple[int, int]]) -> List[PathResult]:
         """Distances and realized geodesics from z to each target, all read
         off one Dijkstra sweep from z."""
         zid = self._vid(z)
         wids = [self._vid(w) for w in targets]
-        d = cs_dijkstra(self.graph, directed=True, indices=zid)
-        base = float(self.vertex_weight[z]) if self.convention == VERTEX_SUM else 0.0
+        d = _dijkstra(self.graph, zid)
+        base = self._source_charge(z)
         out = []
         for w, wid in zip(targets, wids):
             if not np.isfinite(d[wid]):
@@ -292,15 +315,15 @@ class MetricProblem:
             raise ValueError(f"vertex {sources[k]} is outside the mask")
         wgt = self.vertex_weight[si, sj] if self.convention == VERTEX_SUM else np.zeros(sid.size)
         # the virtual source is vertex nv, its edges one extra CSR row
-        aug = csr_matrix(
+        aug = _csr(
             (
                 np.concatenate([g.data, wgt]),
                 np.concatenate([g.indices, sid.astype(g.indices.dtype)]),
                 np.append(g.indptr, g.nnz + sid.size).astype(g.indptr.dtype),
             ),
-            shape=(nv + 1, nv + 1),
+            (nv + 1, nv + 1),
         )
-        d = cs_dijkstra(aug, directed=True, indices=nv)
+        d = _dijkstra(aug, nv)
         return self._grid_distances(d[:nv])
 
     def restricted(self, submask: np.ndarray) -> "MetricProblem":
@@ -354,13 +377,13 @@ class MetricProblem:
         if s < 0:
             raise ValueError("radius must be >= 0")
         cid = self._vid(center)
-        base = float(self.vertex_weight[center]) if self.convention == VERTEX_SUM else 0.0
+        base = self._source_charge(center)
         limit = s - base
         if limit < 0:
             member = np.zeros((self.n, self.n), dtype=bool)
             dist = np.full((self.n, self.n), np.inf)
             return MetricBall(center=center, radius=s, membership=member, boundary=[], distances=dist)
-        d = cs_dijkstra(self.graph, directed=True, indices=cid, limit=limit)
+        d = _dijkstra(self.graph, cid, limit=limit)
         dist = self._grid_distances(d) + base
         member = dist <= s
         boundary = _boundary_vertices(member)
@@ -436,14 +459,14 @@ def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, z) -> PathResult:
     rows = np.concatenate([np.where(move, du, u), du[both]])
     cols = np.concatenate([np.where(move, dv, v), dv[both]])
     size = nv + cut_ids.size
-    g = csr_matrix((np.concatenate([coo.data, coo.data[both]]), (rows, cols)), shape=(size, size))
+    g = _csr((np.concatenate([coo.data, coo.data[both]]), (rows, cols)), (size, size))
     grid_i = np.concatenate([ai, cut_i])
     grid_j = np.concatenate([aj, np.full(cut_i.size, jc)])
 
     best, best_chain, best_costs = math.inf, None, None
     for k, src in enumerate(cut_ids.tolist()):
         tgt = nv + k
-        d, pred = cs_dijkstra(g, directed=True, indices=src, return_predecessors=True, limit=best)
+        d, pred = _dijkstra(g, src, return_predecessors=True, limit=best)
         # directed edges charge their target vertex, so d[tgt] already sums
         # every distinct cycle vertex exactly once (vertex-sum) or every
         # cycle edge once (edge-weighted).
@@ -517,6 +540,8 @@ def geodesic_tube_areas(
 def _set_distance(spacing: float, shape: Tuple[int, int],
                   vertices: Sequence[Tuple[int, int]]) -> np.ndarray:
     """Euclidean distance from every lattice vertex to the nearest listed one."""
+    from scipy import ndimage  # loaded on first use: only tube areas and locality need it
+
     far = np.ones(shape, dtype=bool)
     for v in vertices:
         far[v] = False

@@ -226,27 +226,42 @@ class TestExperimentAndSuite:
 COLD_START_PROBE = """
 import json, math, sys
 from dataclasses import replace
+import numpy as np
+import lfpp
 import lfpp.cli
-heavy = sorted(m for m in sys.modules if m.startswith(("scipy.signal", "scipy.stats", "scipy.fft")))
+eager = sorted(m for m in sys.modules
+               if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
 from lfpp.config import default_config
 from lfpp.experiments import run_dufresne_check
+from lfpp.field import GridSpec
+from lfpp.metric import MetricProblem, geodesic_tube_areas
+from lfpp.mollify import from_values
 from lfpp.params import LqgParams
+spec = GridSpec(n=16, spacing=1.0 / 15)
+prob = MetricProblem(from_values(spec, np.zeros((16, 16)), eps=0.1), LqgParams.pure_gravity())
+prob.distance((0, 0), (15, 15))
+csgraph_loaded = "scipy.sparse.csgraph" in sys.modules
+geodesic_tube_areas(spec.spacing, (16, 16), [[(0, 0), (1, 1)]], [(2, 2)], [0.2])
+ndimage_loaded = "scipy.ndimage" in sys.modules
 rep = run_dufresne_check(LqgParams.pure_gravity(), replace(default_config(), replicas=10))
-print(json.dumps({"heavy": heavy, "ks": rep.metrics["ks_alpha_0"],
-                  "stats_loaded": "scipy.stats" in sys.modules}))
+print(json.dumps({"eager": eager, "csgraph_loaded": csgraph_loaded, "ndimage_loaded": ndimage_loaded,
+                  "ks": rep.metrics["ks_alpha_0"], "stats_loaded": "scipy.stats" in sys.modules}))
 """
 
 
 class TestColdStart:
     def test_cli_import_skips_heavy_scipy_modules(self):
-        # scipy.signal, scipy.stats and scipy.fft would add more than half a
-        # second to every command; they load on first use, and the Dufresne
-        # check still gets scipy.stats when it runs
+        # importing scipy (sparse and ndimage alone bring in over 400 modules)
+        # or the process pool would be most of every command's start; each
+        # loads on first use: csgraph with the first Dijkstra sweep, ndimage
+        # with the first distance transform, scipy.stats with the Dufresne check
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout.splitlines()[-1])
-        assert out["heavy"] == []
+        assert out["eager"] == []
+        assert out["csgraph_loaded"]
+        assert out["ndimage_loaded"]
         assert out["stats_loaded"]
         assert 0.0 < out["ks"] < 1.0

@@ -328,9 +328,7 @@ def test_replicas_size_every_protocol(small_reports):
     if rep.name == "dufresne-check":
         recorded = settings["n_samples"]
     elif rep.name == "holder-scan":
-        # Hoelder records no field count: a field gives at most 2 sources x
-        # 28 directions x 2 separations = 112 pairs, and here each gives over 90
-        recorded = math.ceil(settings["pairs"] / 112)
+        recorded = settings["fields"]
     else:
         recorded = settings["replicas"]
     assert recorded == REPLICAS

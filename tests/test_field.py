@@ -9,7 +9,6 @@ from lfpp.field import (
     _whole_plane_spectrum,
     bilinear,
     circle_average,
-    dirichlet_green_diagonal,
     rescale_field,
     sample_whole_plane_gff,
     sample_zero_boundary_gff,
@@ -70,6 +69,26 @@ class TestLatticeField:
         spec = GridSpec(n=8, spacing=0.1)
         with pytest.raises(ValueError):
             LatticeField(spec=spec, values=np.zeros((8, 8)), kind="bogus")
+
+
+def dirichlet_green_diagonal(spec, index):
+    """Direct eigen-sum for Var(h(x)) at a grid vertex of the Dirichlet field.
+
+    Independent of the DST synthesis path: sums 2*pi * v_jk(x)^2 / (lambda_jk
+    * s^2) over all retained modes with orthonormal eigenvectors v_jk.
+    """
+    m = spec.n - 2
+    s = spec.spacing
+    ix, iy = index
+    if not (1 <= ix <= m and 1 <= iy <= m):
+        raise ValueError("index must be an interior vertex")
+    j = np.arange(1, m + 1)
+    lam1 = (4.0 / s**2) * np.sin(np.pi * j / (2.0 * (m + 1))) ** 2
+    lam = lam1[:, None] + lam1[None, :]
+    vx = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * j * ix / (m + 1))
+    vy = np.sqrt(2.0 / (m + 1)) * np.sin(np.pi * j * iy / (m + 1))
+    v2 = (vx[:, None] * vy[None, :]) ** 2
+    return float(np.sum(2.0 * np.pi * v2 / (lam * s**2)))
 
 
 class TestZeroBoundarySampler:

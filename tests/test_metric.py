@@ -178,9 +178,14 @@ class TestQueries:
         for got, w in zip(prob.geodesics((20, 5), targets), targets):
             assert got == prob.distance((20, 5), w)
             assert got.distance == pytest.approx(d[w], rel=1e-12)
+            # bit for bit, the unreachable and zero-length queries included
+            assert prob.distance_value((20, 5), w) == got.distance
         assert not prob.geodesics((20, 5), [(3, 3)])[0].reached
+        assert prob.distance_value((20, 5), (3, 3)) == math.inf
         with pytest.raises(ValueError, match="outside the mask"):
             prob.geodesics((20, 5), [(31, 0), (8, 0)])
+        with pytest.raises(ValueError, match="outside the mask"):
+            prob.distance_value((20, 5), (8, 0))
 
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
     def test_symmetry(self, convention):
