@@ -17,7 +17,8 @@ Two samplers are provided, both spectral and both deterministic given a
   pushed to the doubled torus.  The noise is real, so the synthesis runs
   on real transforms (``rfft2``/``irfft2``) against the half-spectrum the
   real transform keeps; that spectrum depends only on (n, spacing) and is
-  built once and cached read-only.
+  built once and cached read-only.  The inverse runs as ``irfft2``'s two
+  1-D passes, the second on the window's rows only.
 
 Fields are immutable value objects; everything downstream (mollifiers,
 metrics) treats them as read-only.
@@ -169,11 +170,11 @@ def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
     big = 2 * n
     F = np.fft.rfft2(_rng(seed).standard_normal((big, big)))
     F *= _whole_plane_spectrum(n, spec.spacing)
-    torus = np.fft.irfft2(F, s=(big, big))
-    del F
+    # each row's irfft is independent, so the window equals irfft2's bit for bit
+    F = np.fft.ifft(F, axis=0)
     off = n // 2
-    window = torus[off : off + n, off : off + n].copy()
-    del torus
+    window = np.fft.irfft(F[off : off + n], n=big, axis=1)[:, off : off + n]
+    del F
     raw = LatticeField(spec=spec, values=window, kind=COMPOSITE, seed=int(seed))
     c = circle_average(raw, spec.center, 1.0)
     return LatticeField(spec=spec, values=window - c, kind=WHOLE_PLANE, seed=int(seed))

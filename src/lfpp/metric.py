@@ -94,14 +94,18 @@ def build_lattice_graph(
     fw[1:-1, 1:-1] = np.asarray(vertex_weight)[i0:i1, j0:j1]
     nbr = np.empty((h, wd, len(OFFSETS)), dtype=itype)
     wgt = np.empty((h, wd, len(OFFSETS)))
+    degree = np.zeros((h, wd), dtype=itype)
     for k, (di, dj, ell) in enumerate(OFFSETS):
-        nbr[:, :, k] = fid[1 + di : 1 + di + h, 1 + dj : 1 + dj + wd]
+        nk = fid[1 + di : 1 + di + h, 1 + dj : 1 + dj + wd]
+        nbr[:, :, k] = nk
+        degree += nk >= 0
         wv = fw[1 + di : 1 + di + h, 1 + dj : 1 + dj + wd]
         wgt[:, :, k] = wv if convention == VERTEX_SUM else ell * spacing * np.sqrt(fw[1:-1, 1:-1] * wv)
     inside = mask[i0:i1, j0:j1]
-    valid = (nbr >= 0) & inside[:, :, None]
+    valid = nbr >= 0
+    valid &= inside[:, :, None]
     indptr = np.zeros(nv + 1, dtype=itype)
-    np.cumsum(valid.sum(axis=2)[inside], out=indptr[1:])
+    np.cumsum(degree[inside], out=indptr[1:])
     graph = _csr((wgt[valid], nbr[valid], indptr), (nv, nv))
     return graph, ids, (act_i, act_j)
 
@@ -166,7 +170,7 @@ class MetricProblem:
         self.spacing = field.spec.spacing
         self._set_mask(np.ones((self.n, self.n), dtype=bool) if mask is None else mask)
         w = np.exp(params.xi * field.values)
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        if not (w.min() > 0.0 and w.max() < np.inf):  # NaN fails both
             raise ValueError("vertex weights must be positive and finite")
         self.vertex_weight = w
 
@@ -306,25 +310,30 @@ class MetricProblem:
         """
         if len(sources) == 0:
             raise ValueError("sources must be nonempty")
-        g = self.graph
-        nv = g.shape[0]
         si, sj = np.asarray(sources).T
         sid = self.ids[si, sj]
         if np.any(sid < 0):
             k = int(np.argmax(sid < 0))
             raise ValueError(f"vertex {sources[k]} is outside the mask")
+        return self._grid_distances(self._sweep_from(self.graph, sid, si, sj))
+
+    def _sweep_from(self, graph: csr_matrix, sid: np.ndarray, si, sj) -> np.ndarray:
+        """One Dijkstra pass over graph from its vertices sid, the grid
+        vertices (si, sj), via a virtual source: vertex nv, its edges one
+        extra CSR row.  Under vertex-sum each virtual edge carries its
+        source's weight, so that is charged once; under edge-weighted they
+        are free."""
+        nv = graph.shape[0]
         wgt = self.vertex_weight[si, sj] if self.convention == VERTEX_SUM else np.zeros(sid.size)
-        # the virtual source is vertex nv, its edges one extra CSR row
         aug = _csr(
             (
-                np.concatenate([g.data, wgt]),
-                np.concatenate([g.indices, sid.astype(g.indices.dtype)]),
-                np.append(g.indptr, g.nnz + sid.size).astype(g.indptr.dtype),
+                np.concatenate([graph.data, wgt]),
+                np.concatenate([graph.indices, sid.astype(graph.indices.dtype)]),
+                np.append(graph.indptr, graph.nnz + sid.size).astype(graph.indptr.dtype),
             ),
             (nv + 1, nv + 1),
         )
-        d = _dijkstra(aug, nv)
-        return self._grid_distances(d[:nv])
+        return _dijkstra(aug, nv)[:nv]
 
     def restricted(self, submask: np.ndarray) -> "MetricProblem":
         """The same metric on submask, which must be contained in the mask."""
@@ -340,37 +349,38 @@ class MetricProblem:
 
         ``square`` is (x0, y0, side) in physical units.  Sources are the
         leftmost column of the square's vertex set, targets the rightmost.
-        Raises ValueError when no target is reachable inside the square.
+        Raises ValueError when the square misses the mask or no target is
+        reachable inside it.  Only the square's window of the grid is built
+        and swept.
         """
         x0, y0, side = square
         if side <= 0:
             raise ValueError("degenerate square")
-        sub, cols = self._square_mask(x0, y0, side)
-        if not sub.any():
-            raise ValueError("square contains no lattice vertices")
-        inner = self.restricted(sub)
-        imin, imax = cols
-        left = [(imin, j) for j in range(self.n) if sub[imin, j]]
-        right_mask = np.zeros_like(sub)
-        right_mask[imax, :] = sub[imax, :]
-        d = inner.multi_source_distance(left)
-        val = float(np.min(d[right_mask]))
+        rows, cols = self._square_window(x0, y0, side)
+        sub = self.mask[rows, cols]
+        graph, ids, _ = build_lattice_graph(sub, self.vertex_weight[rows, cols], self.spacing,
+                                            self.convention)
+        sj = np.nonzero(sub[0])[0]
+        d = self._sweep_from(graph, ids[0, sj], rows.start, cols.start + sj)
+        val = float(np.min(d[ids[-1, sub[-1]]]))
         if not math.isfinite(val):
             raise ValueError(f"square {square} has no left-to-right crossing inside the mask")
         return val
 
-    def _square_mask(self, x0: float, y0: float, side: float):
-        spec = self.field.spec
-        xs = spec.origin[0] + self.spacing * np.arange(self.n)
-        ys = spec.origin[1] + self.spacing * np.arange(self.n)
+    def _square_window(self, x0: float, y0: float, side: float) -> Tuple[slice, slice]:
+        """Grid slices of the vertices within the square, its rows trimmed to
+        the first and last holding a mask vertex (the left and right sides)."""
         tol = 1e-9 * self.spacing
-        in_x = (xs >= x0 - tol) & (xs <= x0 + side + tol)
-        in_y = (ys >= y0 - tol) & (ys <= y0 + side + tol)
-        sub = (in_x[:, None] & in_y[None, :]) & self.mask
-        cols = np.nonzero(sub.any(axis=1))[0]
-        if cols.size == 0:
+        spans = []
+        for o, lo in zip(self.field.spec.origin, (x0, y0)):
+            axis = o + self.spacing * np.arange(self.n)  # increasing, so each span is one slice
+            spans.append(slice(np.searchsorted(axis, lo - tol),
+                               np.searchsorted(axis, lo + side + tol, "right")))
+        sx, sy = spans
+        filled = np.nonzero(self.mask[sx, sy].any(axis=1))[0]
+        if filled.size == 0:
             raise ValueError("square misses the mask")
-        return sub, (int(cols[0]), int(cols[-1]))
+        return slice(sx.start + filled[0], sx.start + filled[-1] + 1), sy
 
     def metric_ball(self, center: Tuple[int, int], s: float) -> MetricBall:
         """All vertices within metric distance s of the center."""

@@ -162,6 +162,21 @@ class TestWholePlaneSampler:
         assert np.abs(got.values - want).max() <= 1e-13 * np.abs(want).max()
         assert abs(circle_average(got, spec.center, 1.0)) < 1e-10
 
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_equals_whole_torus_irfft2(self, n, seed):
+        # the sampler inverse-transforms only the window rows; the result
+        # must equal the whole-torus irfft2 window bit for bit
+        spec = centered_spec(n, 2.5)
+        big = 2 * n
+        noise = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal((big, big))
+        spectrum = np.fft.rfft2(noise) * _whole_plane_spectrum(n, spec.spacing)
+        torus = np.fft.irfft2(spectrum, s=(big, big))
+        window = torus[n // 2 : n // 2 + n, n // 2 : n // 2 + n]
+        raw = LatticeField(spec=spec, values=window, kind=DETERMINISTIC)
+        want = window - circle_average(raw, spec.center, 1.0)
+        assert np.array_equal(sample_whole_plane_gff(spec, seed).values, want)
+
     def test_cached_spectrum_read_only(self):
         spec = centered_spec(64, 2.5)
         g = _whole_plane_spectrum(spec.n, spec.spacing)

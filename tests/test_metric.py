@@ -3,6 +3,8 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from lfpp.config import default_config
@@ -298,6 +300,82 @@ class TestCrossing:
         with pytest.raises(ValueError, match=r"square \(0\.0, 0\.0, 1\.0\)"):
             prob.crossing_distance((0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("square", [(1.5, 0.0, 0.4), (0.2, -0.9, 0.5), (-3.0, -3.0, 1.0)])
+    def test_square_off_the_grid_rejected(self, square):
+        prob = zero_problem(n=16)
+        with pytest.raises(ValueError, match="misses the mask"):
+            prob.crossing_distance(square)
+
+
+def square_vertices(prob, square):
+    """The mask vertices within a square, by the rule crossing_distance
+    documents, evaluated on the whole grid."""
+    x0, y0, side = square
+    tol = 1e-9 * prob.spacing
+    xs = prob.field.spec.origin[0] + prob.spacing * np.arange(prob.n)
+    ys = prob.field.spec.origin[1] + prob.spacing * np.arange(prob.n)
+    in_x = (xs >= x0 - tol) & (xs <= x0 + side + tol)
+    in_y = (ys >= y0 - tol) & (ys <= y0 + side + tol)
+    return in_x[:, None] & in_y[None, :] & prob.mask
+
+
+def crossing_or_inf(prob, square):
+    try:
+        return prob.crossing_distance(square)
+    except ValueError as exc:
+        assert "no left-to-right crossing" in str(exc)
+        return math.inf
+
+
+@st.composite
+def masked_squares(draw):
+    """A random field on a grid with holes, and a square that may stick out
+    past any grid edge.  Its corner and far side fall on a lattice line,
+    between two, or within roundoff of one, where the tolerance decides."""
+    n = draw(st.sampled_from([8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spacing = 0.1
+    spec = GridSpec(n=n, spacing=spacing, origin=(-0.3, 0.2))
+    mask = rng.random((n, n)) >= draw(st.floats(0.0, 0.4))
+    mf = from_values(spec, rng.normal(0.0, 1.0, (n, n)), 0.5)
+    convention = draw(st.sampled_from([VERTEX_SUM, EDGE_WEIGHTED]))
+    jitter = st.sampled_from([0.0, 0.4, 1e-12, -1e-12])
+    corner = [o + spacing * (draw(st.integers(-n // 2, n)) + draw(jitter)) for o in spec.origin]
+    side = spacing * (draw(st.integers(1, 3 * n // 2)) + draw(jitter))
+    return MetricProblem(mf, PARAMS, convention, mask=mask), (corner[0], corner[1], side)
+
+
+class TestCrossingProperties:
+    @given(case=masked_squares())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_restricted_multi_source(self, case):
+        # the window-first sweep against the whole-grid one: the restricted
+        # problem's multi-source distances from the left side, read on the right
+        prob, square = case
+        sub = square_vertices(prob, square)
+        if not sub.any():
+            with pytest.raises(ValueError, match="misses the mask"):
+                prob.crossing_distance(square)
+            return
+        cols = np.nonzero(sub.any(axis=1))[0]
+        left = [(int(cols[0]), int(j)) for j in np.nonzero(sub[cols[0]])[0]]
+        d = prob.restricted(sub).multi_source_distance(left)
+        want = float(d[cols[-1]][sub[cols[-1]]].min())
+        assert crossing_or_inf(prob, square) == want
+
+    @given(case=masked_squares(), seed=st.integers(0, 2**32 - 1), holes=st.floats(0.0, 0.5))
+    @settings(max_examples=80, deadline=None)
+    def test_submask_never_shortens_crossing(self, case, seed, holes):
+        # locality's monotonicity: fewer vertices, no shorter crossing.  The
+        # square's two sides are kept whole, so sources and targets stay put.
+        prob, square = case
+        sub = square_vertices(prob, square)
+        assume(sub.any())
+        cols = np.nonzero(sub.any(axis=1))[0]
+        submask = prob.mask & (np.random.default_rng(seed).random(prob.mask.shape) >= holes)
+        submask[cols[[0, -1]]] = prob.mask[cols[[0, -1]]]
+        assert crossing_or_inf(prob.restricted(submask), square) >= crossing_or_inf(prob, square)
+
 
 class TestNetworkxOracle:
     """Sweeps against networkx on random masked grids whose mask's bounding
@@ -578,3 +656,11 @@ class TestGraphConstruction:
         mf = from_values(spec, vals, 0.1)
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             MetricProblem(mf, PARAMS, EDGE_WEIGHTED)
+
+    def test_underflowing_weights_rejected(self):
+        spec = GridSpec(n=8, spacing=0.1)
+        vals = np.zeros((8, 8))
+        vals[3, 4] = -2000.0  # underflows exp to 0
+        mf = from_values(spec, vals, 0.1)
+        with np.errstate(under="ignore"), pytest.raises(ValueError, match="positive and finite"):
+            MetricProblem(mf, PARAMS, VERTEX_SUM)
