@@ -39,10 +39,6 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.params.gamma < 2.0):
-            raise ValueError(f"gamma must be in (0, 2), got {self.params.gamma}")
-        if self.params.xi < 0.0:
-            raise ValueError("xi must be nonnegative")
         if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
         if self.mollifier not in MOLLIFIER_KINDS:

@@ -59,16 +59,32 @@ class ExperimentReport:
         return asdict(self)
 
 
+# What "passed" means for each check kind, as a rule on the row's own
+# (value, target, tolerance), a missing tolerance counting as 0: any row can
+# be recomputed from its JSON.
+CHECK_RULES: Dict[str, Callable[[float, Optional[float], float], bool]] = {
+    "two-sided": lambda v, t, tol: abs(v - t) <= tol,
+    "one-sided-upper": lambda v, t, tol: v <= t + tol,
+    "one-sided-lower": lambda v, t, tol: v >= t - tol,
+    "strict-upper": lambda v, t, tol: v < t + tol,
+    "strict-lower": lambda v, t, tol: v > t - tol,
+    "property": lambda v, t, tol: v == t,
+    "not-applicable": lambda v, t, tol: True,
+}
+
+
 def _check(metric: str, value: float, target: Optional[float], tolerance: Optional[float],
-           passed: bool, kind: str = "two-sided") -> Dict[str, object]:
-    return {
+           kind: str = "two-sided") -> Dict[str, object]:
+    row = {
         "metric": metric,
         "value": float(value),
         "target": None if target is None else float(target),
         "tolerance": None if tolerance is None else float(tolerance),
         "kind": kind,
-        "passed": bool(passed),
     }
+    tol = 0.0 if row["tolerance"] is None else row["tolerance"]
+    row["passed"] = bool(CHECK_RULES[kind](row["value"], row["target"], tol))
+    return row
 
 
 def _report(name: str, settings: dict, metrics: dict, checks: List[dict], t0: float) -> ExperimentReport:
@@ -170,13 +186,11 @@ def run_crossing_exponent(params: LqgParams, config: RunConfig) -> ExperimentRep
     # unit weights: crossing cost counts lattice columns, one per step
     target_vs = -1.0 if params.xi == 0.0 else -params.xi_q
     checks = [
-        _check("slope_vertex_sum", fit_vs.slope, target_vs, tolerance,
-               abs(fit_vs.slope - target_vs) <= tolerance),
+        _check("slope_vertex_sum", fit_vs.slope, target_vs, tolerance),
     ]
     if params.xi != 0.0:
         target_ew = 1.0 - params.xi_q
-        checks.append(_check("slope_edge_weighted", fit_ew.slope, target_ew, tolerance,
-                             abs(fit_ew.slope - target_ew) <= tolerance))
+        checks.append(_check("slope_edge_weighted", fit_ew.slope, target_ew, tolerance))
     return _report(
         "crossing-exponent",
         {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed},
@@ -227,8 +241,7 @@ def run_scale_ratio_exponent(params: LqgParams, config: RunConfig) -> Experiment
     for r, m in zip(r_values, medians):
         metrics[f"median_r_{r:g}"] = m
     checks = [
-        _check("slope", fit.slope, params.xi_q, tolerance,
-               abs(fit.slope - params.xi_q) <= tolerance),
+        _check("slope", fit.slope, params.xi_q, tolerance),
     ]
     return _report(
         "scale-ratio",
@@ -320,14 +333,10 @@ def run_weyl_check(params: LqgParams, config: RunConfig) -> ExperimentReport:
     lower_bound_violations = lower.sum()
 
     checks = [
-        _check("constant_shift_rel_error", max_shift_err, 0.0, 1e-12,
-               max_shift_err <= 1e-12, kind="one-sided-upper"),
-        _check("sandwich_violations", sandwich_violations, 0.0, 0.0,
-               sandwich_violations == 0, kind="property"),
-        _check("geodesic_reweight_max_ratio", max_ratio, 1.0, 1e-12,
-               max_ratio <= 1.0 + 1e-12, kind="one-sided-upper"),
-        _check("geodesic_reweight_lower_violations", lower_bound_violations, 0.0, 0.0,
-               lower_bound_violations == 0, kind="property"),
+        _check("constant_shift_rel_error", max_shift_err, 0.0, 1e-12, kind="one-sided-upper"),
+        _check("sandwich_violations", sandwich_violations, 0.0, 0.0, kind="property"),
+        _check("geodesic_reweight_max_ratio", max_ratio, 1.0, 1e-12, kind="one-sided-upper"),
+        _check("geodesic_reweight_lower_violations", lower_bound_violations, 0.0, 0.0, kind="property"),
     ]
     return _report(
         "weyl-check",
@@ -416,9 +425,8 @@ def run_locality_check(params: LqgParams, config: RunConfig) -> ExperimentReport
     monotone = int(np.sum(np.all(gap_rows[:, :-1] > gap_rows[:, 1:], axis=1)))
 
     checks = [
-        _check("changed_internal_distances", changed, 0.0, 0.0, changed == 0, kind="property"),
-        _check("gap_monotone_replicas", monotone, replicas, 0.0,
-               monotone == replicas, kind="property"),
+        _check("changed_internal_distances", changed, 0.0, 0.0, kind="property"),
+        _check("gap_monotone_replicas", monotone, replicas, 0.0, kind="property"),
     ]
     metrics = {
         "changed_internal_distances": changed,
@@ -535,14 +543,10 @@ def run_scaling_relation_check(params: LqgParams, config: RunConfig) -> Experime
                         zip(*_pool_map(_scaling_relation_replica, args, config.workers)))
 
     checks = [
-        _check("constant_field_max_gap", const_gap, 0.0, 1e-12,
-               const_gap <= 1e-12, kind="one-sided-upper"),
-        _check("vertex_sum_max_abs_gap", float(np.abs(gaps_vs).max()), 0.0, 1e-12,
-               float(np.abs(gaps_vs).max()) <= 1e-12, kind="one-sided-upper"),
-        _check("edge_weighted_min_gap", float(gaps_ew.min()), 0.0, band,
-               float(gaps_ew.min()) >= -band, kind="one-sided-lower"),
-        _check("linear_field_max_gap", lin_gap, 0.0, band,
-               lin_gap <= band, kind="one-sided-upper"),
+        _check("constant_field_max_gap", const_gap, 0.0, 1e-12, kind="one-sided-upper"),
+        _check("vertex_sum_max_abs_gap", float(np.abs(gaps_vs).max()), 0.0, 1e-12, kind="one-sided-upper"),
+        _check("edge_weighted_min_gap", float(gaps_ew.min()), 0.0, band, kind="one-sided-lower"),
+        _check("linear_field_max_gap", lin_gap, 0.0, band, kind="one-sided-upper"),
     ]
     return _report(
         "scaling-relation",
@@ -587,12 +591,9 @@ def run_circle_average_bm(params: LqgParams, config: RunConfig) -> ExperimentRep
     max_corr = float(np.abs(corr[np.triu_indices(inc.shape[1], 1)]).max())
 
     checks = [
-        _check("min_variance_ratio", float(ratios.min()), 1.0, 0.15,
-               float(ratios.min()) >= 0.85),
-        _check("max_variance_ratio", float(ratios.max()), 1.0, 0.15,
-               float(ratios.max()) <= 1.15),
-        _check("max_disjoint_increment_corr", max_corr, 0.0, 0.1,
-               max_corr < 0.1, kind="one-sided-upper"),
+        _check("min_variance_ratio", float(ratios.min()), 1.0, 0.15, kind="one-sided-lower"),
+        _check("max_variance_ratio", float(ratios.max()), 1.0, 0.15, kind="one-sided-upper"),
+        _check("max_disjoint_increment_corr", max_corr, 0.0, 0.1, kind="strict-upper"),
     ]
     metrics = {"max_disjoint_increment_corr": max_corr,
                "first_increment_variance": float(inc[:, 0].var(ddof=1))}
@@ -676,8 +677,7 @@ def run_dufresne_check(params: LqgParams, config: RunConfig) -> ExperimentReport
     for idx, (drift, ks) in enumerate(zip(drifts, _pool_map(_dufresne_task, args, config.workers))):
         metrics[f"ks_alpha_{idx}"] = ks
         metrics[f"tail_exponent_alpha_{idx}"] = 2.0 * drift
-        checks.append(_check(f"ks_alpha_{idx}", ks, 0.0, 0.05, ks < 0.05,
-                             kind="one-sided-upper"))
+        checks.append(_check(f"ks_alpha_{idx}", ks, 0.0, 0.05, kind="strict-upper"))
     return _report(
         "dufresne-check",
         {"alphas": list(alphas), "n_samples": n_samples, "dt": _BM_DT,
@@ -750,10 +750,9 @@ def run_holder_scan(params: LqgParams, config: RunConfig) -> ExperimentReport:
     hi_edge = xi * (q + 2.0) + 0.3
 
     checks = [
-        _check("median_local_exponent", med, params.xi_q, 0.15,
-               abs(med - params.xi_q) <= 0.15),
-        _check("min_local_exponent", lo, lo_edge, None, lo >= lo_edge, kind="one-sided-lower"),
-        _check("max_local_exponent", hi, hi_edge, None, hi <= hi_edge, kind="one-sided-upper"),
+        _check("median_local_exponent", med, params.xi_q, 0.15),
+        _check("min_local_exponent", lo, lo_edge, None, kind="one-sided-lower"),
+        _check("max_local_exponent", hi, hi_edge, None, kind="one-sided-upper"),
     ]
     return _report(
         "holder-scan",
@@ -806,8 +805,7 @@ def run_tube_distance(params: LqgParams, config: RunConfig) -> ExperimentReport:
     fraction = strict / replicas
 
     checks = [
-        _check("strictly_increasing_fraction", fraction, 1.0, 1.0 - min_fraction,
-               fraction >= min_fraction, kind="one-sided-lower"),
+        _check("strictly_increasing_fraction", fraction, 1.0, 1.0 - min_fraction, kind="one-sided-lower"),
     ]
     metrics = {"strictly_increasing_fraction": fraction,
                "ratio_growth_exponent": growth_fit.slope}
@@ -864,7 +862,7 @@ def run_geodesic_ball_overlap(params: LqgParams, config: RunConfig) -> Experimen
     med = float(np.median(exponents))
 
     checks = [
-        _check("median_area_exponent", med, 1.0, None, med > 1.0, kind="one-sided-lower"),
+        _check("median_area_exponent", med, 1.0, None, kind="strict-lower"),
     ]
     return _report(
         "geodesic-ball-overlap",
@@ -914,8 +912,7 @@ def run_diameter_tail(params: LqgParams, config: RunConfig) -> ExperimentReport:
                 "convention": config.convention}
     if params.xi == 0.0:
         # unit weights: the diameter is deterministic, so no upper tail exists
-        checks = [_check("degenerate_deterministic_diameter", math.inf, None, None, True,
-                         kind="not-applicable")]
+        checks = [_check("degenerate_deterministic_diameter", math.inf, None, None, kind="not-applicable")]
         return _report("diameter-tail", settings, {"degenerate": 1.0}, checks, t0)
     args = [(params, spec, replica_seed(config.master_seed, k), config.convention)
             for k in range(replicas)]
@@ -930,9 +927,8 @@ def run_diameter_tail(params: LqgParams, config: RunConfig) -> ExperimentReport:
 
     tol = 0.4 * target
     checks = [
-        _check("hill_index", hill, target, tol, abs(hill - target) <= tol),
-        _check("hill_synthetic", hill_synthetic, target, 0.5,
-               abs(hill_synthetic - target) <= 0.5),
+        _check("hill_index", hill, target, tol),
+        _check("hill_synthetic", hill_synthetic, target, 0.5),
     ]
     return _report(
         "diameter-tail",

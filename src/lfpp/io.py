@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import struct
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,11 +60,16 @@ def load_field(path: str) -> LatticeField:
             raise ValueError(f"unsupported field file version {version}")
         if kind_code not in _CODE_KINDS:
             raise ValueError(f"unknown field kind code {kind_code}")
-        payload = fh.read(8 * n * n)
-        if len(payload) != 8 * n * n:
-            raise ValueError("truncated field file payload")
+        spec = GridSpec(n=int(n), spacing=float(spacing), origin=(float(ox), float(oy)))
+        # size the payload from the file before reading it: a corrupt n must
+        # not become a huge read
+        size = 8 * n * n
+        held = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if held != size:
+            what = "truncated" if held < size else "oversized"
+            raise ValueError(f"{what} field file payload: {held} bytes, the header's n = {n} needs {size}")
+        payload = fh.read(size)
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
-    spec = GridSpec(n=int(n), spacing=float(spacing), origin=(float(ox), float(oy)))
     return LatticeField(spec=spec, values=values, kind=_CODE_KINDS[kind_code], seed=int(seed))
 
 

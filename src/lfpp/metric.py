@@ -110,26 +110,6 @@ def build_lattice_graph(
     return graph, ids, (act_i, act_j)
 
 
-def lattice_distance(
-    weights: np.ndarray,
-    spacing: float,
-    convention: str,
-    src: Tuple[int, int],
-    dst: Tuple[int, int],
-) -> float:
-    """Shortest-path distance on a fully-active rectangular weight grid.
-
-    Thin wrapper over the same graph construction MetricProblem uses,
-    callable on arbitrary (small) shapes — the reference entry point the
-    exhaustive-enumeration equivalence tests exercise.
-    """
-    mask = np.ones(np.asarray(weights).shape, dtype=bool)
-    graph, ids, _ = build_lattice_graph(mask, weights, spacing, convention)
-    d = _dijkstra(graph, int(ids[src]))
-    base = float(weights[src]) if convention == VERTEX_SUM else 0.0
-    return base + float(d[int(ids[dst])])
-
-
 @dataclass(frozen=True)
 class PathResult:
     """A query's distance and path.  ``costs[k]`` is the cumulative cost at
@@ -491,38 +471,6 @@ def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, z) -> PathResult:
     # closed: the first and last chain vertices are the two copies of a
     path = list(zip(grid_i[best_chain].tolist(), grid_j[best_chain].tolist()))
     return PathResult(distance=best, path=path, reached=True, costs=best_costs)
-
-
-def cycle_separates(
-    mask: np.ndarray,
-    cycle: Sequence[Tuple[int, int]],
-    inner: Sequence[Tuple[int, int]],
-    outer: Sequence[Tuple[int, int]],
-) -> bool:
-    """4-connected flood fill from the inner set, avoiding cycle vertices,
-    must not reach the outer set.  (An 8-connected vertex cycle blocks
-    4-connected flood, the standard lattice duality.)  A cycle through an
-    inner vertex does not separate it."""
-    if len(inner) == 0:
-        raise ValueError("inner set must be nonempty")
-    n = mask.shape[0]
-    blocked = np.zeros_like(mask)
-    for v in cycle:
-        blocked[v] = True
-    if any(blocked[v] for v in inner):
-        return False
-    visited = np.zeros_like(mask)
-    stack = [v for v in inner if mask[v]]
-    for v in stack:
-        visited[v] = True
-    while stack:
-        i, j = stack.pop()
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            a, b = i + di, j + dj
-            if 0 <= a < n and 0 <= b < n and mask[a, b] and not blocked[a, b] and not visited[a, b]:
-                visited[a, b] = True
-                stack.append((a, b))
-    return not any(visited[v] for v in outer if 0 <= v[0] < n and 0 <= v[1] < n)
 
 
 def geodesic_tube_areas(

@@ -25,6 +25,8 @@ class LqgParams:
             raise ValueError(f"gamma must lie in (0, 2), got {self.gamma}")
         if self.d <= 0.0:
             raise ValueError(f"dimension must be positive, got {self.d}")
+        if self.xi < 0.0:
+            raise ValueError(f"xi must be nonnegative, got {self.xi}")
 
     @property
     def xi(self) -> float:

@@ -1,14 +1,18 @@
-"""Exhaustive shortest-path oracle for small 8-neighbor grids.
+"""Test-only oracles for the lattice metric.
 
-Enumerates every simple path between two vertices and takes the float
-minimum of the per-path costs, accumulating each path's cost in the same
-left-to-right order the graph search uses, so agreement can be asserted
-bit-for-bit.
+Exhaustive shortest paths on small 8-neighbor grids: enumerate every
+simple path between two vertices and take the float minimum of the
+per-path costs, accumulating each path's cost in the same left-to-right
+order the graph search uses, so agreement can be asserted bit-for-bit.
+``lattice_distance`` is the graph-search side of that comparison, and
+``cycle_separates`` checks that a cycle encloses what it should.
 """
 
 import math
 
 import numpy as np
+
+from lfpp.metric import VERTEX_SUM, _dijkstra, build_lattice_graph
 
 OFFSETS = (
     (-1, -1, math.sqrt(2.0)),
@@ -85,3 +89,44 @@ def min_path_cost(weights, spacing, convention, src, groups):
     if convention == "vertex-sum":
         best = float(weights[src]) + best
     return best
+
+
+def lattice_distance(weights, spacing, convention, src, dst):
+    """Shortest-path distance on a fully-active rectangular weight grid.
+
+    Thin wrapper over the same graph construction MetricProblem uses,
+    callable on arbitrary (small) shapes: the reference entry point the
+    exhaustive-enumeration equivalence tests exercise.
+    """
+    mask = np.ones(np.asarray(weights).shape, dtype=bool)
+    graph, ids, _ = build_lattice_graph(mask, weights, spacing, convention)
+    d = _dijkstra(graph, int(ids[src]))
+    base = float(weights[src]) if convention == VERTEX_SUM else 0.0
+    return base + float(d[int(ids[dst])])
+
+
+def cycle_separates(mask, cycle, inner, outer):
+    """4-connected flood fill from the inner set, avoiding cycle vertices,
+    must not reach the outer set.  (An 8-connected vertex cycle blocks
+    4-connected flood, the standard lattice duality.)  A cycle through an
+    inner vertex does not separate it."""
+    if len(inner) == 0:
+        raise ValueError("inner set must be nonempty")
+    n = mask.shape[0]
+    blocked = np.zeros_like(mask)
+    for v in cycle:
+        blocked[v] = True
+    if any(blocked[v] for v in inner):
+        return False
+    visited = np.zeros_like(mask)
+    stack = [v for v in inner if mask[v]]
+    for v in stack:
+        visited[v] = True
+    while stack:
+        i, j = stack.pop()
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            a, b = i + di, j + dj
+            if 0 <= a < n and 0 <= b < n and mask[a, b] and not blocked[a, b] and not visited[a, b]:
+                visited[a, b] = True
+                stack.append((a, b))
+    return not any(visited[v] for v in outer if 0 <= v[0] < n and 0 <= v[1] < n)

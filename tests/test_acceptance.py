@@ -7,6 +7,7 @@ protocols run once per module through session fixtures.
 """
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -26,16 +27,16 @@ from lfpp.experiments import (
     run_tube_distance,
     run_weyl_check,
 )
-from lfpp.metric import lattice_distance
 from lfpp.params import LqgParams
 
-from oracle_paths import compile_paths, enumerate_simple_paths, min_path_cost
+from oracle_paths import compile_paths, enumerate_simple_paths, lattice_distance, min_path_cost
 
 PARAMS = LqgParams.pure_gravity()
 
 
 def config(**overrides):
-    return replace(default_config(), **overrides)
+    # worker count never changes a report (test_workers_do_not_change_reports)
+    return replace(default_config(), workers=min(2, os.cpu_count() or 1), **overrides)
 
 
 def emit(num, desc, value, target, tolerance, passed):

@@ -67,6 +67,20 @@ class TestErrors:
         ])
         assert rc == 1
 
+    def test_field_header_with_huge_n(self, tmp_path, capsys):
+        # a header-only file claiming n = 2**31 must fail validation, not the read
+        field_path = tmp_path / "huge.lfpf"
+        write_constant_field(field_path, n=8)
+        raw = bytearray(field_path.read_bytes()[: -8 * 8 * 8])
+        raw[6:10] = (2**31).to_bytes(4, "little")  # little-endian u32 n field
+        field_path.write_bytes(bytes(raw))
+        rc = main([
+            "distance", "--field", str(field_path),
+            "--src", "0", "0", "--dst", "1", "1", "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert "payload" in capsys.readouterr().err
+
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("gamma = 9.0\n")

@@ -35,6 +35,15 @@ def random_config(rng):
     )
 
 
+def write_header_only_field(path, n):
+    """A field file whose header claims n but which holds no payload."""
+    spec = GridSpec(n=8, spacing=0.1)
+    save_field(str(path), LatticeField(spec=spec, values=np.zeros((8, 8)), kind=DETERMINISTIC))
+    raw = bytearray(path.read_bytes()[: -8 * 8 * 8])
+    raw[6:10] = n.to_bytes(4, "little")  # little-endian u32 n field
+    path.write_bytes(bytes(raw))
+
+
 class TestConfig:
     def test_round_trip_random_configs(self):
         rng = np.random.default_rng(99)
@@ -75,6 +84,10 @@ class TestConfig:
             parse_config("gamma = 3.0\n")
         with pytest.raises(ValueError, match="gamma"):
             parse_config("gamma = 0.0\n")
+
+    def test_negative_xi_rejected_by_params(self):
+        with pytest.raises(ValueError, match="xi"):
+            LqgParams(gamma=1.0, d=4.0, xi_override=-0.1)
 
     def test_bad_convention_and_mollifier(self):
         with pytest.raises(ValueError):
@@ -153,6 +166,12 @@ class TestFieldFiles:
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="truncated"):
+            load_field(str(path))
+
+    def test_huge_header_n_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "huge.lfpf"
+        write_header_only_field(path, 2**31)
+        with pytest.raises(ValueError, match="payload"):
             load_field(str(path))
 
     def test_truncated_header_rejected(self, tmp_path):

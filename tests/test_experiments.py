@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ from lfpp.config import default_config
 from lfpp.experiments import (
     EXPERIMENTS,
     _centered_spec,
+    _check,
     _shifted,
     _weyl_replica,
     crossing_series,
@@ -334,3 +336,51 @@ def test_replicas_size_every_protocol(small_reports):
     assert recorded == REPLICAS
     if rep.name == "locality-check":
         assert settings["gap_replicas"] == REPLICAS
+
+
+# The seven check kinds, restated here so the tests do not read the rule
+# table they check: v is the value, t the target, tol the tolerance (0 when
+# the row records none).
+KIND_RULES = {
+    "two-sided": lambda v, t, tol: abs(v - t) <= tol,
+    "one-sided-upper": lambda v, t, tol: v <= t + tol,
+    "one-sided-lower": lambda v, t, tol: v >= t - tol,
+    "strict-upper": lambda v, t, tol: v < t + tol,
+    "strict-lower": lambda v, t, tol: v > t - tol,
+    "property": lambda v, t, tol: v == t,
+    "not-applicable": lambda v, t, tol: True,
+}
+
+
+@pytest.mark.parametrize("kind, target, tolerance, edge, at, above, below", [
+    ("two-sided", 1.0, 0.25, 1.25, True, False, True),
+    ("two-sided", 1.0, 0.25, 0.75, True, True, False),
+    ("one-sided-upper", 1.0, 0.25, 1.25, True, False, True),
+    ("one-sided-lower", 1.0, 0.25, 0.75, True, True, False),
+    ("strict-upper", 1.0, 0.25, 1.25, False, False, True),
+    ("strict-lower", 1.0, 0.25, 0.75, False, True, False),
+    ("one-sided-upper", 1.0, None, 1.0, True, False, True),
+    ("strict-lower", 1.0, None, 1.0, False, True, False),
+    ("property", 3.0, 0.0, 3.0, True, False, False),
+    ("not-applicable", None, None, math.inf, True, True, True),
+])
+def test_check_rule_at_threshold(kind, target, tolerance, edge, at, above, below):
+    """Non-strict kinds pass at their threshold and strict kinds fail there;
+    one ulp past it on either side decides the rest."""
+    def passed(value):
+        row = _check("m", value, target, tolerance, kind)
+        assert row["kind"] == kind
+        return row["passed"]
+
+    assert passed(edge) is at
+    assert passed(np.nextafter(edge, math.inf)) is above
+    assert passed(np.nextafter(edge, -math.inf)) is below
+
+
+def test_check_rows_recompute_from_json(small_reports):
+    report = json.loads(json.dumps(small_reports[0].to_dict()))
+    for row in report["checks"]:
+        assert row["kind"] in KIND_RULES, row
+        tol = 0.0 if row["tolerance"] is None else row["tolerance"]
+        assert row["passed"] == KIND_RULES[row["kind"]](row["value"], row["target"], tol), row
+    assert report["passed"] == all(row["passed"] for row in report["checks"])

@@ -15,14 +15,18 @@ from lfpp.metric import (
     VERTEX_SUM,
     MetricProblem,
     build_lattice_graph,
-    cycle_separates,
     geodesic_tube_areas,
-    lattice_distance,
 )
 from lfpp.mollify import from_values
 from lfpp.params import LqgParams
 
-from oracle_paths import compile_paths, enumerate_simple_paths, min_path_cost
+from oracle_paths import (
+    compile_paths,
+    cycle_separates,
+    enumerate_simple_paths,
+    lattice_distance,
+    min_path_cost,
+)
 
 PARAMS = LqgParams.pure_gravity()
 SQRT2 = math.sqrt(2.0)
