@@ -126,10 +126,11 @@ def _crossing_replica(args) -> np.ndarray:
     params, spec, seed, eps_list, ladders, square = args
     f = sample_whole_plane_gff(spec, seed)
     out = np.empty((len(ladders), len(eps_list)))
+    # one scale and one problem alive at a time: the ladder yields lazily and
+    # no problem outlives its crossing
     for a, mf in enumerate(mollify_heat_ladder(f, eps_list)):
         for c, (convention, strides) in enumerate(ladders):
-            prob = MetricProblem(subsample(mf, strides[a]), params, convention)
-            out[c, a] = prob.crossing_distance(square)
+            out[c, a] = MetricProblem(subsample(mf, strides[a]), params, convention).crossing_distance(square)
     return out
 
 
@@ -979,6 +980,7 @@ def suite_summary_rows(reports: Sequence[ExperimentReport]) -> List[dict]:
                 "value": c["value"],
                 "target": c["target"],
                 "tolerance": c["tolerance"],
+                "kind": c["kind"],
                 "pass": c["passed"],
                 "seconds": rep.runtime_seconds,
             })

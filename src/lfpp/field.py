@@ -57,6 +57,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        if self.n >= 2**32:
+            raise ValueError(f"n must be below 2**32, the field file's u32 limit, got {self.n}")
         if not (self.spacing > 0.0):
             raise ValueError(f"spacing must be positive, got {self.spacing}")
         object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
@@ -106,6 +108,10 @@ class LatticeField:
         object.__setattr__(self, "values", v)
 
 
+# rows (columns) per block of the sampler's forward (column) transforms
+_BLOCK = 64
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
@@ -145,10 +151,12 @@ def _whole_plane_spectrum(n: int, spacing: float) -> np.ndarray:
     """
     big = 2 * n
     lam1 = (4.0 / spacing**2) * np.sin(np.pi * np.arange(big) / big) ** 2
-    lam = lam1[:, None] + lam1[None, : n + 1]
-    g = np.zeros_like(lam)
-    nz = lam > 0
-    g[nz] = np.sqrt(2.0 * np.pi / (spacing**2 * lam[nz]))
+    g = lam1[:, None] + lam1[None, : n + 1]  # lambda, turned into g in place
+    nz = g > 0
+    g *= spacing**2
+    np.divide(2.0 * np.pi, g, out=g, where=nz)
+    np.sqrt(g, out=g)
+    g[~nz] = 0.0
     g.setflags(write=False)
     return g
 
@@ -168,10 +176,19 @@ def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
         )
     n = spec.n
     big = 2 * n
-    F = np.fft.rfft2(_rng(seed).standard_normal((big, big)))
-    F *= _whole_plane_spectrum(n, spec.spacing)
+    g = _whole_plane_spectrum(n, spec.spacing)
+    # rfft2, the product and the axis-0 half of irfft2, run in blocks into
+    # one half-spectrum buffer; every 1-D transform is independent of the
+    # others, so the buffer holds the same bits as the whole-array passes
+    F = np.empty((big, n + 1), dtype=complex)
+    rng = _rng(seed)
+    for r in range(0, big, _BLOCK):  # the stream is sequential: one (big, big) draw
+        F[r : r + _BLOCK] = np.fft.rfft(rng.standard_normal((min(_BLOCK, big - r), big)), axis=1)
+    for c in range(0, n + 1, _BLOCK):
+        block = np.fft.fft(F[:, c : c + _BLOCK], axis=0)
+        block *= g[:, c : c + _BLOCK]
+        F[:, c : c + _BLOCK] = np.fft.ifft(block, axis=0)
     # each row's irfft is independent, so the window equals irfft2's bit for bit
-    F = np.fft.ifft(F, axis=0)
     off = n // 2
     window = np.fft.irfft(F[off : off + n], n=big, axis=1)[:, off : off + n]
     del F

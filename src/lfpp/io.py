@@ -100,11 +100,14 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def write_suite_summary_csv(path: str, rows: List[dict], comment: Optional[str] = None) -> None:
-    """Suite table: one row per experiment metric checked against a target."""
+    """Suite table: one row per experiment metric checked against a target.
+
+    Each row carries its check's ``kind``, so its ``pass`` flag can be
+    recomputed from the file by the kind's rule."""
     with open(path, "w", newline="") as fh:
         _comment_line(fh, comment)
         w = csv.writer(fh)
-        w.writerow(["experiment", "metric", "value", "target", "tolerance", "pass", "seconds"])
+        w.writerow(["experiment", "metric", "value", "target", "tolerance", "kind", "pass", "seconds"])
         for r in rows:
             w.writerow(
                 [
@@ -113,6 +116,7 @@ def write_suite_summary_csv(path: str, rows: List[dict], comment: Optional[str] 
                     repr(float(r["value"])),
                     "" if r.get("target") is None else repr(float(r["target"])),
                     "" if r.get("tolerance") is None else repr(float(r["tolerance"])),
+                    r["kind"],
                     int(bool(r["pass"])),
                     repr(float(r["seconds"])),
                 ]

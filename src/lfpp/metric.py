@@ -52,6 +52,10 @@ OFFSETS = (
 )
 
 
+# Rows of the mask's bounding box per block of build_lattice_graph.
+_ROWS = 32
+
+
 def _csr(arg, shape: Tuple[int, int]) -> csr_matrix:
     from scipy.sparse import csr_matrix  # loaded on first use: over 400 modules, most of a cold start
     return csr_matrix(arg, shape=shape)
@@ -64,7 +68,8 @@ def _dijkstra(graph: csr_matrix, source: int, **kwargs):
 
 
 def build_lattice_graph(
-    mask: np.ndarray, vertex_weight: np.ndarray, spacing: float, convention: str
+    mask: np.ndarray, vertex_weight: np.ndarray, spacing: float, convention: str,
+    sources: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[csr_matrix, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
     """Directed CSR graph of the masked 8-neighbor lattice.
 
@@ -75,38 +80,71 @@ def build_lattice_graph(
     ``OFFSETS`` order, which is ascending neighbor id.  Returns (graph,
     vertex-id grid with -1 outside the mask, active index arrays).  Accepts
     any rectangular shape; grid validation lives upstream.
+
+    ``sources=(si, sj)`` appends a virtual source, vertex nv, whose row
+    holds an edge to each mask vertex (si[k], sj[k]), in that order: a
+    sweep from it is a multi-source sweep.  Under vertex-sum each of these
+    edges carries its vertex's weight, so a source's own weight is charged
+    once; under edge-weighted they are free.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     mask = np.asarray(mask, dtype=bool)
+    vertex_weight = np.asarray(vertex_weight)
     ids = -np.ones(mask.shape, dtype=np.int64)
     act_i, act_j = np.nonzero(mask)
     nv = act_i.size
     ids[act_i, act_j] = np.arange(nv)
+    nsrc = 0
+    if sources is not None:
+        si, sj = sources
+        sid = ids[si, sj]
+        if np.any(sid < 0):
+            k = int(np.argmax(sid < 0))
+            raise ValueError(f"vertex {(int(si[k]), int(sj[k]))} is outside the mask")
+        nsrc = sid.size
     # Only the mask's bounding box is scanned.  Framing it with one ring of
     # id -1 makes every offset's neighbor block a plain slice.
     i0, i1, j0, j1 = (act_i[0], act_i[-1] + 1, act_j.min(), act_j.max() + 1) if nv else (0, 0, 0, 0)
     h, wd = i1 - i0, j1 - j0
-    itype = np.int32 if 8 * nv < 2**31 else np.int64
+    itype = np.int32 if 8 * nv + nsrc < 2**31 else np.int64
     fid = np.full((h + 2, wd + 2), -1, dtype=itype)
     fid[1:-1, 1:-1] = ids[i0:i1, j0:j1]
     fw = np.ones((h + 2, wd + 2))
-    fw[1:-1, 1:-1] = np.asarray(vertex_weight)[i0:i1, j0:j1]
-    nbr = np.empty((h, wd, len(OFFSETS)), dtype=itype)
-    wgt = np.empty((h, wd, len(OFFSETS)))
-    degree = np.zeros((h, wd), dtype=itype)
-    for k, (di, dj, ell) in enumerate(OFFSETS):
-        nk = fid[1 + di : 1 + di + h, 1 + dj : 1 + dj + wd]
-        nbr[:, :, k] = nk
-        degree += nk >= 0
-        wv = fw[1 + di : 1 + di + h, 1 + dj : 1 + dj + wd]
-        wgt[:, :, k] = wv if convention == VERTEX_SUM else ell * spacing * np.sqrt(fw[1:-1, 1:-1] * wv)
+    fw[1:-1, 1:-1] = vertex_weight[i0:i1, j0:j1]
     inside = mask[i0:i1, j0:j1]
-    valid = nbr >= 0
-    valid &= inside[:, :, None]
-    indptr = np.zeros(nv + 1, dtype=itype)
-    np.cumsum(degree[inside], out=indptr[1:])
-    graph = _csr((wgt[valid], nbr[valid], indptr), (nv, nv))
+    degree = np.zeros((h, wd), dtype=itype)
+    for di, dj, _ in OFFSETS:
+        degree += fid[1 + di : 1 + di + h, 1 + dj : 1 + dj + wd] >= 0
+    indptr = np.zeros(nv + 1 + (sources is not None), dtype=itype)
+    np.cumsum(degree[inside], out=indptr[1 : nv + 1])
+    nnz = int(indptr[nv])
+    data = np.empty(nnz + nsrc)
+    indices = np.empty(nnz + nsrc, dtype=itype)
+    # Each block of rows gathers its valid entries straight into its slice
+    # of the CSR arrays, so no (h, wd, 8) array is ever held whole.
+    at = 0
+    for r0 in range(0, h, _ROWS):
+        r1 = min(r0 + _ROWS, h)
+        nbr = np.empty((r1 - r0, wd, len(OFFSETS)), dtype=itype)
+        wgt = np.empty((r1 - r0, wd, len(OFFSETS)))
+        wu = fw[1 + r0 : 1 + r1, 1:-1]
+        for k, (di, dj, ell) in enumerate(OFFSETS):
+            nbr[:, :, k] = fid[1 + di + r0 : 1 + di + r1, 1 + dj : 1 + dj + wd]
+            wv = fw[1 + di + r0 : 1 + di + r1, 1 + dj : 1 + dj + wd]
+            wgt[:, :, k] = wv if convention == VERTEX_SUM else ell * spacing * np.sqrt(wu * wv)
+        valid = nbr >= 0
+        valid &= inside[r0:r1, :, None]
+        end = at + int(np.count_nonzero(valid))
+        data[at:end] = wgt[valid]
+        indices[at:end] = nbr[valid]
+        at = end
+    if sources is not None:
+        data[nnz:] = vertex_weight[si, sj] if convention == VERTEX_SUM else 0.0
+        indices[nnz:] = sid
+        indptr[-1] = nnz + nsrc
+        nv += 1
+    graph = _csr((data, indices, indptr), (nv, nv))
     return graph, ids, (act_i, act_j)
 
 
@@ -192,10 +230,10 @@ class MetricProblem:
             raise ValueError(f"vertex {v} is outside the mask")
         return vid
 
-    def _grid_distances(self, flat: np.ndarray) -> np.ndarray:
+    def _grid_distances(self, flat: np.ndarray, active: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Scatter per-active-vertex distances back onto the grid (inf outside)."""
         out = np.full((self.n, self.n), np.inf)
-        ai, aj = self._active
+        ai, aj = active
         out[ai, aj] = flat
         return out
 
@@ -285,35 +323,17 @@ class MetricProblem:
     def multi_source_distance(self, sources: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Single-pass distances from a vertex set, as an (n, n) grid array.
 
-        Vertex-sum charges each source's own weight once (virtual edges into
-        the sources carry that weight); edge-weighted virtual edges are free.
+        One sweep from the builder's virtual source joined to the sources:
+        vertex-sum charges each source's own weight once, edge-weighted
+        virtual edges are free.  The graph is built for this query only.
         """
         if len(sources) == 0:
             raise ValueError("sources must be nonempty")
         si, sj = np.asarray(sources).T
-        sid = self.ids[si, sj]
-        if np.any(sid < 0):
-            k = int(np.argmax(sid < 0))
-            raise ValueError(f"vertex {sources[k]} is outside the mask")
-        return self._grid_distances(self._sweep_from(self.graph, sid, si, sj))
-
-    def _sweep_from(self, graph: csr_matrix, sid: np.ndarray, si, sj) -> np.ndarray:
-        """One Dijkstra pass over graph from its vertices sid, the grid
-        vertices (si, sj), via a virtual source: vertex nv, its edges one
-        extra CSR row.  Under vertex-sum each virtual edge carries its
-        source's weight, so that is charged once; under edge-weighted they
-        are free."""
-        nv = graph.shape[0]
-        wgt = self.vertex_weight[si, sj] if self.convention == VERTEX_SUM else np.zeros(sid.size)
-        aug = _csr(
-            (
-                np.concatenate([graph.data, wgt]),
-                np.concatenate([graph.indices, sid.astype(graph.indices.dtype)]),
-                np.append(graph.indptr, graph.nnz + sid.size).astype(graph.indptr.dtype),
-            ),
-            (nv + 1, nv + 1),
-        )
-        return _dijkstra(aug, nv)[:nv]
+        graph, _, active = build_lattice_graph(self.mask, self.vertex_weight, self.spacing,
+                                               self.convention, sources=(si, sj))
+        nv = graph.shape[0] - 1
+        return self._grid_distances(_dijkstra(graph, nv)[:nv], active)
 
     def restricted(self, submask: np.ndarray) -> "MetricProblem":
         """The same metric on submask, which must be contained in the mask."""
@@ -330,18 +350,19 @@ class MetricProblem:
         ``square`` is (x0, y0, side) in physical units.  Sources are the
         leftmost column of the square's vertex set, targets the rightmost.
         Raises ValueError when the square misses the mask or no target is
-        reachable inside it.  Only the square's window of the grid is built
-        and swept.
+        reachable inside it.  Only the square's window of the grid is built,
+        with the builder's virtual source joined to the window's first row,
+        and swept once from that source.
         """
         x0, y0, side = square
         if side <= 0:
             raise ValueError("degenerate square")
         rows, cols = self._square_window(x0, y0, side)
         sub = self.mask[rows, cols]
-        graph, ids, _ = build_lattice_graph(sub, self.vertex_weight[rows, cols], self.spacing,
-                                            self.convention)
         sj = np.nonzero(sub[0])[0]
-        d = self._sweep_from(graph, ids[0, sj], rows.start, cols.start + sj)
+        graph, ids, _ = build_lattice_graph(sub, self.vertex_weight[rows, cols], self.spacing,
+                                            self.convention, sources=(np.zeros_like(sj), sj))
+        d = _dijkstra(graph, graph.shape[0] - 1)
         val = float(np.min(d[ids[-1, sub[-1]]]))
         if not math.isfinite(val):
             raise ValueError(f"square {square} has no left-to-right crossing inside the mask")
@@ -374,7 +395,7 @@ class MetricProblem:
             dist = np.full((self.n, self.n), np.inf)
             return MetricBall(center=center, radius=s, membership=member, boundary=[], distances=dist)
         d = _dijkstra(self.graph, cid, limit=limit)
-        dist = self._grid_distances(d) + base
+        dist = self._grid_distances(d, self._active) + base
         member = dist <= s
         boundary = _boundary_vertices(member)
         return MetricBall(center=center, radius=s, membership=member, boundary=boundary, distances=dist)

@@ -7,8 +7,8 @@ torus-backed whole-plane surrogate, reflective otherwise.  The kernel is
 renormalized to unit mass on the grid, so constants pass through exactly.
 The wrapped kernel is separable, so its spectrum is the outer product of
 one 1-D transform; no 2-D kernel is built.  ``mollify_heat_ladder``
-transforms the field once for a whole list of scales and ``mollify_heat``
-is its one-scale case.
+transforms the field once for a whole list of scales and yields them one
+at a time; ``mollify_heat`` is its one-scale case.
 
 The truncated mollifier multiplies the same kernel by a C^1 radial bump
 that is 1 inside radius sqrt(eps)/2 and exactly 0 outside sqrt(eps), and
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -85,13 +85,16 @@ def _heat_spectrum(m: int, spacing: float, eps: float) -> np.ndarray:
 
 
 def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float],
-                        padding: str | None = None) -> List[MollifiedField]:
+                        padding: str | None = None) -> Iterator[MollifiedField]:
     """FFT convolution with the heat kernel at time eps^2/2, for each eps.
 
-    The field is transformed once and each scale only multiplies by its
-    kernel's spectrum.  Reflective padding extends the field by
-    min(n - 1, ceil(6.5 eps / s)) samples, so the padded field is
-    re-transformed only when that width changes along the ladder.
+    Every scale is validated here, before anything is computed; the fields
+    are then yielded one at a time, so a caller that consumes each before
+    asking for the next holds one scale at a time.  The field is transformed
+    once and each scale only multiplies by its kernel's spectrum.
+    Reflective padding extends the field by min(n - 1, ceil(6.5 eps / s))
+    samples, so the padded field is re-transformed only when that width
+    changes along the ladder.
     """
     s = base.spec.spacing
     for eps in eps_list:
@@ -100,8 +103,11 @@ def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float],
     pad_mode = padding if padding is not None else _padding_for(base)
     if pad_mode not in ("periodic", "reflective"):
         raise ValueError(f"unknown padding {pad_mode!r}")
-    n = base.spec.n
-    out = []
+    return _heat_ladder(base, list(eps_list), pad_mode)
+
+
+def _heat_ladder(base: LatticeField, eps_list: List[float], pad_mode: str) -> Iterator[MollifiedField]:
+    n, s = base.spec.n, base.spec.spacing
     width = None
     for eps in eps_list:
         p = 0 if pad_mode == "periodic" else min(n - 1, int(math.ceil(6.5 * eps / s)))
@@ -111,17 +117,18 @@ def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float],
             # 'reflect' so both mollifiers see the same extension
             F = np.fft.rfft2(np.pad(base.values, p, mode="symmetric") if p else base.values)
         conv = np.fft.irfft2(F * _heat_spectrum(m, s, eps), s=(m, m))
-        # a copy of the window, so a padded result does not hold the m x m array
+        # a copy of the window, and conv dropped before the yield, so a
+        # padded result does not keep the m x m array alive
         values = np.ascontiguousarray(conv[p : p + n, p : p + n])
-        out.append(MollifiedField(
+        del conv
+        yield MollifiedField(
             base=base, eps=float(eps), kernel=HEAT_FULL, values=values, spec=base.spec, padding=pad_mode,
-        ))
-    return out
+        )
 
 
 def mollify_heat(base: LatticeField, eps: float, padding: str | None = None) -> MollifiedField:
     """FFT convolution with the heat kernel at time eps^2/2."""
-    return mollify_heat_ladder(base, [eps], padding)[0]
+    return next(mollify_heat_ladder(base, [eps], padding))
 
 
 def bump_profile(rho: np.ndarray, eps: float) -> np.ndarray:

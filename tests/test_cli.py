@@ -81,6 +81,15 @@ class TestErrors:
         assert rc == 1
         assert "payload" in capsys.readouterr().err
 
+    def test_config_with_n_beyond_field_header(self, tmp_path, capsys):
+        # rejected when the config is read, before any sampling or writing
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("n = 1099511627776\n")
+        rc = main(["sample-field", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "2**32" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("gamma = 9.0\n")
@@ -231,7 +240,7 @@ class TestExperimentAndSuite:
         assert rc == 2
         lines = (tmp_path / "out" / "suite_summary.csv").read_text().splitlines()
         assert lines[0].startswith("# master_seed=0 config_hash=")
-        assert lines[1] == "experiment,metric,value,target,tolerance,pass,seconds"
+        assert lines[1] == "experiment,metric,value,target,tolerance,kind,pass,seconds"
         assert len(lines) == 4
 
 

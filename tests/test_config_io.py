@@ -1,9 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from lfpp.config import RunConfig, config_hash, default_config, parse_config, serialize_config
+from lfpp.experiments import ExperimentReport, _check, suite_summary_rows
 from lfpp.field import DETERMINISTIC, GridSpec, LatticeField, sample_zero_boundary_gff
 from lfpp.io import (
     FORMAT_VERSION,
@@ -13,6 +15,8 @@ from lfpp.io import (
     write_suite_summary_csv,
 )
 from lfpp.params import LqgParams
+
+from test_experiments import KIND_RULES
 
 
 def random_config(rng):
@@ -88,6 +92,11 @@ class TestConfig:
     def test_negative_xi_rejected_by_params(self):
         with pytest.raises(ValueError, match="xi"):
             LqgParams(gamma=1.0, d=4.0, xi_override=-0.1)
+
+    def test_n_beyond_field_header_rejected(self):
+        # a power of two the field file's u32 n cannot hold
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            parse_config("n = 1099511627776\n")
 
     def test_bad_convention_and_mollifier(self):
         with pytest.raises(ValueError):
@@ -200,30 +209,31 @@ class TestCsvWriters:
             write_geodesic_csv(str(tmp_path / "x.csv"), spec, [(0, 0)], [0.0, 1.0])
 
     def test_suite_summary_csv(self, tmp_path):
-        rows = [
-            {
-                "experiment": "demo",
-                "metric": "slope",
-                "value": -0.83,
-                "target": -0.8333,
-                "tolerance": 0.07,
-                "pass": True,
-                "seconds": 1.5,
-            },
-            {
-                "experiment": "demo2",
-                "metric": "violations",
-                "value": 0.0,
-                "target": None,
-                "tolerance": None,
-                "pass": False,
-                "seconds": 0.25,
-            },
+        # every kind at its threshold, where strict and non-strict rules part
+        reports = [
+            ExperimentReport("demo", {}, {}, [_check("slope", -0.83, -0.8333, 0.07)], True, 1.5),
+            ExperimentReport("demo2", {}, {}, [
+                _check("violations", 1.0, 0.0, None, "property"),
+                _check("at_upper", 1.25, 1.0, 0.25, "one-sided-upper"),
+                _check("at_strict_upper", 1.25, 1.0, 0.25, "strict-upper"),
+                _check("at_lower", 0.75, 1.0, 0.25, "one-sided-lower"),
+                _check("at_strict_lower", 0.75, 1.0, 0.25, "strict-lower"),
+                _check("off_two_sided", 1.5, 1.0, 0.25),
+                _check("ratio", 3.0, None, None, "not-applicable"),
+            ], False, 0.25),
         ]
+        rows = suite_summary_rows(reports)
         path = tmp_path / "suite.csv"
         write_suite_summary_csv(str(path), rows, comment="config_hash=abc")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_hash=abc"
-        assert lines[1] == "experiment,metric,value,target,tolerance,pass,seconds"
-        assert lines[2] == "demo,slope,-0.83,-0.8333,0.07,1,1.5"
-        assert lines[3] == "demo2,violations,0.0,,,0,0.25"
+        assert lines[1] == "experiment,metric,value,target,tolerance,kind,pass,seconds"
+        assert lines[2] == "demo,slope,-0.83,-0.8333,0.07,two-sided,1,1.5"
+        assert lines[3] == "demo2,violations,1.0,0.0,,property,0,0.25"
+        # each row's pass follows from the file alone, by the README's rule table
+        table = list(csv.DictReader(lines[1:]))
+        assert [r["pass"] for r in table] == ["1", "0", "1", "0", "1", "0", "0", "1"]
+        for r in table:
+            target = None if r["target"] == "" else float(r["target"])
+            tol = 0.0 if r["tolerance"] == "" else float(r["tolerance"])
+            assert r["pass"] == str(int(KIND_RULES[r["kind"]](float(r["value"]), target, tol))), r

@@ -296,7 +296,8 @@ class TestSuitePlumbing:
         assert len(rows) == len(rep.checks)
         assert rows[0]["experiment"] == "circle-average-bm"
         assert set(rows[0]) == {"experiment", "metric", "value", "target",
-                                "tolerance", "pass", "seconds"}
+                                "tolerance", "kind", "pass", "seconds"}
+        assert [r["kind"] for r in rows] == [c["kind"] for c in rep.checks]
 
 
     def test_every_protocol_takes_params_and_config(self):

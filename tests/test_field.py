@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,32 @@ class TestWholePlaneSampler:
         raw = LatticeField(spec=spec, values=window, kind=DETERMINISTIC)
         want = window - circle_average(raw, spec.center, 1.0)
         assert np.array_equal(sample_whole_plane_gff(spec, seed).values, want)
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_spectrum_equals_direct_formula(self, n):
+        # the cache is built in place; its bits must be the direct formula's
+        s = 2.02 / (n - 1)
+        big = 2 * n
+        lam1 = (4.0 / s**2) * np.sin(np.pi * np.arange(big) / big) ** 2
+        lam = lam1[:, None] + lam1[None, : n + 1]
+        want = np.zeros_like(lam)
+        nz = lam > 0
+        want[nz] = np.sqrt(2.0 * np.pi / (s**2 * lam[nz]))
+        assert np.array_equal(_whole_plane_spectrum(n, s), want)
+
+    def test_traced_peak_below_two_half_spectra(self):
+        # the noise and the forward and column transforms run in blocks into
+        # one half-spectrum buffer, so a sample holds less than two of them
+        spec = centered_spec(256, 2.02)
+        sample_whole_plane_gff(spec, 2)  # the spectrum cache and FFT plans are not the sample's
+        buffer_bytes = 2 * spec.n * (spec.n + 1) * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            sample_whole_plane_gff(spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * buffer_bytes
 
     def test_cached_spectrum_read_only(self):
         spec = centered_spec(64, 2.5)

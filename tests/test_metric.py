@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -638,6 +639,60 @@ class TestGraphConstruction:
             np.testing.assert_array_equal(ids, ref_ids)
             for got, want in zip(active, ref_active):
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_sources_row_equals_appended_row(self, convention):
+        # the virtual source's row, appended to a plain build by hand: edges
+        # to the sources in the order given, repeats kept, carrying the
+        # source weights or 0.0
+        rng = np.random.default_rng(23)
+        masks = [np.ones((1, 9), dtype=bool), np.ones((12, 12), dtype=bool)]
+        for _ in range(20):
+            nr, nc = (int(v) for v in rng.integers(1, 25, 2))
+            masks.append(rng.random((nr, nc)) < rng.uniform(0.3, 1.0))  # holes
+        for mask in masks:
+            if not mask.any():
+                continue
+            w = np.exp(rng.normal(0.0, 1.0, mask.shape))
+            act = np.argwhere(mask)
+            si, sj = act[rng.integers(0, len(act), int(rng.integers(1, 6)))].T
+            g, ids, active = build_lattice_graph(mask, w, 0.07, convention, sources=(si, sj))
+            plain, plain_ids, plain_active = build_lattice_graph(mask, w, 0.07, convention)
+            nv, sid = plain.shape[0], plain_ids[si, sj]
+            wgt = w[si, sj] if convention == VERTEX_SUM else np.zeros(sid.size)
+            ref = csr_matrix((np.concatenate([plain.data, wgt]),
+                              np.concatenate([plain.indices, sid.astype(plain.indices.dtype)]),
+                              np.append(plain.indptr, plain.nnz + sid.size).astype(plain.indptr.dtype)),
+                             shape=(nv + 1, nv + 1))
+            assert g.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(g, name), getattr(ref, name))
+            np.testing.assert_array_equal(ids, plain_ids)
+            for got, want in zip(active, plain_active):
+                np.testing.assert_array_equal(got, want)
+
+    def test_source_outside_mask_rejected(self):
+        mask = np.ones((6, 6), dtype=bool)
+        mask[2, 3] = False
+        for convention in (VERTEX_SUM, EDGE_WEIGHTED):
+            with pytest.raises(ValueError, match=r"vertex \(2, 3\) is outside the mask"):
+                build_lattice_graph(mask, np.ones((6, 6)), 0.1, convention,
+                                    sources=(np.array([0, 2]), np.array([0, 3])))
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_traced_peak_below_two_csr(self, convention):
+        # rows are built in blocks straight into exact-size CSR arrays, so no
+        # whole (h, w, 8) neighbor or weight array is held
+        mask = np.ones((128, 128), dtype=bool)
+        w = np.exp(np.random.default_rng(4).normal(0.0, 1.0, mask.shape))
+        build_lattice_graph(mask, w, 0.07, convention)  # one-time allocations are not the build's
+        tracemalloc.start()
+        try:
+            g, _, _ = build_lattice_graph(mask, w, 0.07, convention)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (g.data.nbytes + g.indices.nbytes + g.indptr.nbytes)
 
     def test_rectangular_shapes_supported(self):
         w = np.ones((3, 5))

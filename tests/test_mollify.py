@@ -92,7 +92,7 @@ class TestHeatMollifier:
         f = sample_whole_plane_gff(spec, 9)
         # the reflective widths are 26, 26, 14 and 13 samples
         eps_list = [4 * spec.spacing, 3.9 * spec.spacing, 2.1 * spec.spacing, 2 * spec.spacing]
-        ladder = mollify_heat_ladder(f, eps_list, padding=padding)
+        ladder = list(mollify_heat_ladder(f, eps_list, padding=padding))
         assert [mf.eps for mf in ladder] == eps_list
         for eps, mf in zip(eps_list, ladder):
             single = mollify_heat(f, eps, padding=padding)
