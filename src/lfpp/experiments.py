@@ -115,7 +115,8 @@ def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
         return [fn(a) for a in args]
     from concurrent.futures import ProcessPoolExecutor  # loaded on first use: serial runs skip it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool starts all its workers at the first submit, so no more than there are tasks
+    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
         return list(pool.map(fn, args))
 
 

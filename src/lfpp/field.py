@@ -17,8 +17,9 @@ Two samplers are provided, both spectral and both deterministic given a
   pushed to the doubled torus.  The noise is real, so the synthesis runs
   on real transforms (``rfft2``/``irfft2``) against the half-spectrum the
   real transform keeps; that spectrum depends only on (n, spacing) and is
-  built once and cached read-only.  The inverse runs as ``irfft2``'s two
-  1-D passes, the second on the window's rows only.
+  computed per column block, just before the block is multiplied, so no
+  spectrum stays resident between samples.  The inverse runs as
+  ``irfft2``'s two 1-D passes, the second on the window's rows only.
 
 Fields are immutable value objects; everything downstream (mollifiers,
 metrics) treats them as read-only.
@@ -26,7 +27,6 @@ metrics) treats them as read-only.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -140,24 +140,23 @@ def sample_zero_boundary_gff(spec: GridSpec, seed: int) -> LatticeField:
     return LatticeField(spec=spec, values=values, kind=ZERO_BOUNDARY, seed=int(seed))
 
 
-@functools.lru_cache(maxsize=2)
-def _whole_plane_spectrum(n: int, spacing: float) -> np.ndarray:
-    """Read-only half-spectrum of the doubled torus, shape (2n, n + 1).
+def _whole_plane_spectrum(n: int, spacing: float, cols: slice = slice(None)) -> np.ndarray:
+    """Columns ``cols`` of the doubled torus's (2n, n + 1) half-spectrum.
 
     Mode (j, k) gets sqrt(2*pi / (lambda_jk * s^2)), with lambda_jk the
     eigenvalue of the periodic 5-point Laplacian, and the zero mode gets 0.
-    Only the columns ``rfft2`` keeps are built; every sample at (n, spacing)
-    shares the one array.
+    Only the columns ``rfft2`` keeps are built; each element goes through
+    the same operations whichever slice holds it, so blocks equal the
+    corresponding columns of the whole array bit for bit.
     """
     big = 2 * n
     lam1 = (4.0 / spacing**2) * np.sin(np.pi * np.arange(big) / big) ** 2
-    g = lam1[:, None] + lam1[None, : n + 1]  # lambda, turned into g in place
+    g = lam1[:, None] + lam1[None, : n + 1][:, cols]  # lambda, turned into g in place
     nz = g > 0
     g *= spacing**2
     np.divide(2.0 * np.pi, g, out=g, where=nz)
     np.sqrt(g, out=g)
     g[~nz] = 0.0
-    g.setflags(write=False)
     return g
 
 
@@ -176,7 +175,6 @@ def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
         )
     n = spec.n
     big = 2 * n
-    g = _whole_plane_spectrum(n, spec.spacing)
     # rfft2, the product and the axis-0 half of irfft2, run in blocks into
     # one half-spectrum buffer; every 1-D transform is independent of the
     # others, so the buffer holds the same bits as the whole-array passes
@@ -185,9 +183,10 @@ def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
     for r in range(0, big, _BLOCK):  # the stream is sequential: one (big, big) draw
         F[r : r + _BLOCK] = np.fft.rfft(rng.standard_normal((min(_BLOCK, big - r), big)), axis=1)
     for c in range(0, n + 1, _BLOCK):
-        block = np.fft.fft(F[:, c : c + _BLOCK], axis=0)
-        block *= g[:, c : c + _BLOCK]
-        F[:, c : c + _BLOCK] = np.fft.ifft(block, axis=0)
+        cols = slice(c, c + _BLOCK)
+        block = np.fft.fft(F[:, cols], axis=0)
+        block *= _whole_plane_spectrum(n, spec.spacing, cols)
+        F[:, cols] = np.fft.ifft(block, axis=0)
     # each row's irfft is independent, so the window equals irfft2's bit for bit
     off = n // 2
     window = np.fft.irfft(F[off : off + n], n=big, axis=1)[:, off : off + n]

@@ -20,6 +20,7 @@ predecessor among those that reproduce the distance exactly.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -70,16 +71,16 @@ def _dijkstra(graph: csr_matrix, source: int, **kwargs):
 def build_lattice_graph(
     mask: np.ndarray, vertex_weight: np.ndarray, spacing: float, convention: str,
     sources: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> Tuple[csr_matrix, np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+) -> Tuple[csr_matrix, np.ndarray]:
     """Directed CSR graph of the masked 8-neighbor lattice.
 
     Vertex-sum edges u->v carry exp-weight of v (the source weight is
     charged separately, once per query); edge-weighted edges carry the
     Euclidean step length times the geometric mean of the endpoint weights.
     Vertex ids run row-major over the mask and each row lists its edges in
-    ``OFFSETS`` order, which is ascending neighbor id.  Returns (graph,
-    vertex-id grid with -1 outside the mask, active index arrays).  Accepts
-    any rectangular shape; grid validation lives upstream.
+    ``OFFSETS`` order, which is ascending neighbor id.  Returns the graph
+    and the vertex-id grid, -1 outside the mask.  Accepts any rectangular
+    shape; grid validation lives upstream.
 
     ``sources=(si, sj)`` appends a virtual source, vertex nv, whose row
     holds an edge to each mask vertex (si[k], sj[k]), in that order: a
@@ -91,10 +92,9 @@ def build_lattice_graph(
         raise ValueError(f"unknown convention {convention!r}")
     mask = np.asarray(mask, dtype=bool)
     vertex_weight = np.asarray(vertex_weight)
-    ids = -np.ones(mask.shape, dtype=np.int64)
-    act_i, act_j = np.nonzero(mask)
-    nv = act_i.size
-    ids[act_i, act_j] = np.arange(nv)
+    ids = np.full(mask.shape, -1, dtype=np.int64)
+    nv = int(np.count_nonzero(mask))
+    ids[mask] = np.arange(nv)  # boolean assignment runs row-major
     nsrc = 0
     if sources is not None:
         si, sj = sources
@@ -105,7 +105,8 @@ def build_lattice_graph(
         nsrc = sid.size
     # Only the mask's bounding box is scanned.  Framing it with one ring of
     # id -1 makes every offset's neighbor block a plain slice.
-    i0, i1, j0, j1 = (act_i[0], act_i[-1] + 1, act_j.min(), act_j.max() + 1) if nv else (0, 0, 0, 0)
+    rows, cols = np.nonzero(mask.any(axis=1))[0], np.nonzero(mask.any(axis=0))[0]
+    i0, i1, j0, j1 = (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if nv else (0, 0, 0, 0)
     h, wd = i1 - i0, j1 - j0
     itype = np.int32 if 8 * nv + nsrc < 2**31 else np.int64
     fid = np.full((h + 2, wd + 2), -1, dtype=itype)
@@ -118,6 +119,7 @@ def build_lattice_graph(
         degree += fid[1 + di : 1 + di + h, 1 + dj : 1 + dj + wd] >= 0
     indptr = np.zeros(nv + 1 + (sources is not None), dtype=itype)
     np.cumsum(degree[inside], out=indptr[1 : nv + 1])
+    del degree
     nnz = int(indptr[nv])
     data = np.empty(nnz + nsrc)
     indices = np.empty(nnz + nsrc, dtype=itype)
@@ -144,8 +146,7 @@ def build_lattice_graph(
         indices[nnz:] = sid
         indptr[-1] = nnz + nsrc
         nv += 1
-    graph = _csr((data, indices, indptr), (nv, nv))
-    return graph, ids, (act_i, act_j)
+    return _csr((data, indices, indptr), (nv, nv)), ids
 
 
 @dataclass(frozen=True)
@@ -187,10 +188,18 @@ class MetricProblem:
         self.n = field.spec.n
         self.spacing = field.spec.spacing
         self._set_mask(np.ones((self.n, self.n), dtype=bool) if mask is None else mask)
-        w = np.exp(params.xi * field.values)
-        if not (w.min() > 0.0 and w.max() < np.inf):  # NaN fails both
+        # xi >= 0 makes the weight monotone in the value, so the extremes
+        # bound every weight; a NaN value gives NaN extremes, which fail both
+        lo, hi = self._weight(np.array([field.values.min(), field.values.max()]))
+        if not (lo > 0.0 and hi < np.inf):
             raise ValueError("vertex weights must be positive and finite")
-        self.vertex_weight = w
+
+    def _weight(self, values: np.ndarray) -> np.ndarray:
+        return np.exp(self.params.xi * values)
+
+    @functools.cached_property
+    def vertex_weight(self) -> np.ndarray:
+        return self._weight(self.field.values)
 
     def _set_mask(self, mask: np.ndarray) -> None:
         mask = np.asarray(mask, dtype=bool)
@@ -200,19 +209,15 @@ class MetricProblem:
         self.mask.setflags(write=False)
         self._graph = None
         self._ids = None
-        self._active = None
 
     # -- graph construction -------------------------------------------------
 
     def _build(self):
         if self._graph is not None:
             return
-        graph, ids, active = build_lattice_graph(
+        self._graph, self._ids = build_lattice_graph(
             self.mask, self.vertex_weight, self.spacing, self.convention
         )
-        self._graph = graph
-        self._ids = ids
-        self._active = active
 
     @property
     def graph(self) -> csr_matrix:
@@ -230,11 +235,10 @@ class MetricProblem:
             raise ValueError(f"vertex {v} is outside the mask")
         return vid
 
-    def _grid_distances(self, flat: np.ndarray, active: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Scatter per-active-vertex distances back onto the grid (inf outside)."""
+    def _grid_distances(self, flat: np.ndarray) -> np.ndarray:
+        """Scatter per-mask-vertex distances back onto the grid (inf outside)."""
         out = np.full((self.n, self.n), np.inf)
-        ai, aj = active
-        out[ai, aj] = flat
+        out[self.mask] = flat
         return out
 
     # -- elementary costs ----------------------------------------------------
@@ -330,10 +334,10 @@ class MetricProblem:
         if len(sources) == 0:
             raise ValueError("sources must be nonempty")
         si, sj = np.asarray(sources).T
-        graph, _, active = build_lattice_graph(self.mask, self.vertex_weight, self.spacing,
-                                               self.convention, sources=(si, sj))
+        graph, _ = build_lattice_graph(self.mask, self.vertex_weight, self.spacing,
+                                       self.convention, sources=(si, sj))
         nv = graph.shape[0] - 1
-        return self._grid_distances(_dijkstra(graph, nv)[:nv], active)
+        return self._grid_distances(_dijkstra(graph, nv)[:nv])
 
     def restricted(self, submask: np.ndarray) -> "MetricProblem":
         """The same metric on submask, which must be contained in the mask."""
@@ -360,8 +364,8 @@ class MetricProblem:
         rows, cols = self._square_window(x0, y0, side)
         sub = self.mask[rows, cols]
         sj = np.nonzero(sub[0])[0]
-        graph, ids, _ = build_lattice_graph(sub, self.vertex_weight[rows, cols], self.spacing,
-                                            self.convention, sources=(np.zeros_like(sj), sj))
+        graph, ids = build_lattice_graph(sub, self._weight(self.field.values[rows, cols]), self.spacing,
+                                         self.convention, sources=(np.zeros_like(sj), sj))
         d = _dijkstra(graph, graph.shape[0] - 1)
         val = float(np.min(d[ids[-1, sub[-1]]]))
         if not math.isfinite(val):
@@ -395,7 +399,7 @@ class MetricProblem:
             dist = np.full((self.n, self.n), np.inf)
             return MetricBall(center=center, radius=s, membership=member, boundary=[], distances=dist)
         d = _dijkstra(self.graph, cid, limit=limit)
-        dist = self._grid_distances(d, self._active) + base
+        dist = self._grid_distances(d) + base
         member = dist <= s
         boundary = _boundary_vertices(member)
         return MetricBall(center=center, radius=s, membership=member, boundary=boundary, distances=dist)
@@ -453,8 +457,8 @@ def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, z) -> PathResult:
     beside z, so it goes to a- when that column lies below z and to a+
     otherwise.
     """
-    g, ids, (ai, aj) = build_lattice_graph(ann, problem.vertex_weight, problem.spacing,
-                                           problem.convention)
+    g, ids = build_lattice_graph(ann, problem.vertex_weight, problem.spacing, problem.convention)
+    ai, aj = np.nonzero(ann)
     nv = ai.size
     cut_ids = ids[cut_i, jc]
     dup = np.full(nv, -1, dtype=np.int64)

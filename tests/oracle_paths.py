@@ -44,48 +44,58 @@ def enumerate_simple_paths(shape, src, dst):
 
 
 def compile_paths(shape, paths):
-    """Group paths by step count into index arrays for vectorized costing.
+    """Fold the paths into a prefix trie for vectorized costing.
 
-    Returns a list of (u_idx, v_idx, ell) triples, one per path length,
-    where u_idx/v_idx have shape (n_paths, n_steps) in flat vertex indices.
+    Paths sharing a prefix share its trie nodes, so each prefix's cost is
+    computed once per draw.  Returns (u_idx, v_idx, ell, levels): the
+    directed lattice steps the paths take, as flat vertex indices and step
+    lengths, and one (parent, step, ends) triple per step count.  Node k of
+    level b extends node parent[k] of level b - 1 (the empty prefix for
+    b = 0) by step step[k]; ends lists the level's nodes where a path ends.
     """
     _, nc = shape
-    by_len = {}
-    for p in paths:
-        by_len.setdefault(len(p) - 1, []).append(p)
     ell_of = {(di, dj): ell for di, dj, ell in OFFSETS}
-    groups = []
-    for nsteps, group in sorted(by_len.items()):
-        u_idx = np.empty((len(group), nsteps), dtype=np.int64)
-        v_idx = np.empty((len(group), nsteps), dtype=np.int64)
-        ell = np.empty((len(group), nsteps))
-        for a, p in enumerate(group):
-            for b in range(nsteps):
-                u, v = p[b], p[b + 1]
-                u_idx[a, b] = u[0] * nc + u[1]
-                v_idx[a, b] = v[0] * nc + v[1]
-                ell[a, b] = ell_of[(v[0] - u[0], v[1] - u[1])]
-        groups.append((u_idx, v_idx, ell))
-    return groups
+    steps, levels, ends = {}, [], []
+    for p in paths:
+        node = 0
+        for b, (u, v) in enumerate(zip(p[:-1], p[1:])):
+            if b == len(levels):
+                levels.append({})
+                ends.append([])
+            e = steps.setdefault((u, v), len(steps))
+            node = levels[b].setdefault((node, e), len(levels[b]))
+        ends[len(p) - 2].append(node)
+    u_idx = np.array([u[0] * nc + u[1] for u, _ in steps], dtype=np.int64)
+    v_idx = np.array([v[0] * nc + v[1] for _, v in steps], dtype=np.int64)
+    ell = np.array([ell_of[(v[0] - u[0], v[1] - u[1])] for u, v in steps])
+    compiled = []
+    for level, end in zip(levels, ends):
+        parent, step = np.array(list(level), dtype=np.int64).reshape(-1, 2).T
+        compiled.append((parent, step, np.array(end, dtype=np.int64)))
+    return u_idx, v_idx, ell, compiled
 
 
-def min_path_cost(weights, spacing, convention, src, groups):
+def min_path_cost(weights, spacing, convention, src, trie):
     """Float minimum over all enumerated paths, fold-left per path.
 
-    Vertex-sum paths accumulate the weight of every vertex entered, with
-    the source's own weight added last (matching a search that starts its
-    tentative distance at zero and charges the source separately).
+    Each trie node's cost is its parent's plus its step's, which is the
+    same left-to-right sum the path's cost takes.  Vertex-sum paths
+    accumulate the weight of every vertex entered, with the source's own
+    weight added last (matching a search that starts its tentative distance
+    at zero and charges the source separately).
     """
     w = np.asarray(weights, dtype=np.float64).ravel()
+    u_idx, v_idx, ell, levels = trie
+    if convention == "vertex-sum":
+        step_cost = w[v_idx]
+    else:
+        step_cost = ell * spacing * np.sqrt(w[u_idx] * w[v_idx])
     best = math.inf
-    for u_idx, v_idx, ell in groups:
-        cost = np.zeros(u_idx.shape[0])
-        for b in range(u_idx.shape[1]):
-            if convention == "vertex-sum":
-                cost = cost + w[v_idx[:, b]]
-            else:
-                cost = cost + ell[:, b] * spacing * np.sqrt(w[u_idx[:, b]] * w[v_idx[:, b]])
-        best = min(best, float(cost.min()))
+    cost = np.zeros(1)
+    for parent, step, ends in levels:
+        cost = cost[parent] + step_cost[step]
+        if ends.size:
+            best = min(best, float(cost[ends].min()))
     if convention == "vertex-sum":
         best = float(weights[src]) + best
     return best
@@ -99,7 +109,7 @@ def lattice_distance(weights, spacing, convention, src, dst):
     exhaustive-enumeration equivalence tests exercise.
     """
     mask = np.ones(np.asarray(weights).shape, dtype=bool)
-    graph, ids, _ = build_lattice_graph(mask, weights, spacing, convention)
+    graph, ids = build_lattice_graph(mask, weights, spacing, convention)
     d = _dijkstra(graph, int(ids[src]))
     base = float(weights[src]) if convention == VERTEX_SUM else 0.0
     return base + float(d[int(ids[dst])])

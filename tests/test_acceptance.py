@@ -162,12 +162,12 @@ def test_oracle_equivalence():
     for shape in shapes:
         src = (0, 0)
         dst = (shape[0] - 1, shape[1] - 1)
-        groups = compile_paths(shape, enumerate_simple_paths(shape, src, dst))
+        trie = compile_paths(shape, enumerate_simple_paths(shape, src, dst))
         for _ in range(draws):
             w = np.exp(rng.normal(0.0, 1.0, shape))
             for convention in ("vertex-sum", "edge-weighted"):
                 got = lattice_distance(w, 0.73, convention, src, dst)
-                want = min_path_cost(w, 0.73, convention, src, groups)
+                want = min_path_cost(w, 0.73, convention, src, trie)
                 total += 1
                 if got != want:
                     mismatches += 1

@@ -1,3 +1,4 @@
+import concurrent.futures
 import inspect
 import json
 import math
@@ -11,6 +12,7 @@ from lfpp.experiments import (
     EXPERIMENTS,
     _centered_spec,
     _check,
+    _pool_map,
     _shifted,
     _weyl_replica,
     crossing_series,
@@ -299,6 +301,28 @@ class TestSuitePlumbing:
                                 "tolerance", "kind", "pass", "seconds"}
         assert [r["kind"] for r in rows] == [c["kind"] for c in rep.checks]
 
+
+    def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch):
+        # a recording stand-in for the executor, so no process is started
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert _pool_map(abs, [-1, -2], 512) == [1, 2]
+        assert _pool_map(abs, [-1, -2, -3, -4, -5], 2) == [1, 2, 3, 4, 5]
+        assert started == [2, 2]
 
     def test_every_protocol_takes_params_and_config(self):
         # config.replicas is the one size input: no protocol has keywords

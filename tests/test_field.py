@@ -181,7 +181,8 @@ class TestWholePlaneSampler:
 
     @pytest.mark.parametrize("n", [64, 512])
     def test_spectrum_equals_direct_formula(self, n):
-        # the cache is built in place; its bits must be the direct formula's
+        # the spectrum is built in place, whole or by column block; its bits
+        # must be the direct formula's
         s = 2.02 / (n - 1)
         big = 2 * n
         lam1 = (4.0 / s**2) * np.sin(np.pi * np.arange(big) / big) ** 2
@@ -189,13 +190,17 @@ class TestWholePlaneSampler:
         want = np.zeros_like(lam)
         nz = lam > 0
         want[nz] = np.sqrt(2.0 * np.pi / (s**2 * lam[nz]))
-        assert np.array_equal(_whole_plane_spectrum(n, s), want)
+        got = _whole_plane_spectrum(n, s)
+        assert got.shape == (2 * n, n + 1)
+        assert np.array_equal(got, want)
+        for cols in (slice(0, 64), slice(n - 63, n + 1), slice(n // 2, n // 2 + 1)):
+            assert np.array_equal(_whole_plane_spectrum(n, s, cols), want[:, cols])
 
     def test_traced_peak_below_two_half_spectra(self):
         # the noise and the forward and column transforms run in blocks into
         # one half-spectrum buffer, so a sample holds less than two of them
         spec = centered_spec(256, 2.02)
-        sample_whole_plane_gff(spec, 2)  # the spectrum cache and FFT plans are not the sample's
+        sample_whole_plane_gff(spec, 2)  # FFT plans are not the sample's
         buffer_bytes = 2 * spec.n * (spec.n + 1) * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
@@ -205,13 +210,21 @@ class TestWholePlaneSampler:
             tracemalloc.stop()
         assert peak < 2 * buffer_bytes
 
-    def test_cached_spectrum_read_only(self):
-        spec = centered_spec(64, 2.5)
-        g = _whole_plane_spectrum(spec.n, spec.spacing)
-        assert g.shape == (2 * spec.n, spec.n + 1)
-        assert _whole_plane_spectrum(spec.n, spec.spacing) is g
-        with pytest.raises(ValueError, match="read-only"):
-            g[1, 1] = 0.0
+    def test_sampling_leaves_nothing_resident(self):
+        # the spectrum is computed per column block, so no (2n, n + 1)
+        # array outlives a sample; the traced grid is one no other test
+        # samples, so nothing about it is built before tracing starts
+        sample_whole_plane_gff(centered_spec(128, 2.5), 0)  # imports and FFT plans
+        spec = centered_spec(128, 2.3)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for seed in (4, 5):
+                sample_whole_plane_gff(spec, seed)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert grown < 8 * 1024
 
 
 class TestBilinear:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from lfpp.config import default_config
-from lfpp.field import GridSpec, LatticeField, DETERMINISTIC
+from lfpp.field import GridSpec, LatticeField, DETERMINISTIC, sample_whole_plane_gff
 from lfpp.metric import (
     EDGE_WEIGHTED,
     OFFSETS,
@@ -18,7 +18,7 @@ from lfpp.metric import (
     build_lattice_graph,
     geodesic_tube_areas,
 )
-from lfpp.mollify import from_values
+from lfpp.mollify import HEAT_FULL, MollifiedField, from_values, mollify_heat
 from lfpp.params import LqgParams
 
 from oracle_paths import (
@@ -74,7 +74,7 @@ def coo_reference_graph(mask, vertex_weight, spacing, convention):
             data.append(ell * spacing * np.sqrt(w[ii, jj] * w[ii + di, jj + dj]))
     nv = act_i.size
     coo = (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols)))
-    return csr_matrix(coo, shape=(nv, nv)), ids, (act_i, act_j)
+    return csr_matrix(coo, shape=(nv, nv)), ids
 
 
 def nx_lattice(prob):
@@ -118,11 +118,11 @@ class TestEnumerationEquivalence:
         for shape in ((2, 2), (3, 3), (3, 4)):
             src = (0, 0)
             dst = (shape[0] - 1, shape[1] - 1)
-            groups = compile_paths(shape, enumerate_simple_paths(shape, src, dst))
+            trie = compile_paths(shape, enumerate_simple_paths(shape, src, dst))
             for _ in range(30):
                 w = np.exp(rng.normal(0.0, 1.0, shape))
                 got = lattice_distance(w, 0.37, convention, src, dst)
-                want = min_path_cost(w, 0.37, convention, src, groups)
+                want = min_path_cost(w, 0.37, convention, src, trie)
                 assert got == want
 
 
@@ -628,8 +628,8 @@ class TestGraphConstruction:
             masks.append(m)
         for mask in masks:
             w = np.exp(rng.normal(0.0, 1.0, mask.shape))
-            g, ids, active = build_lattice_graph(mask, w, 0.07, convention)
-            ref, ref_ids, ref_active = coo_reference_graph(mask, w, 0.07, convention)
+            g, ids = build_lattice_graph(mask, w, 0.07, convention)
+            ref, ref_ids = coo_reference_graph(mask, w, 0.07, convention)
             assert g.shape == ref.shape
             for name in ("indptr", "indices", "data"):
                 got, want = getattr(g, name), getattr(ref, name)
@@ -637,8 +637,6 @@ class TestGraphConstruction:
                 np.testing.assert_array_equal(got, want)
             assert ids.dtype == ref_ids.dtype
             np.testing.assert_array_equal(ids, ref_ids)
-            for got, want in zip(active, ref_active):
-                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
     def test_sources_row_equals_appended_row(self, convention):
@@ -656,8 +654,8 @@ class TestGraphConstruction:
             w = np.exp(rng.normal(0.0, 1.0, mask.shape))
             act = np.argwhere(mask)
             si, sj = act[rng.integers(0, len(act), int(rng.integers(1, 6)))].T
-            g, ids, active = build_lattice_graph(mask, w, 0.07, convention, sources=(si, sj))
-            plain, plain_ids, plain_active = build_lattice_graph(mask, w, 0.07, convention)
+            g, ids = build_lattice_graph(mask, w, 0.07, convention, sources=(si, sj))
+            plain, plain_ids = build_lattice_graph(mask, w, 0.07, convention)
             nv, sid = plain.shape[0], plain_ids[si, sj]
             wgt = w[si, sj] if convention == VERTEX_SUM else np.zeros(sid.size)
             ref = csr_matrix((np.concatenate([plain.data, wgt]),
@@ -668,8 +666,6 @@ class TestGraphConstruction:
             for name in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(g, name), getattr(ref, name))
             np.testing.assert_array_equal(ids, plain_ids)
-            for got, want in zip(active, plain_active):
-                np.testing.assert_array_equal(got, want)
 
     def test_source_outside_mask_rejected(self):
         mask = np.ones((6, 6), dtype=bool)
@@ -688,7 +684,7 @@ class TestGraphConstruction:
         build_lattice_graph(mask, w, 0.07, convention)  # one-time allocations are not the build's
         tracemalloc.start()
         try:
-            g, _, _ = build_lattice_graph(mask, w, 0.07, convention)
+            g, _ = build_lattice_graph(mask, w, 0.07, convention)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -696,7 +692,7 @@ class TestGraphConstruction:
 
     def test_rectangular_shapes_supported(self):
         w = np.ones((3, 5))
-        g, ids, _ = build_lattice_graph(np.ones((3, 5), dtype=bool), w, 1.0, EDGE_WEIGHTED)
+        g, ids = build_lattice_graph(np.ones((3, 5), dtype=bool), w, 1.0, EDGE_WEIGHTED)
         assert g.shape == (15, 15)
         assert ids.max() == 14
 
@@ -723,3 +719,75 @@ class TestGraphConstruction:
         mf = from_values(spec, vals, 0.1)
         with np.errstate(under="ignore"), pytest.raises(ValueError, match="positive and finite"):
             MetricProblem(mf, PARAMS, VERTEX_SUM)
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_crossing_traced_peak_below_two_window_csr(self, convention, monkeypatch):
+        # construction weights nothing and a crossing weights only its
+        # window, so neither holds a full-grid weight or index array
+        spec = GridSpec(n=256, spacing=2.02 / 255, origin=(-1.01, -1.01))
+        mf = mollify_heat(sample_whole_plane_gff(spec, 6), 4 * spec.spacing)
+        square = (-0.5, -0.5, 1.0)
+        MetricProblem(mf, PARAMS, convention).crossing_distance(square)  # imports and first-use state
+        builds = []
+
+        def recorded(*args, **kwargs):
+            built = build_lattice_graph(*args, **kwargs)
+            builds.append(sum(a.nbytes for a in (built[0].data, built[0].indices, built[0].indptr)))
+            return built
+
+        monkeypatch.setattr("lfpp.metric.build_lattice_graph", recorded)
+        tracemalloc.start()
+        try:
+            MetricProblem(mf, PARAMS, convention).crossing_distance(square)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(builds) == 1
+        assert peak < 2 * builds[0], peak / builds[0]
+
+    @pytest.mark.parametrize("log_threshold", [-1075 * math.log(2.0), math.log(np.finfo(float).max)],
+                             ids=["underflow", "overflow"])
+    def test_weights_rejected_exactly_when_exp_leaves_range(self, log_threshold):
+        # construction checks only the extremes' weights; one vertex stepped
+        # ulp by ulp through exp's underflow (near -745.13) or overflow
+        # (709.78) must be rejected exactly when the full weight array holds
+        # a 0 or an inf
+        spec = GridSpec(n=8, spacing=0.1)
+        xi = PARAMS.xi
+        v = np.nextafter(log_threshold / xi, -np.inf)
+        for _ in range(24):
+            v = np.nextafter(v, -np.inf)
+        outcomes = set()
+        for _ in range(48):
+            v = np.nextafter(v, np.inf)
+            vals = np.zeros((8, 8))
+            vals[5, 2] = v
+            with np.errstate(over="ignore", under="ignore"):
+                w = np.exp(xi * vals)
+            bad = bool(np.any(w == 0.0) or np.any(w == np.inf))
+            outcomes.add(bad)
+            mf = from_values(spec, vals, 0.1)
+            with np.errstate(over="ignore", under="ignore"):
+                if bad:
+                    with pytest.raises(ValueError, match="positive and finite"):
+                        MetricProblem(mf, PARAMS, EDGE_WEIGHTED)
+                else:
+                    MetricProblem(mf, PARAMS, EDGE_WEIGHTED)
+        assert outcomes == {False, True}  # the steps cross the threshold
+
+    def test_nan_value_rejected(self):
+        spec = GridSpec(n=8, spacing=0.1)
+        base = LatticeField(spec=spec, values=np.zeros((8, 8)), kind=DETERMINISTIC)
+        vals = np.zeros((8, 8))
+        vals[6, 1] = np.nan
+        mf = MollifiedField(base=base, eps=0.1, kernel=HEAT_FULL, values=vals, spec=spec,
+                            padding="reflective")
+        for convention in (VERTEX_SUM, EDGE_WEIGHTED):
+            with pytest.raises(ValueError, match="positive and finite"):
+                MetricProblem(mf, PARAMS, convention)
+
+    def test_vertex_weight_is_exp_of_values(self):
+        spec = GridSpec(n=16, spacing=0.1)
+        vals = np.random.default_rng(12).normal(0.0, 2.0, (16, 16))
+        prob = MetricProblem(from_values(spec, vals, 0.1), PARAMS, VERTEX_SUM)
+        assert np.array_equal(prob.vertex_weight, np.exp(PARAMS.xi * vals))
