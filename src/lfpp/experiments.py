@@ -125,11 +125,11 @@ def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
 
 def _crossing_replica(args) -> np.ndarray:
     params, spec, seed, eps_list, ladders, square = args
-    f = sample_whole_plane_gff(spec, seed)
     out = np.empty((len(ladders), len(eps_list)))
-    # one scale and one problem alive at a time: the ladder yields lazily and
-    # no problem outlives its crossing
-    for a, mf in enumerate(mollify_heat_ladder(f, eps_list)):
+    # one field at a time: no name holds the sample, which the ladder drops
+    # after its transform; it yields one scale at a time, and no problem
+    # outlives its crossing
+    for a, mf in enumerate(mollify_heat_ladder(sample_whole_plane_gff(spec, seed), eps_list)):
         for c, (convention, strides) in enumerate(ladders):
             out[c, a] = MetricProblem(subsample(mf, strides[a]), params, convention).crossing_distance(square)
     return out
@@ -259,8 +259,8 @@ def run_scale_ratio_exponent(params: LqgParams, config: RunConfig) -> Experiment
 
 
 def _shifted(mf: MollifiedField, delta: np.ndarray) -> MollifiedField:
-    return MollifiedField(base=mf.base, eps=mf.eps, kernel=mf.kernel,
-                          values=mf.values + delta, spec=mf.spec, padding=mf.padding)
+    return MollifiedField(eps=mf.eps, kernel=mf.kernel, values=mf.values + delta, spec=mf.spec,
+                          padding=mf.padding)
 
 
 def default_test_function(spec: GridSpec) -> np.ndarray:
@@ -450,27 +450,28 @@ def run_locality_check(params: LqgParams, config: RunConfig) -> ExperimentReport
 # -- scaling relation ------------------------------------------------------------
 
 
-def rescaled_mollified(mf: MollifiedField, r: int) -> Tuple[MollifiedField, float]:
+def rescaled_mollified(field: LatticeField, mf: MollifiedField, r: int) -> Tuple[MollifiedField, float]:
     """The rescaled field h(r.) - h_r(0), smoothed at scale eps/r.
 
-    ``mf`` is the fine-grid heat mollification of h at physical scale eps.
+    ``mf`` is the fine-grid heat mollification of ``field`` (h) at
+    physical scale eps.
     Smoothing commutes exactly with the coordinate rescaling, so the values
     are ``mf`` subsampled onto the coarse grid.  This avoids the aliasing a
     direct coarse-grid convolution of the rough field would introduce.
     """
-    coarse = rescale_field(mf.base, r)
+    coarse = rescale_field(field, r)
     sub = subsample(mf, r)
     vals = sub.values - coarse.recentering
-    out = MollifiedField(base=coarse, eps=mf.eps / r, kernel=HEAT_FULL,
-                         values=vals, spec=coarse.spec, padding=sub.padding)
+    out = MollifiedField(eps=mf.eps / r, kernel=HEAT_FULL, values=vals, spec=coarse.spec,
+                         padding=sub.padding)
     return out, coarse.recentering
 
 
-def scaling_relation_gaps(mf: MollifiedField, params: LqgParams, convention: str,
+def scaling_relation_gaps(field: LatticeField, mf: MollifiedField, params: LqgParams, convention: str,
                           pairs: int, rng: np.random.Generator, r: int = 2) -> np.ndarray:
     """Signed relative gaps (LHS - RHS)/RHS of the rescaling identity.
 
-    ``mf`` is the heat mollification of h at scale eps.  LHS: distances
+    ``mf`` is the heat mollification of ``field`` (h) at scale eps.  LHS: distances
     under the rescaled field at scale eps/r from one coarse source.  RHS:
     distances under the original field at scale eps from the corresponding
     fine source, normalized by the recentering factor (and by 1/r for the
@@ -478,7 +479,7 @@ def scaling_relation_gaps(mf: MollifiedField, params: LqgParams, convention: str
     element; the vertex-sum convention is spacing-free).
     """
     xi = params.xi
-    lhs_mf, c = rescaled_mollified(mf, r)
+    lhs_mf, c = rescaled_mollified(field, mf, r)
     lhs_prob = MetricProblem(lhs_mf, params, convention)
     if convention == VERTEX_SUM:
         rhs_prob = MetricProblem(subsample(mf, r), params, convention)
@@ -506,9 +507,10 @@ def scaling_relation_gaps(mf: MollifiedField, params: LqgParams, convention: str
 def _scaling_relation_replica(args) -> Tuple[np.ndarray, np.ndarray]:
     """One field's vertex-sum and edge-weighted relative gaps."""
     params, spec, master_seed, rep, eps, pairs, r = args
-    mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, rep)), eps)
+    field = sample_whole_plane_gff(spec, replica_seed(master_seed, rep))
+    mf = mollify_heat(field, eps)
     return tuple(
-        scaling_relation_gaps(mf, params, conv, pairs,
+        scaling_relation_gaps(field, mf, params, conv, pairs,
                               np.random.default_rng(replica_seed(master_seed, rep, key)), r)
         for conv, key in ((VERTEX_SUM, 3), (EDGE_WEIGHTED, 4))
     )
@@ -529,14 +531,14 @@ def run_scaling_relation_check(params: LqgParams, config: RunConfig) -> Experime
     const_mf = mollify_heat(const, eps)
     const_gap = 0.0
     for conv in (VERTEX_SUM, EDGE_WEIGHTED):
-        g = scaling_relation_gaps(const_mf, params, conv, 10, np.random.default_rng(0), r)
+        g = scaling_relation_gaps(const, const_mf, params, conv, 10, np.random.default_rng(0), r)
         const_gap = max(const_gap, float(np.abs(g).max()))
 
     # deterministic linear field pins a reference band
     xx, _ = spec.mesh()
     linear = LatticeField(spec=spec, values=xx.copy(), kind=DETERMINISTIC)
     lin_gap = float(np.abs(
-        scaling_relation_gaps(mollify_heat(linear, eps), params, config.convention, 20,
+        scaling_relation_gaps(linear, mollify_heat(linear, eps), params, config.convention, 20,
                               np.random.default_rng(1), r)
     ).max())
 

@@ -19,7 +19,9 @@ Two samplers are provided, both spectral and both deterministic given a
   real transform keeps; that spectrum depends only on (n, spacing) and is
   computed per column block, just before the block is multiplied, so no
   spectrum stays resident between samples.  The inverse runs as
-  ``irfft2``'s two 1-D passes, the second on the window's rows only.
+  ``irfft2``'s two 1-D passes; the second transforms the window's rows
+  only, a block of rows at a time, and writes each block's kept columns
+  straight into the n x n window, so no n x 2n array is ever held.
 
 Fields are immutable value objects; everything downstream (mollifiers,
 metrics) treats them as read-only.
@@ -108,7 +110,7 @@ class LatticeField:
         object.__setattr__(self, "values", v)
 
 
-# rows (columns) per block of the sampler's forward (column) transforms
+# rows (columns) per block of the sampler's row (column) transforms
 _BLOCK = 64
 
 
@@ -187,9 +189,13 @@ def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
         block = np.fft.fft(F[:, cols], axis=0)
         block *= _whole_plane_spectrum(n, spec.spacing, cols)
         F[:, cols] = np.fft.ifft(block, axis=0)
-    # each row's irfft is independent, so the window equals irfft2's bit for bit
+    # each row's irfft is independent, so the window equals irfft2's bit for
+    # bit; a block of rows at a time, so no (n, 2n) output exists
     off = n // 2
-    window = np.fft.irfft(F[off : off + n], n=big, axis=1)[:, off : off + n]
+    window = np.empty((n, n))
+    for r in range(0, n, _BLOCK):
+        rows = slice(off + r, off + min(r + _BLOCK, n))
+        window[r : r + _BLOCK] = np.fft.irfft(F[rows], n=big, axis=1)[:, off : off + n]
     del F
     raw = LatticeField(spec=spec, values=window, kind=COMPOSITE, seed=int(seed))
     c = circle_average(raw, spec.center, 1.0)

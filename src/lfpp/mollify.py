@@ -43,11 +43,12 @@ class MollifiedField:
     """A field convolved at scale eps.
 
     ``spec`` describes the lattice the mollified values live on.  It equals
-    ``base.spec`` right after mollification but may be coarser after
-    ``subsample`` (used to build metric lattices whose step matches eps).
+    the base field's spec right after mollification but may be coarser
+    after ``subsample`` (used to build metric lattices whose step matches
+    eps).  The base field is not kept: a caller that needs it again holds
+    it, and one that does not is not made to keep it alive.
     """
 
-    base: LatticeField
     eps: float
     kernel: str
     values: np.ndarray
@@ -94,7 +95,9 @@ def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float],
     once and each scale only multiplies by its kernel's spectrum.
     Reflective padding extends the field by min(n - 1, ceil(6.5 eps / s))
     samples, so the padded field is re-transformed only when that width
-    changes along the ladder.
+    changes along the ladder.  The ladder keeps the base values only until
+    its last transform (under periodic padding, the first), so a caller
+    that drops the field frees it once that scale is taken.
     """
     s = base.spec.spacing
     for eps in eps_list:
@@ -103,27 +106,29 @@ def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float],
     pad_mode = padding if padding is not None else _padding_for(base)
     if pad_mode not in ("periodic", "reflective"):
         raise ValueError(f"unknown padding {pad_mode!r}")
-    return _heat_ladder(base, list(eps_list), pad_mode)
+    return _heat_ladder(base.values, base.spec, list(eps_list), pad_mode)
 
 
-def _heat_ladder(base: LatticeField, eps_list: List[float], pad_mode: str) -> Iterator[MollifiedField]:
-    n, s = base.spec.n, base.spec.spacing
-    width = None
-    for eps in eps_list:
-        p = 0 if pad_mode == "periodic" else min(n - 1, int(math.ceil(6.5 * eps / s)))
-        if p != width:
-            width, m = p, n + 2 * p
+def _heat_ladder(base_values: np.ndarray, spec: GridSpec, eps_list: List[float],
+                 pad_mode: str) -> Iterator[MollifiedField]:
+    n, s = spec.n, spec.spacing
+    widths = [0 if pad_mode == "periodic" else min(n - 1, int(math.ceil(6.5 * eps / s))) for eps in eps_list]
+    transforms = [a for a, p in enumerate(widths) if a == 0 or p != widths[a - 1]]
+    for a, eps in enumerate(eps_list):
+        p = widths[a]
+        if a in transforms:
+            m = n + 2 * p
             # 'symmetric' repeats the edge sample, matching scipy.ndimage's
             # 'reflect' so both mollifiers see the same extension
-            F = np.fft.rfft2(np.pad(base.values, p, mode="symmetric") if p else base.values)
+            F = np.fft.rfft2(np.pad(base_values, p, mode="symmetric") if p else base_values)
+            if a == transforms[-1]:
+                del base_values  # no later scale reads it
         conv = np.fft.irfft2(F * _heat_spectrum(m, s, eps), s=(m, m))
         # a copy of the window, and conv dropped before the yield, so a
         # padded result does not keep the m x m array alive
         values = np.ascontiguousarray(conv[p : p + n, p : p + n])
         del conv
-        yield MollifiedField(
-            base=base, eps=float(eps), kernel=HEAT_FULL, values=values, spec=base.spec, padding=pad_mode,
-        )
+        yield MollifiedField(eps=float(eps), kernel=HEAT_FULL, values=values, spec=spec, padding=pad_mode)
 
 
 def mollify_heat(base: LatticeField, eps: float, padding: str | None = None) -> MollifiedField:
@@ -197,9 +202,7 @@ def mollify_truncated(base: LatticeField, eps: float, padding: str | None = None
         raise ValueError(f"unknown padding {pad_mode!r}")
     k = truncated_kernel(s, eps)
     out = _symmetric_direct_sum(base.values, k, extension)
-    return MollifiedField(
-        base=base, eps=float(eps), kernel=HEAT_TRUNCATED, values=out, spec=base.spec, padding=pad_mode
-    )
+    return MollifiedField(eps=float(eps), kernel=HEAT_TRUNCATED, values=out, spec=base.spec, padding=pad_mode)
 
 
 def mollify(base: LatticeField, eps: float, kind: str, padding: str | None = None) -> MollifiedField:
@@ -213,8 +216,8 @@ def mollify(base: LatticeField, eps: float, kind: str, padding: str | None = Non
 def subsample(mf: MollifiedField, stride: int) -> MollifiedField:
     """Coarsen the mollified lattice by an integer stride (metric lattices).
 
-    Keeps eps and the base field; only the lattice the metric will be built
-    on changes.  The coarse step may equal eps (the discretized-LFPP
+    Keeps eps, kernel and padding; only the lattice the metric will be
+    built on changes.  The coarse step may equal eps (the discretized-LFPP
     coupling), which is why resolvability is enforced at mollification
     time, not here.
     """
@@ -226,17 +229,13 @@ def subsample(mf: MollifiedField, stride: int) -> MollifiedField:
     spec = GridSpec(
         n=sub.shape[0], spacing=mf.spec.spacing * stride, origin=mf.spec.origin
     )
-    return MollifiedField(
-        base=mf.base, eps=mf.eps, kernel=mf.kernel, values=sub.copy(), spec=spec, padding=mf.padding
-    )
+    return MollifiedField(eps=mf.eps, kernel=mf.kernel, values=sub.copy(), spec=spec, padding=mf.padding)
 
 
 def from_values(spec: GridSpec, values: np.ndarray, eps: float) -> MollifiedField:
-    """Wrap explicit per-vertex values as a mollified field (weight tables in tests)."""
-    from .field import DETERMINISTIC
+    """Wrap explicit per-vertex values as a mollified field (weight tables in tests).
 
-    vals = np.asarray(values, dtype=np.float64)
-    base = LatticeField(spec=spec, values=vals, kind=DETERMINISTIC)
-    return MollifiedField(
-        base=base, eps=float(eps), kernel=HEAT_FULL, values=vals, spec=spec, padding="reflective"
-    )
+    The values are not checked here: ``MetricProblem`` rejects a field
+    whose weights are not all positive and finite.
+    """
+    return MollifiedField(eps=float(eps), kernel=HEAT_FULL, values=values, spec=spec, padding="reflective")

@@ -210,6 +210,21 @@ class TestWholePlaneSampler:
             tracemalloc.stop()
         assert peak < 2 * buffer_bytes
 
+    def test_traced_peak_below_half_spectrum_and_one_and_a_half_windows(self):
+        # the window's rows are inverse-transformed a block at a time into
+        # the n x n result, so no n x 2n output sits beside the buffer
+        spec = centered_spec(512, 2.02)
+        sample_whole_plane_gff(spec, 2)  # FFT plans are not the sample's
+        buffer_bytes = 2 * spec.n * (spec.n + 1) * np.dtype(complex).itemsize
+        window_bytes = spec.n * spec.n * np.dtype(float).itemsize
+        tracemalloc.start()
+        try:
+            sample_whole_plane_gff(spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffer_bytes + 1.5 * window_bytes, (peak - buffer_bytes) / window_bytes
+
     def test_sampling_leaves_nothing_resident(self):
         # the spectrum is computed per column block, so no (2n, n + 1)
         # array outlives a sample; the traced grid is one no other test

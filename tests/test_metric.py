@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from lfpp.config import default_config
-from lfpp.field import GridSpec, LatticeField, DETERMINISTIC, sample_whole_plane_gff
+from lfpp.field import GridSpec, sample_whole_plane_gff
 from lfpp.metric import (
     EDGE_WEIGHTED,
     OFFSETS,
@@ -776,15 +776,22 @@ class TestGraphConstruction:
         assert outcomes == {False, True}  # the steps cross the threshold
 
     def test_nan_value_rejected(self):
+        # from_values checks nothing, so a non-finite value must still be
+        # caught by the problem, also where xi = 0 makes every finite weight 1
         spec = GridSpec(n=8, spacing=0.1)
-        base = LatticeField(spec=spec, values=np.zeros((8, 8)), kind=DETERMINISTIC)
-        vals = np.zeros((8, 8))
-        vals[6, 1] = np.nan
-        mf = MollifiedField(base=base, eps=0.1, kernel=HEAT_FULL, values=vals, spec=spec,
-                            padding="reflective")
-        for convention in (VERTEX_SUM, EDGE_WEIGHTED):
-            with pytest.raises(ValueError, match="positive and finite"):
-                MetricProblem(mf, PARAMS, convention)
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = np.zeros((8, 8))
+            vals[6, 1] = bad
+            fields = (
+                MollifiedField(eps=0.1, kernel=HEAT_FULL, values=vals, spec=spec, padding="reflective"),
+                from_values(spec, vals, 0.1),
+            )
+            for mf in fields:
+                for params in (PARAMS, LqgParams.degenerate()):
+                    for convention in (VERTEX_SUM, EDGE_WEIGHTED):
+                        with np.errstate(invalid="ignore"):  # 0 * inf under xi = 0
+                            with pytest.raises(ValueError, match="positive and finite"):
+                                MetricProblem(mf, params, convention)
 
     def test_vertex_weight_is_exp_of_values(self):
         spec = GridSpec(n=16, spacing=0.1)

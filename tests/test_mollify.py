@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -98,6 +99,23 @@ class TestHeatMollifier:
             single = mollify_heat(f, eps, padding=padding)
             assert mf.padding == single.padding == padding
             assert np.array_equal(mf.values, single.values)
+
+    @pytest.mark.parametrize("padding, kept", [("periodic", 0), ("reflective", 3)])
+    def test_ladder_releases_its_field(self, padding, kept):
+        # the ladder keeps the base values only until its last transform: the
+        # first under periodic padding; the reflective widths 26, 26, 14 and
+        # 13 transform at scales 0, 2 and 3
+        spec = GridSpec(n=128, spacing=2.5 / 127, origin=(-1.25, -1.25))
+        f = sample_whole_plane_gff(spec, 9)
+        field, values = weakref.ref(f), weakref.ref(f.values)
+        ladder = mollify_heat_ladder(f, [4 * spec.spacing, 3.9 * spec.spacing, 2.1 * spec.spacing,
+                                         2 * spec.spacing], padding=padding)
+        del f
+        taken = [next(ladder)]
+        assert field() is None
+        while values() is not None:
+            taken.append(next(ladder))
+        assert len(taken) - 1 == kept
 
     def test_ladder_validates_every_scale(self):
         spec = unit_spec()
