@@ -16,7 +16,7 @@ from .field import (
 )
 from .mollify import MollifiedField, mollify_heat, mollify_heat_ladder, mollify_truncated
 from .metric import MetricProblem, PathResult, MetricBall
-from .scaling import ScaleSeries, ExponentFit, fit_exponent, hill_estimator
+from .scaling import ExponentFit, fit_loglog, hill_estimator
 from .config import RunConfig, default_config, parse_config, serialize_config, config_hash
 from .io import save_field, load_field
 from .experiments import ExperimentReport, EXPERIMENTS, run_suite
@@ -36,9 +36,8 @@ __all__ = [
     "MetricProblem",
     "PathResult",
     "MetricBall",
-    "ScaleSeries",
     "ExponentFit",
-    "fit_exponent",
+    "fit_loglog",
     "hill_estimator",
     "RunConfig",
     "default_config",

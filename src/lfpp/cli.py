@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as lio
 from .config import RunConfig, config_hash, default_config, parse_config
-from .experiments import EXPERIMENTS, run_suite, suite_summary_rows
+from .experiments import EXPERIMENTS, ExperimentReport, run_suite, suite_summary_rows
 from .field import (
     DETERMINISTIC,
     GridSpec,
@@ -154,9 +154,9 @@ def cmd_ball(args) -> int:
     prob = _field_problem(cfg, field)
     center = _nearest_vertex(field.spec, args.center[0], args.center[1])
     ball = prob.metric_ball(center, args.radius)
-    mask_field = LatticeField(spec=field.spec,
-                              values=ball.membership.astype(np.float64),
-                              kind=DETERMINISTIC)
+    mask_values = ball.membership.astype(np.float64)
+    mask_values.setflags(write=False)
+    mask_field = LatticeField(spec=field.spec, values=mask_values, kind=DETERMINISTIC)
     path = _artifact(cfg, "ball.lfpf")
     lio.save_field(path, mask_field)
     lio.write_json(_artifact(cfg, "ball.json"), _stamped_json(cfg, {
@@ -183,26 +183,25 @@ def cmd_annulus_cycle(args) -> int:
     return EXIT_OK
 
 
-def cmd_experiment(args) -> int:
-    cfg = _load_config(args)
-    if args.name not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ValueError(f"unknown experiment {args.name!r}; known: {known}")
-    report = EXPERIMENTS[args.name](cfg.params, cfg)
-    lio.write_json(_artifact(cfg, f"{args.name}.json"), _stamped_json(cfg, report.to_dict()))
-    status = "pass" if report.passed else "FAIL"
-    print(f"{report.name}: {status} ({report.runtime_seconds:.1f}s)", file=sys.stderr)
-    return EXIT_OK if report.passed else EXIT_EXPERIMENT
-
-
-def cmd_suite(args) -> int:
-    cfg = _load_config(args)
-    names = args.names if args.names else None
+def _run_and_write(cfg: RunConfig, names: Optional[List[str]]) -> List[ExperimentReport]:
+    """Run the named experiments (all when ``names`` is None), writing each
+    report's JSON and a status line as it is returned."""
     reports = run_suite(cfg.params, cfg, names)
     for report in reports:
         lio.write_json(_artifact(cfg, f"{report.name}.json"), _stamped_json(cfg, report.to_dict()))
         status = "pass" if report.passed else "FAIL"
         print(f"{report.name}: {status} ({report.runtime_seconds:.1f}s)", file=sys.stderr)
+    return reports
+
+
+def cmd_experiment(args) -> int:
+    (report,) = _run_and_write(_load_config(args), [args.name])
+    return EXIT_OK if report.passed else EXIT_EXPERIMENT
+
+
+def cmd_suite(args) -> int:
+    cfg = _load_config(args)
+    reports = _run_and_write(cfg, args.names if args.names else None)
     lio.write_suite_summary_csv(_artifact(cfg, "suite_summary.csv"),
                                 suite_summary_rows(reports), comment=_stamp(cfg))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_EXPERIMENT
@@ -248,7 +247,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_annulus_cycle)
 
     p = sub.add_parser("experiment", parents=[common], help="run one named experiment")
-    p.add_argument("name")
+    p.add_argument("name", help=f"one of: {', '.join(EXPERIMENTS)}")
     p.set_defaults(fn=cmd_experiment)
 
     p = sub.add_parser("suite", parents=[common], help="run experiments and summarize")

@@ -4,8 +4,9 @@ ExperimentReport with named metrics, targets, and a pass flag.
 
 Protocol geometry (window sizes, ladders, query counts, tolerances) is
 pinned here so reports are reproducible bit-for-bit from the config.  Every
-protocol takes exactly ``(params, config)``; ``config.replicas`` is its only
-size input, and ``None`` keeps the protocol's pinned size.
+protocol is a ``Protocol`` record called as ``protocol(params, config)``;
+``config.replicas`` is its only size input, and ``None`` keeps the
+protocol's pinned size.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .mollify import (
     subsample,
 )
 from .params import LqgParams
-from .scaling import ScaleSeries, fit_exponent, fit_loglog, hill_estimator
+from .scaling import fit_loglog, hill_estimator
 from .seeds import replica_seed
 
 
@@ -87,26 +88,44 @@ def _check(metric: str, value: float, target: Optional[float], tolerance: Option
     return row
 
 
-def _report(name: str, settings: dict, metrics: dict, checks: List[dict], t0: float) -> ExperimentReport:
-    return ExperimentReport(
-        name=name,
-        settings=settings,
-        metrics={k: float(v) for k, v in metrics.items()},
-        checks=checks,
-        passed=all(c["passed"] for c in checks),
-        runtime_seconds=time.time() - t0,
-    )
+Plan = Tuple[Callable, list, Callable[[list], Tuple[dict, dict, List[dict]]]]
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """One protocol as data: its name, its pinned size and its plan.
+
+    ``plan(params, config, size)`` computes the protocol's geometry and its
+    field-independent draws once, and returns ``(replica_fn, tasks,
+    reduce)``.  ``replica_fn`` is a module-level function, so the tasks can
+    be mapped over worker processes; ``reduce`` is a pure function of the
+    ordered replica outputs, so it can be rerun on any of them.
+    """
+
+    name: str
+    size: int
+    plan: Callable[[LqgParams, RunConfig, int], Plan]
+
+    def __call__(self, params: LqgParams, config: RunConfig) -> ExperimentReport:
+        """Run the protocol at ``config.replicas``, or at its pinned size."""
+        t0 = time.time()
+        size = self.size if config.replicas is None else config.replicas
+        replica_fn, tasks, reduce = self.plan(params, config, size)
+        settings, metrics, checks = reduce(_pool_map(replica_fn, tasks, config.workers))
+        return ExperimentReport(
+            name=self.name,
+            settings=settings,
+            metrics={k: float(v) for k, v in metrics.items()},
+            checks=checks,
+            passed=all(c["passed"] for c in checks),
+            runtime_seconds=time.time() - t0,
+        )
 
 
 def _centered_spec(n: int, side: float) -> GridSpec:
     s = side / (n - 1)
     half = (n - 1) * s / 2.0
     return GridSpec(n=n, spacing=s, origin=(-half, -half))
-
-
-def _size(config: RunConfig, pinned: int) -> int:
-    """The run's replica count: ``config.replicas``, or the protocol's pinned size."""
-    return pinned if config.replicas is None else config.replicas
 
 
 def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
@@ -135,76 +154,49 @@ def _crossing_replica(args) -> np.ndarray:
     return out
 
 
-def crossing_series(params: LqgParams, n: int, side: float, eps_list: Sequence[float],
-                    strides: Dict[str, Sequence[int]], replicas: int, master_seed: int,
-                    square, workers: int = 1) -> Dict[str, ScaleSeries]:
-    """Median crossing distances across a ladder of mollification scales,
-    one series per convention in ``strides``.
-
-    ``strides[convention][a]`` is the lattice stride at ``eps_list[a]``.
-    One field per replica is sampled and mollified once per scale for every
-    convention, and reused across the whole ladder, which cancels the
-    replica's common large-scale factor out of the fitted slope.
-    """
-    ladders = tuple(strides.items())
-    spec = _centered_spec(n, side)
-    args = [(params, spec, replica_seed(master_seed, k), tuple(eps_list), ladders, square)
-            for k in range(replicas)]
-    stats_ = np.array(_pool_map(_crossing_replica, args, workers))
-    out = {}
-    for c, (convention, _) in enumerate(ladders):
-        vals = stats_[:, c, :].T
-        q25, q75 = np.percentile(vals, [25.0, 75.0], axis=1)
-        out[convention] = ScaleSeries(
-            scales=np.array(eps_list),
-            medians=np.median(vals, axis=1),
-            iqr=q75 - q25,
-            replicas=replicas,
-        )
-    return out
-
-
-def run_crossing_exponent(params: LqgParams, config: RunConfig) -> ExperimentReport:
+def _plan_crossing_exponent(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
     """Slope of log median crossing distance against log scale.
 
     The path-count convention (vertex-sum) lives on the lattice whose step
     tracks the scale; the length-element convention (edge-weighted) keeps
-    the finest lattice and only the smoothing scale varies.
+    the finest lattice and only the smoothing scale varies.  One field per
+    replica is sampled and mollified once per scale for both conventions,
+    and reused across the whole ladder, which cancels the replica's common
+    large-scale factor out of the fitted slope.
     """
-    t0 = time.time()
     n, side = 512, 2.02
-    replicas = _size(config, 50)
     tolerance = 0.07
     s = side / (n - 1)
     square = (-0.5, -0.5, 1.0)
     ms = range(4, -1, -1)
-    eps_list = [2 * (2 ** m) * s for m in ms]
-    strides = {VERTEX_SUM: [2 ** m for m in ms], EDGE_WEIGHTED: [1] * len(eps_list)}
-    series = crossing_series(params, n, side, eps_list, strides, replicas,
-                             config.master_seed, square, config.workers)
-    fit_vs = fit_exponent(series[VERTEX_SUM])
-    fit_ew = fit_exponent(series[EDGE_WEIGHTED])
+    eps_list = tuple(2 * (2 ** m) * s for m in ms)
+    # (convention, lattice stride at each scale)
+    ladders = ((VERTEX_SUM, [2 ** m for m in ms]), (EDGE_WEIGHTED, [1] * len(eps_list)))
+    spec = _centered_spec(n, side)
+    tasks = [(params, spec, replica_seed(config.master_seed, k), eps_list, ladders, square)
+             for k in range(replicas)]
+    settings = {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed}
 
-    # unit weights: crossing cost counts lattice columns, one per step
-    target_vs = -1.0 if params.xi == 0.0 else -params.xi_q
-    checks = [
-        _check("slope_vertex_sum", fit_vs.slope, target_vs, tolerance),
-    ]
-    if params.xi != 0.0:
-        target_ew = 1.0 - params.xi_q
-        checks.append(_check("slope_edge_weighted", fit_ew.slope, target_ew, tolerance))
-    return _report(
-        "crossing-exponent",
-        {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed},
-        {
+    def reduce(outputs):
+        # one row of medians per convention, across the scales
+        fit_vs, fit_ew = (fit_loglog(eps_list, medians) for medians in np.median(outputs, axis=0))
+        # unit weights: crossing cost counts lattice columns, one per step
+        target_vs = -1.0 if params.xi == 0.0 else -params.xi_q
+        checks = [
+            _check("slope_vertex_sum", fit_vs.slope, target_vs, tolerance),
+        ]
+        if params.xi != 0.0:
+            target_ew = 1.0 - params.xi_q
+            checks.append(_check("slope_edge_weighted", fit_ew.slope, target_ew, tolerance))
+        metrics = {
             "slope_vertex_sum": fit_vs.slope,
             "stderr_vertex_sum": fit_vs.stderr,
             "slope_edge_weighted": fit_ew.slope,
             "stderr_edge_weighted": fit_ew.stderr,
-        },
-        checks,
-        t0,
-    )
+        }
+        return settings, metrics, checks
+
+    return _crossing_replica, tasks, reduce
 
 
 # -- window-scale ratio ------------------------------------------------------------
@@ -220,7 +212,7 @@ def _scale_ratio_replica(args) -> np.ndarray:
     ])
 
 
-def run_scale_ratio_exponent(params: LqgParams, config: RunConfig) -> ExperimentReport:
+def _plan_scale_ratio(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
     """Slope of the normalized crossing statistic against the window scale.
 
     Per replica and window r: exp(-xi*h_r(0)) * crossing distance of the
@@ -228,39 +220,37 @@ def run_scale_ratio_exponent(params: LqgParams, config: RunConfig) -> Experiment
     mollification scale stays fixed while the window scales, so the slope of
     log median against log r estimates xi*Q.
     """
-    t0 = time.time()
     n, side = 512, 4.1
     spec = _centered_spec(n, side)
     eps = 2 * spec.spacing
     r_values = (1.0, 0.5, 0.25, 0.125)
     tolerance = 0.10
-    replicas = _size(config, 50)
-    args = [(params, spec, replica_seed(config.master_seed, k), eps, r_values)
-            for k in range(replicas)]
-    medians = np.median(_pool_map(_scale_ratio_replica, args, config.workers), axis=0)
-    fit = fit_loglog(r_values, medians)
-    metrics = {"slope": fit.slope, "stderr": fit.stderr}
-    for r, m in zip(r_values, medians):
-        metrics[f"median_r_{r:g}"] = m
-    checks = [
-        _check("slope", fit.slope, params.xi_q, tolerance),
-    ]
-    return _report(
-        "scale-ratio",
-        {"n": n, "side": side, "eps": eps, "r_values": list(r_values),
-         "replicas": replicas, "master_seed": config.master_seed},
-        metrics,
-        checks,
-        t0,
-    )
+    tasks = [(params, spec, replica_seed(config.master_seed, k), eps, r_values)
+             for k in range(replicas)]
+    settings = {"n": n, "side": side, "eps": eps, "r_values": list(r_values),
+                "replicas": replicas, "master_seed": config.master_seed}
+
+    def reduce(outputs):
+        medians = np.median(outputs, axis=0)
+        fit = fit_loglog(r_values, medians)
+        metrics = {"slope": fit.slope, "stderr": fit.stderr}
+        for r, m in zip(r_values, medians):
+            metrics[f"median_r_{r:g}"] = m
+        checks = [
+            _check("slope", fit.slope, params.xi_q, tolerance),
+        ]
+        return settings, metrics, checks
+
+    return _scale_ratio_replica, tasks, reduce
 
 
 # -- Weyl scaling --------------------------------------------------------------
 
 
 def _shifted(mf: MollifiedField, delta: np.ndarray) -> MollifiedField:
-    return MollifiedField(eps=mf.eps, kernel=mf.kernel, values=mf.values + delta, spec=mf.spec,
-                          padding=mf.padding)
+    values = mf.values + delta
+    values.setflags(write=False)
+    return MollifiedField(eps=mf.eps, kernel=mf.kernel, values=values, spec=mf.spec, padding=mf.padding)
 
 
 def default_test_function(spec: GridSpec) -> np.ndarray:
@@ -307,13 +297,11 @@ def _weyl_replica(args) -> Tuple[float, int, float, float, int]:
     return max_shift_err, sandwich_violations, min_ratio, max_ratio, lower_bound_violations
 
 
-def run_weyl_check(params: LqgParams, config: RunConfig) -> ExperimentReport:
+def _plan_weyl_check(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
     """Conformal-factor checks: constant shifts rescale distances exactly,
     smooth perturbations are sandwiched by the min/max factor, and the
     perturbed distance stays below the reweighted unperturbed geodesic."""
-    t0 = time.time()
     n, side = 128, 2.05
-    replicas = _size(config, 20)
     per_query = 5
     spec = _centered_spec(n, side)
     f = default_test_function(spec)
@@ -324,44 +312,47 @@ def run_weyl_check(params: LqgParams, config: RunConfig) -> ExperimentReport:
     # on the fields, so one batch keeps the sequential order
     rng = np.random.default_rng(replica_seed(config.master_seed, 999))
     points = rng.integers(0, n, size=(replicas, 2, per_query, 2, 2))
-    args = [(params, spec, replica_seed(config.master_seed, rep), f, f_lo, f_hi, osc, c_shift,
-             points[rep])
-            for rep in range(replicas)]
-    errs, sandwich, lows, highs, lower = np.array(
-        _pool_map(_weyl_replica, args, config.workers)).T
-    max_shift_err = errs.max()
-    sandwich_violations = sandwich.sum()
-    min_ratio, max_ratio = lows.min(), highs.max()
-    lower_bound_violations = lower.sum()
+    tasks = [(params, spec, replica_seed(config.master_seed, rep), f, f_lo, f_hi, osc, c_shift,
+              points[rep])
+             for rep in range(replicas)]
+    settings = {"n": n, "side": side, "queries": per_query * replicas, "replicas": replicas,
+                "master_seed": config.master_seed, "constant_shift": c_shift}
 
-    checks = [
-        _check("constant_shift_rel_error", max_shift_err, 0.0, 1e-12, kind="one-sided-upper"),
-        _check("sandwich_violations", sandwich_violations, 0.0, 0.0, kind="property"),
-        _check("geodesic_reweight_max_ratio", max_ratio, 1.0, 1e-12, kind="one-sided-upper"),
-        _check("geodesic_reweight_lower_violations", lower_bound_violations, 0.0, 0.0, kind="property"),
-    ]
-    return _report(
-        "weyl-check",
-        {"n": n, "side": side, "queries": per_query * replicas, "replicas": replicas,
-         "master_seed": config.master_seed, "constant_shift": c_shift},
-        {"constant_shift_rel_error": max_shift_err,
-         "sandwich_violations": sandwich_violations,
-         "min_reweight_ratio": min_ratio,
-         "max_reweight_ratio": max_ratio,
-         "f_oscillation": osc},
-        checks,
-        t0,
-    )
+    def reduce(outputs):
+        errs, sandwich, lows, highs, lower = np.array(outputs).T
+        max_shift_err = errs.max()
+        sandwich_violations = sandwich.sum()
+        min_ratio, max_ratio = lows.min(), highs.max()
+        lower_bound_violations = lower.sum()
+        checks = [
+            _check("constant_shift_rel_error", max_shift_err, 0.0, 1e-12, kind="one-sided-upper"),
+            _check("sandwich_violations", sandwich_violations, 0.0, 0.0, kind="property"),
+            _check("geodesic_reweight_max_ratio", max_ratio, 1.0, 1e-12, kind="one-sided-upper"),
+            _check("geodesic_reweight_lower_violations", lower_bound_violations, 0.0, 0.0, kind="property"),
+        ]
+        metrics = {"constant_shift_rel_error": max_shift_err,
+                   "sandwich_violations": sandwich_violations,
+                   "min_reweight_ratio": min_ratio,
+                   "max_reweight_ratio": max_ratio,
+                   "f_oscillation": osc}
+        return settings, metrics, checks
+
+    return _weyl_replica, tasks, reduce
 
 
 # -- locality and mollifier gap -------------------------------------------------
 
 
-def _locality_replica(args) -> int:
-    """Query pairs whose internal distance moved when the base field was
-    replaced outside the buffer: by zeros on even replicas, and by an
-    independent fresh field (the stronger perturbation) on odd ones."""
-    params, spec, master_seed, rep, eps, convention, domain, outside_buffer, pairs = args
+def _locality_replica(args) -> Tuple[int, List[float]]:
+    """One replica's two measurements.
+
+    First, the query pairs whose internal distance moved when the base
+    field was replaced outside the buffer: by zeros on even replicas, and by
+    an independent fresh field (the stronger perturbation) on odd ones.
+    Second, on a third field, the sup-gap between the full and truncated
+    mollifications at each scale of ``gap_eps``.
+    """
+    params, spec, master_seed, rep, eps, convention, domain, outside_buffer, pairs, gap_eps = args
     base = sample_zero_boundary_gff(spec, replica_seed(master_seed, rep)).values
     if rep % 2 == 0:
         repl_values = np.zeros_like(base)
@@ -369,6 +360,7 @@ def _locality_replica(args) -> int:
         repl_values = sample_zero_boundary_gff(spec, replica_seed(master_seed, rep, 1)).values
     perturbed_vals = base.copy()
     perturbed_vals[outside_buffer] = repl_values[outside_buffer]
+    perturbed_vals.setflags(write=False)
     p1, p2 = (
         MetricProblem(mollify_truncated(LatticeField(spec=spec, values=v, kind=DETERMINISTIC), eps),
                       params, convention, mask=domain)
@@ -379,31 +371,25 @@ def _locality_replica(args) -> int:
         a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
         if p1.distance_value(a, b) != p2.distance_value(a, b):
             changed += 1
-    return changed
-
-
-def _mollifier_gap_replica(args) -> List[float]:
-    """Sup-gap between the full and truncated mollifications, per scale."""
-    spec, seed, gap_eps = args
-    g = sample_zero_boundary_gff(spec, seed)
-    return [
+    g = sample_zero_boundary_gff(spec, replica_seed(master_seed, rep, 2))
+    gaps = [
         float(np.abs(mollify_heat(g, e).values - mollify_truncated(g, e).values).max())
         for e in gap_eps
     ]
+    return changed, gaps
 
 
-def run_locality_check(params: LqgParams, config: RunConfig) -> ExperimentReport:
+def _plan_locality_check(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
     """Internal distances in a subdomain must not move at all when the base
     field is replaced outside the truncated kernel's support buffer; the
     sup-gap between the full and truncated mollifications must shrink with
-    the scale.  ``config.replicas`` sizes both loops."""
+    the scale.  ``config.replicas`` sizes both measurements."""
     from scipy import ndimage  # loaded on first use: only this check and tube areas need it
 
-    t0 = time.time()
     n = 128
-    replicas = _size(config, 20)
     queries = 100
     eps = 2 ** -4
+    gap_eps = (2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6)
     spec = GridSpec(n=n, spacing=2 ** -7)
     s = spec.spacing
     radius = math.sqrt(eps)
@@ -416,35 +402,30 @@ def run_locality_check(params: LqgParams, config: RunConfig) -> ExperimentReport
     # (replica, query, endpoint): field-independent draws, batched in order
     rng = np.random.default_rng(replica_seed(config.master_seed, 777))
     pairs = domain_vertices[rng.integers(len(domain_vertices), size=(replicas, queries, 2))]
-    args = [(params, spec, config.master_seed, rep, eps, config.convention, domain,
-             outside_buffer, pairs[rep]) for rep in range(replicas)]
-    changed = sum(_pool_map(_locality_replica, args, config.workers))
+    tasks = [(params, spec, config.master_seed, rep, eps, config.convention, domain,
+              outside_buffer, pairs[rep], gap_eps) for rep in range(replicas)]
+    settings = {"n": n, "eps": eps, "replicas": replicas, "queries": queries,
+                "gap_replicas": replicas, "master_seed": config.master_seed,
+                "convention": config.convention}
 
-    # sup-gap between the two mollifiers, one row per replica across the ladder
-    gap_eps = (2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6)
-    args = [(spec, replica_seed(config.master_seed, rep, 2), gap_eps) for rep in range(replicas)]
-    gap_rows = np.array(_pool_map(_mollifier_gap_replica, args, config.workers))
-    monotone = int(np.sum(np.all(gap_rows[:, :-1] > gap_rows[:, 1:], axis=1)))
+    def reduce(outputs):
+        changed = sum(c for c, _ in outputs)
+        # one row of sup-gaps per replica across the ladder
+        gap_rows = np.array([gaps for _, gaps in outputs])
+        monotone = int(np.sum(np.all(gap_rows[:, :-1] > gap_rows[:, 1:], axis=1)))
+        checks = [
+            _check("changed_internal_distances", changed, 0.0, 0.0, kind="property"),
+            _check("gap_monotone_replicas", monotone, replicas, 0.0, kind="property"),
+        ]
+        metrics = {
+            "changed_internal_distances": changed,
+            "gap_monotone_replicas": monotone,
+        }
+        for j, e in enumerate(gap_eps):
+            metrics[f"median_gap_eps_{e:g}"] = float(np.median(gap_rows[:, j]))
+        return settings, metrics, checks
 
-    checks = [
-        _check("changed_internal_distances", changed, 0.0, 0.0, kind="property"),
-        _check("gap_monotone_replicas", monotone, replicas, 0.0, kind="property"),
-    ]
-    metrics = {
-        "changed_internal_distances": changed,
-        "gap_monotone_replicas": monotone,
-    }
-    for j, e in enumerate(gap_eps):
-        metrics[f"median_gap_eps_{e:g}"] = float(np.median(gap_rows[:, j]))
-    return _report(
-        "locality-check",
-        {"n": n, "eps": eps, "replicas": replicas, "queries": queries,
-         "gap_replicas": replicas, "master_seed": config.master_seed,
-         "convention": config.convention},
-        metrics,
-        checks,
-        t0,
-    )
+    return _locality_replica, tasks, reduce
 
 
 # -- scaling relation ------------------------------------------------------------
@@ -462,6 +443,7 @@ def rescaled_mollified(field: LatticeField, mf: MollifiedField, r: int) -> Tuple
     coarse = rescale_field(field, r)
     sub = subsample(mf, r)
     vals = sub.values - coarse.recentering
+    vals.setflags(write=False)
     out = MollifiedField(eps=mf.eps / r, kernel=HEAT_FULL, values=vals, spec=coarse.spec,
                          padding=sub.padding)
     return out, coarse.recentering
@@ -516,10 +498,11 @@ def _scaling_relation_replica(args) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
-def run_scaling_relation_check(params: LqgParams, config: RunConfig) -> ExperimentReport:
-    t0 = time.time()
+def _plan_scaling_relation(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
+    """The grid-rescaling identity: exact for a constant field and, under
+    vertex-sum, for every field; within a band for edge-weighted fields and
+    a deterministic linear field."""
     n, side = 512, 4.1
-    replicas = _size(config, 20)
     pairs = 50
     band = 0.03
     spec = _centered_spec(n, side)
@@ -527,7 +510,9 @@ def run_scaling_relation_check(params: LqgParams, config: RunConfig) -> Experime
     r = 2
 
     # constant field: identity exact for both conventions
-    const = LatticeField(spec=spec, values=np.full((n, n), 1.3), kind=DETERMINISTIC)
+    const_values = np.full((n, n), 1.3)
+    const_values.setflags(write=False)
+    const = LatticeField(spec=spec, values=const_values, kind=DETERMINISTIC)
     const_mf = mollify_heat(const, eps)
     const_gap = 0.0
     for conv in (VERTEX_SUM, EDGE_WEIGHTED):
@@ -536,36 +521,35 @@ def run_scaling_relation_check(params: LqgParams, config: RunConfig) -> Experime
 
     # deterministic linear field pins a reference band
     xx, _ = spec.mesh()
-    linear = LatticeField(spec=spec, values=xx.copy(), kind=DETERMINISTIC)
+    xx.setflags(write=False)
+    linear = LatticeField(spec=spec, values=xx, kind=DETERMINISTIC)
     lin_gap = float(np.abs(
         scaling_relation_gaps(linear, mollify_heat(linear, eps), params, config.convention, 20,
                               np.random.default_rng(1), r)
     ).max())
 
-    args = [(params, spec, config.master_seed, rep, eps, pairs, r) for rep in range(replicas)]
-    gaps_vs, gaps_ew = (np.concatenate(g) for g in
-                        zip(*_pool_map(_scaling_relation_replica, args, config.workers)))
+    tasks = [(params, spec, config.master_seed, rep, eps, pairs, r) for rep in range(replicas)]
+    settings = {"n": n, "side": side, "eps": eps, "r": r, "replicas": replicas, "pairs": pairs,
+                "master_seed": config.master_seed}
 
-    checks = [
-        _check("constant_field_max_gap", const_gap, 0.0, 1e-12, kind="one-sided-upper"),
-        _check("vertex_sum_max_abs_gap", float(np.abs(gaps_vs).max()), 0.0, 1e-12, kind="one-sided-upper"),
-        _check("edge_weighted_min_gap", float(gaps_ew.min()), 0.0, band, kind="one-sided-lower"),
-        _check("linear_field_max_gap", lin_gap, 0.0, band, kind="one-sided-upper"),
-    ]
-    return _report(
-        "scaling-relation",
-        {"n": n, "side": side, "eps": eps, "r": r, "replicas": replicas, "pairs": pairs,
-         "master_seed": config.master_seed},
-        {
+    def reduce(outputs):
+        gaps_vs, gaps_ew = (np.concatenate(g) for g in zip(*outputs))
+        checks = [
+            _check("constant_field_max_gap", const_gap, 0.0, 1e-12, kind="one-sided-upper"),
+            _check("vertex_sum_max_abs_gap", float(np.abs(gaps_vs).max()), 0.0, 1e-12, kind="one-sided-upper"),
+            _check("edge_weighted_min_gap", float(gaps_ew.min()), 0.0, band, kind="one-sided-lower"),
+            _check("linear_field_max_gap", lin_gap, 0.0, band, kind="one-sided-upper"),
+        ]
+        metrics = {
             "constant_field_max_gap": const_gap,
             "linear_field_max_gap": lin_gap,
             "vertex_sum_max_abs_gap": float(np.abs(gaps_vs).max()),
             "edge_weighted_min_gap": float(gaps_ew.min()),
             "edge_weighted_max_gap": float(gaps_ew.max()),
-        },
-        checks,
-        t0,
-    )
+        }
+        return settings, metrics, checks
+
+    return _scaling_relation_replica, tasks, reduce
 
 
 # -- circle-average Brownian motion ----------------------------------------------
@@ -577,40 +561,36 @@ def _circle_average_replica(args) -> List[float]:
     return [circle_average(h, (0.0, 0.0), rr) for rr in radii]
 
 
-def run_circle_average_bm(params: LqgParams, config: RunConfig) -> ExperimentReport:
+def _plan_circle_average_bm(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
     """Circle averages about the center must perform a unit-diffusivity
     random walk in log scale: dyadic increments have variance log 2 and
     disjoint increments are uncorrelated."""
-    t0 = time.time()
-    replicas = _size(config, 200)
     if replicas < 2:
         raise ValueError("circle-average-bm needs at least 2 replicas for its increment variances")
     n, side = 512, 4.1
     spec = _centered_spec(n, side)
     radii = [1.0, 0.5, 0.25, 0.125, 0.0625]
-    args = [(spec, replica_seed(config.master_seed, k), radii) for k in range(replicas)]
-    inc = np.diff(np.array(_pool_map(_circle_average_replica, args, config.workers)), axis=1)
-    ratios = inc.var(axis=0, ddof=1) / math.log(2.0)
-    corr = np.corrcoef(inc.T)
-    max_corr = float(np.abs(corr[np.triu_indices(inc.shape[1], 1)]).max())
+    tasks = [(spec, replica_seed(config.master_seed, k), radii) for k in range(replicas)]
+    settings = {"n": n, "side": side, "replicas": replicas, "radii": radii,
+                "master_seed": config.master_seed}
 
-    checks = [
-        _check("min_variance_ratio", float(ratios.min()), 1.0, 0.15, kind="one-sided-lower"),
-        _check("max_variance_ratio", float(ratios.max()), 1.0, 0.15, kind="one-sided-upper"),
-        _check("max_disjoint_increment_corr", max_corr, 0.0, 0.1, kind="strict-upper"),
-    ]
-    metrics = {"max_disjoint_increment_corr": max_corr,
-               "first_increment_variance": float(inc[:, 0].var(ddof=1))}
-    for j in range(len(ratios)):
-        metrics[f"variance_ratio_{j}"] = float(ratios[j])
-    return _report(
-        "circle-average-bm",
-        {"n": n, "side": side, "replicas": replicas, "radii": radii,
-         "master_seed": config.master_seed},
-        metrics,
-        checks,
-        t0,
-    )
+    def reduce(outputs):
+        inc = np.diff(np.array(outputs), axis=1)
+        ratios = inc.var(axis=0, ddof=1) / math.log(2.0)
+        corr = np.corrcoef(inc.T)
+        max_corr = float(np.abs(corr[np.triu_indices(inc.shape[1], 1)]).max())
+        checks = [
+            _check("min_variance_ratio", float(ratios.min()), 1.0, 0.15, kind="one-sided-lower"),
+            _check("max_variance_ratio", float(ratios.max()), 1.0, 0.15, kind="one-sided-upper"),
+            _check("max_disjoint_increment_corr", max_corr, 0.0, 0.1, kind="strict-upper"),
+        ]
+        metrics = {"max_disjoint_increment_corr": max_corr,
+                   "first_increment_variance": float(inc[:, 0].var(ddof=1))}
+        for j in range(len(ratios)):
+            metrics[f"variance_ratio_{j}"] = float(ratios[j])
+        return settings, metrics, checks
+
+    return _circle_average_replica, tasks, reduce
 
 
 # -- exponential Brownian integral -----------------------------------------------
@@ -664,32 +644,29 @@ def _dufresne_task(args) -> float:
     return float(stats.kstest(x, lambda v: bm_integral_cdf(v, 2.0 * drift)).statistic)
 
 
-def run_dufresne_check(params: LqgParams, config: RunConfig) -> ExperimentReport:
+def _plan_dufresne_check(params: LqgParams, config: RunConfig, n_samples: int) -> Plan:
     """Exponential-BM integral distribution against its closed-form law, at
     the drifts (q - alpha)/xi for alpha in (0, gamma); ``config.replicas``
-    is the sample count per drift."""
-    t0 = time.time()
+    is the sample count per drift, and the drifts are the tasks."""
     if params.xi == 0.0:
         raise ValueError("dufresne-check: the drift (q - alpha)/xi is undefined at xi = 0")
-    n_samples = _size(config, 10_000)
     alphas = (0.0, params.gamma)
     drifts = [(params.q - alpha) / params.xi for alpha in alphas]
-    args = [(drift, n_samples, replica_seed(config.master_seed, idx))
-            for idx, drift in enumerate(drifts)]
-    checks = []
-    metrics = {}
-    for idx, (drift, ks) in enumerate(zip(drifts, _pool_map(_dufresne_task, args, config.workers))):
-        metrics[f"ks_alpha_{idx}"] = ks
-        metrics[f"tail_exponent_alpha_{idx}"] = 2.0 * drift
-        checks.append(_check(f"ks_alpha_{idx}", ks, 0.0, 0.05, kind="strict-upper"))
-    return _report(
-        "dufresne-check",
-        {"alphas": list(alphas), "n_samples": n_samples, "dt": _BM_DT,
-         "master_seed": config.master_seed},
-        metrics,
-        checks,
-        t0,
-    )
+    tasks = [(drift, n_samples, replica_seed(config.master_seed, idx))
+             for idx, drift in enumerate(drifts)]
+    settings = {"alphas": list(alphas), "n_samples": n_samples, "dt": _BM_DT,
+                "master_seed": config.master_seed}
+
+    def reduce(outputs):
+        checks = []
+        metrics = {}
+        for idx, (drift, ks) in enumerate(zip(drifts, outputs)):
+            metrics[f"ks_alpha_{idx}"] = ks
+            metrics[f"tail_exponent_alpha_{idx}"] = 2.0 * drift
+            checks.append(_check(f"ks_alpha_{idx}", ks, 0.0, 0.05, kind="strict-upper"))
+        return settings, metrics, checks
+
+    return _dufresne_task, tasks, reduce
 
 
 # -- Hoelder scan -----------------------------------------------------------------
@@ -726,47 +703,44 @@ def _holder_replica(args) -> List[float]:
     return exponents
 
 
-def run_holder_scan(params: LqgParams, config: RunConfig) -> ExperimentReport:
+def _plan_holder_scan(params: LqgParams, config: RunConfig, fields: int) -> Plan:
     """Local distance exponents log D / log |u-v| over ~10^3 point pairs.
 
     Each pair's exponent is measured against the same pair's unit-separation
     distance, which cancels the point-to-point normalization constant.
     ``config.replicas`` is the number of fields.
     """
-    t0 = time.time()
     xi, q = params.xi, params.q
     n, side = 512, 2.05
-    fields = _size(config, 10)
     sources_per_field, directions = 2, 28
     spec = _centered_spec(n, side)
     eps = 2 * spec.spacing
     seps = (1.0, 2 ** -3, 2 ** -4)
+    lo_edge = xi * (q - 2.0) - 0.05
+    hi_edge = xi * (q + 2.0) + 0.3
     # (field, source, axis): field-independent draws, batched in order
     rng = np.random.default_rng(replica_seed(config.master_seed, 123))
     sources = rng.integers(n // 2 - 20, n // 2 + 20, size=(fields, sources_per_field, 2))
-    args = [(params, spec, replica_seed(config.master_seed, k), sources[k], directions, seps)
-            for k in range(fields)]
-    exponents = np.concatenate(_pool_map(_holder_replica, args, config.workers))
-    med = float(np.median(exponents))
-    lo = float(exponents.min())
-    hi = float(exponents.max())
-    lo_edge = xi * (q - 2.0) - 0.05
-    hi_edge = xi * (q + 2.0) + 0.3
+    tasks = [(params, spec, replica_seed(config.master_seed, k), sources[k], directions, seps)
+             for k in range(fields)]
 
-    checks = [
-        _check("median_local_exponent", med, params.xi_q, 0.15),
-        _check("min_local_exponent", lo, lo_edge, None, kind="one-sided-lower"),
-        _check("max_local_exponent", hi, hi_edge, None, kind="one-sided-upper"),
-    ]
-    return _report(
-        "holder-scan",
-        {"n": n, "side": side, "eps": eps, "separations": list(seps), "fields": fields,
-         "pairs": int(exponents.size), "master_seed": config.master_seed},
-        {"median_local_exponent": med, "min_local_exponent": lo,
-         "max_local_exponent": hi, "pairs": exponents.size},
-        checks,
-        t0,
-    )
+    def reduce(outputs):
+        exponents = np.concatenate(outputs)
+        med = float(np.median(exponents))
+        lo = float(exponents.min())
+        hi = float(exponents.max())
+        checks = [
+            _check("median_local_exponent", med, params.xi_q, 0.15),
+            _check("min_local_exponent", lo, lo_edge, None, kind="one-sided-lower"),
+            _check("max_local_exponent", hi, hi_edge, None, kind="one-sided-upper"),
+        ]
+        settings = {"n": n, "side": side, "eps": eps, "separations": list(seps), "fields": fields,
+                    "pairs": int(exponents.size), "master_seed": config.master_seed}
+        metrics = {"median_local_exponent": med, "min_local_exponent": lo,
+                   "max_local_exponent": hi, "pairs": exponents.size}
+        return settings, metrics, checks
+
+    return _holder_replica, tasks, reduce
 
 
 # -- tube-confined distances -------------------------------------------------------
@@ -776,20 +750,17 @@ def _tube_replica(args) -> np.ndarray:
     """Ratios (tube-internal distance / ambient distance), one per width."""
     params, spec, seed, convention, u, v, seg_dist, widths = args
     mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
-    prob = MetricProblem(mf, params, convention)
-    ambient = prob.distance_value(u, v)
+    ambient = MetricProblem(mf, params, convention).distance_value(u, v)
     return np.array([
-        prob.restricted(seg_dist <= w).distance_value(u, v) / ambient
+        MetricProblem(mf, params, convention, mask=seg_dist <= w).distance_value(u, v) / ambient
         for w in widths
     ])
 
 
-def run_tube_distance(params: LqgParams, config: RunConfig) -> ExperimentReport:
+def _plan_tube_distance(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
     """Distance confined to a shrinking tube around a segment, against the
     ambient distance; the ratio should strictly grow as the tube narrows."""
-    t0 = time.time()
     n, side = 256, 2.05
-    replicas = _size(config, 50)
     widths = [2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6]  # widest first, all above the spacing
     min_fraction = 0.9
     spec = _centered_spec(n, side)
@@ -800,30 +771,28 @@ def run_tube_distance(params: LqgParams, config: RunConfig) -> ExperimentReport:
                         np.hypot(np.abs(xx) - 0.5, yy))
     u = (int(round((-0.5 - spec.origin[0]) / s)), int(round((0.0 - spec.origin[1]) / s)))
     v = (int(round((0.5 - spec.origin[0]) / s)), int(round((0.0 - spec.origin[1]) / s)))
-    args = [(params, spec, replica_seed(config.master_seed, k), config.convention, u, v,
-             seg_dist, widths) for k in range(replicas)]
-    all_ratios = np.array(_pool_map(_tube_replica, args, config.workers))
-    strict = int(np.sum(np.all(all_ratios[:, :-1] < all_ratios[:, 1:], axis=1)))
-    median_ratios = np.median(all_ratios, axis=0)
-    growth_fit = fit_loglog(widths, median_ratios)
-    fraction = strict / replicas
+    tasks = [(params, spec, replica_seed(config.master_seed, k), config.convention, u, v,
+              seg_dist, widths) for k in range(replicas)]
+    settings = {"n": n, "side": side, "eps": eps, "widths": list(widths),
+                "replicas": replicas, "master_seed": config.master_seed,
+                "convention": config.convention}
 
-    checks = [
-        _check("strictly_increasing_fraction", fraction, 1.0, 1.0 - min_fraction, kind="one-sided-lower"),
-    ]
-    metrics = {"strictly_increasing_fraction": fraction,
-               "ratio_growth_exponent": growth_fit.slope}
-    for j, w in enumerate(widths):
-        metrics[f"median_ratio_width_{w:g}"] = float(median_ratios[j])
-    return _report(
-        "tube-distance",
-        {"n": n, "side": side, "eps": eps, "widths": list(widths),
-         "replicas": replicas, "master_seed": config.master_seed,
-         "convention": config.convention},
-        metrics,
-        checks,
-        t0,
-    )
+    def reduce(outputs):
+        all_ratios = np.array(outputs)
+        strict = int(np.sum(np.all(all_ratios[:, :-1] < all_ratios[:, 1:], axis=1)))
+        median_ratios = np.median(all_ratios, axis=0)
+        growth_fit = fit_loglog(widths, median_ratios)
+        fraction = strict / replicas
+        checks = [
+            _check("strictly_increasing_fraction", fraction, 1.0, 1.0 - min_fraction, kind="one-sided-lower"),
+        ]
+        metrics = {"strictly_increasing_fraction": fraction,
+                   "ratio_growth_exponent": growth_fit.slope}
+        for j, w in enumerate(widths):
+            metrics[f"median_ratio_width_{w:g}"] = float(median_ratios[j])
+        return settings, metrics, checks
+
+    return _tube_replica, tasks, reduce
 
 
 # -- geodesic / ball-boundary overlap ------------------------------------------------
@@ -851,33 +820,30 @@ def _ball_overlap_replica(args) -> float:
     return fit_loglog(ladder, areas / len(pick)).slope
 
 
-def run_geodesic_ball_overlap(params: LqgParams, config: RunConfig) -> ExperimentReport:
+def _plan_geodesic_ball_overlap(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
     """Area near both a geodesic and the metric-ball boundary must vanish
     super-linearly in the neighborhood width."""
-    t0 = time.time()
     n, side = 256, 2.05
-    replicas = _size(config, 20)
     targets = 20
     spec = _centered_spec(n, side)
     ladder = [2 ** -2, 2 ** -3, 2 ** -4, 2 ** -5]
-    args = [(params, spec, config.master_seed, k, config.convention, targets, ladder)
-            for k in range(replicas)]
-    exponents = np.array(_pool_map(_ball_overlap_replica, args, config.workers))
-    med = float(np.median(exponents))
+    tasks = [(params, spec, config.master_seed, k, config.convention, targets, ladder)
+             for k in range(replicas)]
+    settings = {"n": n, "side": side, "eps": 2 * spec.spacing, "replicas": replicas, "targets": targets,
+                "ladder": ladder, "master_seed": config.master_seed,
+                "convention": config.convention}
 
-    checks = [
-        _check("median_area_exponent", med, 1.0, None, kind="strict-lower"),
-    ]
-    return _report(
-        "geodesic-ball-overlap",
-        {"n": n, "side": side, "eps": 2 * spec.spacing, "replicas": replicas, "targets": targets,
-         "ladder": ladder, "master_seed": config.master_seed,
-         "convention": config.convention},
-        {"median_area_exponent": med, "min_area_exponent": float(exponents.min()),
-         "max_area_exponent": float(exponents.max())},
-        checks,
-        t0,
-    )
+    def reduce(outputs):
+        exponents = np.array(outputs)
+        med = float(np.median(exponents))
+        checks = [
+            _check("median_area_exponent", med, 1.0, None, kind="strict-lower"),
+        ]
+        metrics = {"median_area_exponent": med, "min_area_exponent": float(exponents.min()),
+                   "max_area_exponent": float(exponents.max())}
+        return settings, metrics, checks
+
+    return _ball_overlap_replica, tasks, reduce
 
 
 # -- diameter tail ----------------------------------------------------------------
@@ -897,7 +863,7 @@ def _diameter_replica(args) -> float:
     return float(d1[np.isfinite(d1) & square].max())
 
 
-def run_diameter_tail(params: LqgParams, config: RunConfig) -> ExperimentReport:
+def _plan_diameter_tail(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
     """Upper tail index of the internal diameter of the unit square.
 
     The diameter is approximated by a two-sweep pass (farthest point from an
@@ -905,9 +871,7 @@ def run_diameter_tail(params: LqgParams, config: RunConfig) -> ExperimentReport:
     leaves the tail index unchanged.  The tail estimator itself is validated
     on a synthetic Pareto sample with the same target index.
     """
-    t0 = time.time()
     n, side = 256, 2.05
-    replicas = _size(config, 500)
     if replicas < 3:
         raise ValueError("diameter-tail needs at least 3 replicas for its Hill estimate")
     spec = _centered_spec(n, side)
@@ -917,49 +881,43 @@ def run_diameter_tail(params: LqgParams, config: RunConfig) -> ExperimentReport:
     if params.xi == 0.0:
         # unit weights: the diameter is deterministic, so no upper tail exists
         checks = [_check("degenerate_deterministic_diameter", math.inf, None, None, kind="not-applicable")]
-        return _report("diameter-tail", settings, {"degenerate": 1.0}, checks, t0)
-    args = [(params, spec, replica_seed(config.master_seed, k), config.convention)
-            for k in range(replicas)]
-    vals = np.array(_pool_map(_diameter_replica, args, config.workers))
-    vals = vals / np.median(vals)
-    hill = hill_estimator(vals)
-
+        return _diameter_replica, [], lambda outputs: (settings, {"degenerate": 1.0}, checks)
+    tasks = [(params, spec, replica_seed(config.master_seed, k), config.convention)
+             for k in range(replicas)]
     # estimator self-check on a synthetic heavy-tail sample of known index
     rng = np.random.default_rng(replica_seed(config.master_seed, 31337))
-    synthetic = rng.pareto(target, 20_000) + 1.0
-    hill_synthetic = hill_estimator(synthetic)
+    hill_synthetic = hill_estimator(rng.pareto(target, 20_000) + 1.0)
 
-    tol = 0.4 * target
-    checks = [
-        _check("hill_index", hill, target, tol),
-        _check("hill_synthetic", hill_synthetic, target, 0.5),
-    ]
-    return _report(
-        "diameter-tail",
-        settings,
-        {"hill_index": hill, "hill_synthetic": hill_synthetic,
-         "diameter_median": 1.0},
-        checks,
-        t0,
-    )
+    def reduce(outputs):
+        vals = np.array(outputs)
+        hill = hill_estimator(vals / np.median(vals))
+        checks = [
+            _check("hill_index", hill, target, 0.4 * target),
+            _check("hill_synthetic", hill_synthetic, target, 0.5),
+        ]
+        metrics = {"hill_index": hill, "hill_synthetic": hill_synthetic,
+                   "diameter_median": 1.0}
+        return settings, metrics, checks
+
+    return _diameter_replica, tasks, reduce
 
 
 # -- suite ------------------------------------------------------------------------
 
 
-EXPERIMENTS: Dict[str, Callable[[LqgParams, RunConfig], ExperimentReport]] = {
-    "crossing-exponent": run_crossing_exponent,
-    "scale-ratio": run_scale_ratio_exponent,
-    "weyl-check": run_weyl_check,
-    "locality-check": run_locality_check,
-    "scaling-relation": run_scaling_relation_check,
-    "circle-average-bm": run_circle_average_bm,
-    "dufresne-check": run_dufresne_check,
-    "holder-scan": run_holder_scan,
-    "tube-distance": run_tube_distance,
-    "geodesic-ball-overlap": run_geodesic_ball_overlap,
-    "diameter-tail": run_diameter_tail,
-}
+EXPERIMENTS: Dict[str, Protocol] = {p.name: p for p in (
+    Protocol("crossing-exponent", 50, _plan_crossing_exponent),
+    Protocol("scale-ratio", 50, _plan_scale_ratio),
+    Protocol("weyl-check", 20, _plan_weyl_check),
+    Protocol("locality-check", 20, _plan_locality_check),
+    Protocol("scaling-relation", 20, _plan_scaling_relation),
+    Protocol("circle-average-bm", 200, _plan_circle_average_bm),
+    Protocol("dufresne-check", 10_000, _plan_dufresne_check),
+    Protocol("holder-scan", 10, _plan_holder_scan),
+    Protocol("tube-distance", 50, _plan_tube_distance),
+    Protocol("geodesic-ball-overlap", 20, _plan_geodesic_ball_overlap),
+    Protocol("diameter-tail", 500, _plan_diameter_tail),
+)}
 
 
 def run_suite(params: LqgParams, config: RunConfig,
@@ -968,7 +926,8 @@ def run_suite(params: LqgParams, config: RunConfig,
     reports = []
     for name in chosen:
         if name not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {name!r}")
+            known = ", ".join(sorted(EXPERIMENTS))
+            raise ValueError(f"unknown experiment {name!r}; known: {known}")
         reports.append(EXPERIMENTS[name](params, config))
     return reports
 

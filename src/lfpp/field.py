@@ -101,13 +101,23 @@ class LatticeField:
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
-        v = np.asarray(self.values, dtype=np.float64)
+        v = read_only(self.values)
         if v.shape != (self.spec.n, self.spec.n):
             raise ValueError(f"values shape {v.shape} != grid {self.spec.n}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+
+def read_only(values) -> np.ndarray:
+    """``values`` as a float64 array that no one can write: an array a
+    caller can still write is copied, so a field never freezes its caller's
+    array, and a read-only one is kept as it is."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.flags.writeable:
+        v = v.copy()
+        v.setflags(write=False)
+    return v
 
 
 # rows (columns) per block of the sampler's row (column) transforms
@@ -139,6 +149,7 @@ def sample_zero_boundary_gff(spec: GridSpec, seed: int) -> LatticeField:
     interior = sfft.dstn(coeff, type=1)
     values = np.zeros((spec.n, spec.n))
     values[1:-1, 1:-1] = interior
+    values.setflags(write=False)
     return LatticeField(spec=spec, values=values, kind=ZERO_BOUNDARY, seed=int(seed))
 
 
@@ -197,9 +208,11 @@ def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
         rows = slice(off + r, off + min(r + _BLOCK, n))
         window[r : r + _BLOCK] = np.fft.irfft(F[rows], n=big, axis=1)[:, off : off + n]
     del F
+    window.setflags(write=False)
     raw = LatticeField(spec=spec, values=window, kind=COMPOSITE, seed=int(seed))
-    c = circle_average(raw, spec.center, 1.0)
-    return LatticeField(spec=spec, values=window - c, kind=WHOLE_PLANE, seed=int(seed))
+    values = window - circle_average(raw, spec.center, 1.0)
+    values.setflags(write=False)
+    return LatticeField(spec=spec, values=values, kind=WHOLE_PLANE, seed=int(seed))
 
 
 def bilinear(field: LatticeField, pts: np.ndarray) -> np.ndarray:
@@ -256,11 +269,14 @@ def rescale_field(field: LatticeField, r: int) -> LatticeField:
         spacing=field.spec.spacing,
         origin=(field.spec.origin[0] / r, field.spec.origin[1] / r),
     )
-    raw = LatticeField(spec=spec_new, values=sub.copy(), kind=COMPOSITE, seed=field.seed)
+    # sub views the field's read-only values, so the field is built on it as is
+    raw = LatticeField(spec=spec_new, values=sub, kind=COMPOSITE, seed=field.seed)
     c = circle_average(raw, (0.0, 0.0), 1.0)
+    values = sub - c
+    values.setflags(write=False)
     return LatticeField(
         spec=spec_new,
-        values=sub - c,
+        values=values,
         kind=COMPOSITE,
         seed=field.seed,
         recentering=c,

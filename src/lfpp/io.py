@@ -70,6 +70,7 @@ def load_field(path: str) -> LatticeField:
             raise ValueError(f"{what} field file payload: {held} bytes, the header's n = {n} needs {size}")
         payload = fh.read(size)
     values = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
+    values.setflags(write=False)
     return LatticeField(spec=spec, values=values, kind=_CODE_KINDS[kind_code], seed=int(seed))
 
 

@@ -19,7 +19,6 @@ predecessor among those that reproduce the distance exactly.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -187,7 +186,13 @@ class MetricProblem:
         self.convention = convention
         self.n = field.spec.n
         self.spacing = field.spec.spacing
-        self._set_mask(np.ones((self.n, self.n), dtype=bool) if mask is None else mask)
+        mask = np.ones((self.n, self.n), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        if mask.shape != (self.n, self.n):
+            raise ValueError("mask shape does not match the field grid")
+        self.mask = mask.copy()
+        self.mask.setflags(write=False)
+        self._graph = None
+        self._ids = None
         # xi >= 0 makes the weight monotone in the value, so the extremes
         # bound every weight; a NaN value gives NaN extremes, which fail both
         lo, hi = self._weight(np.array([field.values.min(), field.values.max()]))
@@ -200,15 +205,6 @@ class MetricProblem:
     @functools.cached_property
     def vertex_weight(self) -> np.ndarray:
         return self._weight(self.field.values)
-
-    def _set_mask(self, mask: np.ndarray) -> None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n, self.n):
-            raise ValueError("mask shape does not match the field grid")
-        self.mask = mask.copy()
-        self.mask.setflags(write=False)
-        self._graph = None
-        self._ids = None
 
     # -- graph construction -------------------------------------------------
 
@@ -338,15 +334,6 @@ class MetricProblem:
                                        self.convention, sources=(si, sj))
         nv = graph.shape[0] - 1
         return self._grid_distances(_dijkstra(graph, nv)[:nv])
-
-    def restricted(self, submask: np.ndarray) -> "MetricProblem":
-        """The same metric on submask, which must be contained in the mask."""
-        # same field and parameters, so the weights checked at construction hold
-        inner = copy.copy(self)
-        inner._set_mask(submask)
-        if np.any(inner.mask & ~self.mask):
-            raise ValueError("submask is not contained in the problem mask")
-        return inner
 
     def crossing_distance(self, square: Tuple[float, float, float]) -> float:
         """Left-to-right crossing distance of a square, paths inside the square.

@@ -30,7 +30,7 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .field import WHOLE_PLANE, GridSpec, LatticeField
+from .field import WHOLE_PLANE, GridSpec, LatticeField, read_only
 
 HEAT_FULL = "heat-full"
 HEAT_TRUNCATED = "heat-truncated"
@@ -58,10 +58,9 @@ class MollifiedField:
     def __post_init__(self):
         if self.kernel not in MOLLIFIER_KINDS:
             raise ValueError(f"unknown mollifier kind {self.kernel!r}")
-        v = np.asarray(self.values, dtype=np.float64)
+        v = read_only(self.values)
         if v.shape != (self.spec.n, self.spec.n):
             raise ValueError("mollified values do not match the grid spec")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 
@@ -128,6 +127,7 @@ def _heat_ladder(base_values: np.ndarray, spec: GridSpec, eps_list: List[float],
         # padded result does not keep the m x m array alive
         values = np.ascontiguousarray(conv[p : p + n, p : p + n])
         del conv
+        values.setflags(write=False)
         yield MollifiedField(eps=float(eps), kernel=HEAT_FULL, values=values, spec=spec, padding=pad_mode)
 
 
@@ -202,6 +202,7 @@ def mollify_truncated(base: LatticeField, eps: float, padding: str | None = None
         raise ValueError(f"unknown padding {pad_mode!r}")
     k = truncated_kernel(s, eps)
     out = _symmetric_direct_sum(base.values, k, extension)
+    out.setflags(write=False)
     return MollifiedField(eps=float(eps), kernel=HEAT_TRUNCATED, values=out, spec=base.spec, padding=pad_mode)
 
 
@@ -225,17 +226,20 @@ def subsample(mf: MollifiedField, stride: int) -> MollifiedField:
         raise ValueError("stride must be >= 1")
     if stride == 1:
         return mf
-    sub = mf.values[::stride, ::stride]
+    # a copy, so the coarse field does not keep the fine values alive
+    sub = mf.values[::stride, ::stride].copy()
+    sub.setflags(write=False)
     spec = GridSpec(
         n=sub.shape[0], spacing=mf.spec.spacing * stride, origin=mf.spec.origin
     )
-    return MollifiedField(eps=mf.eps, kernel=mf.kernel, values=sub.copy(), spec=spec, padding=mf.padding)
+    return MollifiedField(eps=mf.eps, kernel=mf.kernel, values=sub, spec=spec, padding=mf.padding)
 
 
 def from_values(spec: GridSpec, values: np.ndarray, eps: float) -> MollifiedField:
     """Wrap explicit per-vertex values as a mollified field (weight tables in tests).
 
     The values are not checked here: ``MetricProblem`` rejects a field
-    whose weights are not all positive and finite.
+    whose weights are not all positive and finite.  A read-only array is
+    wrapped as it is; one the caller can still write is copied.
     """
     return MollifiedField(eps=float(eps), kernel=HEAT_FULL, values=values, spec=spec, padding="reflective")

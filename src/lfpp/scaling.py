@@ -15,26 +15,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class ScaleSeries:
-    scales: np.ndarray
-    medians: np.ndarray
-    iqr: np.ndarray
-    replicas: int
-
-    def __post_init__(self):
-        s = np.asarray(self.scales, dtype=np.float64)
-        if s.size < 2 or np.any(np.diff(s) >= 0):
-            raise ValueError("scales must be strictly decreasing")
-        ratios = s[:-1] / s[1:]
-        if not np.allclose(np.log2(ratios), np.round(np.log2(ratios)), atol=1e-9):
-            raise ValueError("scale ratios must be dyadic")
-        for name in ("scales", "medians", "iqr"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
 class ExponentFit:
     slope: float
     intercept: float
@@ -44,14 +24,13 @@ class ExponentFit:
     n_scales: int
 
 
-def fit_exponent(series: ScaleSeries) -> ExponentFit:
-    """Ordinary least squares of log(median) on log(scale)."""
-    if series.scales.size < 3:
-        raise ValueError("need at least 3 scales for a fit")
-    return fit_loglog(series.scales, series.medians)
-
-
 def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
+    """Ordinary least squares of log(y) on log(x).
+
+    ``stderr`` is the slope's standard error from the fit's own residuals:
+    it says how far the points sit off a line, not how much they vary from
+    one replica set to the next.
+    """
     lx = np.log(np.asarray(x, dtype=np.float64))
     ly = np.log(np.asarray(y, dtype=np.float64))
     m = lx.size

@@ -14,19 +14,7 @@ import numpy as np
 import pytest
 
 from lfpp.config import default_config
-from lfpp.experiments import (
-    EXPERIMENTS,
-    run_circle_average_bm,
-    run_crossing_exponent,
-    run_diameter_tail,
-    run_dufresne_check,
-    run_geodesic_ball_overlap,
-    run_holder_scan,
-    run_locality_check,
-    run_scaling_relation_check,
-    run_tube_distance,
-    run_weyl_check,
-)
+from lfpp.experiments import EXPERIMENTS
 from lfpp.params import LqgParams
 
 from oracle_paths import compile_paths, enumerate_simple_paths, lattice_distance, min_path_cost
@@ -55,17 +43,17 @@ def check_of(report, metric):
 
 @pytest.fixture(scope="module")
 def crossing_report():
-    return run_crossing_exponent(PARAMS, config(replicas=100, master_seed=12345))
+    return EXPERIMENTS["crossing-exponent"](PARAMS, config(replicas=100, master_seed=12345))
 
 
 @pytest.fixture(scope="module")
 def weyl_report():
-    return run_weyl_check(PARAMS, config(master_seed=12))
+    return EXPERIMENTS["weyl-check"](PARAMS, config(master_seed=12))
 
 
 @pytest.fixture(scope="module")
 def locality_report():
-    return run_locality_check(PARAMS, config(master_seed=1000))
+    return EXPERIMENTS["locality-check"](PARAMS, config(master_seed=1000))
 
 
 def test_crossing_exponent_vertex_sum(crossing_report):
@@ -114,7 +102,7 @@ def test_mollifier_gap_monotone(locality_report):
 
 
 def test_scaling_relation():
-    report = run_scaling_relation_check(PARAMS, config(master_seed=50))
+    report = EXPERIMENTS["scaling-relation"](PARAMS, config(master_seed=50))
     for c in report.checks:
         emit(8, f"rescaling identity: {c['metric']}", c["value"], c["target"], c["tolerance"],
              c["passed"])
@@ -122,7 +110,7 @@ def test_scaling_relation():
 
 
 def test_circle_average_brownian_motion():
-    report = run_circle_average_bm(PARAMS, config(master_seed=303))
+    report = EXPERIMENTS["circle-average-bm"](PARAMS, config(master_seed=303))
     for c in report.checks:
         emit(9, f"circle-average walk: {c['metric']}", c["value"], c["target"], c["tolerance"],
              c["passed"])
@@ -130,7 +118,7 @@ def test_circle_average_brownian_motion():
 
 
 def test_dufresne_identity():
-    report = run_dufresne_check(PARAMS, config(master_seed=99))
+    report = EXPERIMENTS["dufresne-check"](PARAMS, config(master_seed=99))
     for c in report.checks:
         emit(10, f"exponential-BM integral law: {c['metric']}", c["value"], c["target"],
              c["tolerance"], c["passed"])
@@ -138,7 +126,7 @@ def test_dufresne_identity():
 
 
 def test_holder_bracket():
-    report = run_holder_scan(PARAMS, config(master_seed=500))
+    report = EXPERIMENTS["holder-scan"](PARAMS, config(master_seed=500))
     for c in report.checks:
         emit(11, f"local distance exponents: {c['metric']}", c["value"], c["target"],
              c["tolerance"], c["passed"])
@@ -146,7 +134,7 @@ def test_holder_bracket():
 
 
 def test_diameter_tail():
-    report = run_diameter_tail(PARAMS, config(master_seed=600))
+    report = EXPERIMENTS["diameter-tail"](PARAMS, config(master_seed=600))
     for c in report.checks:
         emit(12, f"diameter upper tail: {c['metric']}", c["value"], c["target"],
              c["tolerance"], c["passed"])
@@ -177,14 +165,14 @@ def test_oracle_equivalence():
 
 
 def test_tube_distance_monotone():
-    report = run_tube_distance(PARAMS, config(master_seed=700))
+    report = EXPERIMENTS["tube-distance"](PARAMS, config(master_seed=700))
     c = check_of(report, "strictly_increasing_fraction")
     emit("14a", "tube-confined ratio strictly increasing", c["value"], 0.9, None, c["passed"])
     assert report.passed
 
 
 def test_geodesic_ball_overlap_superlinear():
-    report = run_geodesic_ball_overlap(PARAMS, config(master_seed=800))
+    report = EXPERIMENTS["geodesic-ball-overlap"](PARAMS, config(master_seed=800))
     c = check_of(report, "median_area_exponent")
     emit("14b", "geodesic / ball-boundary overlap exponent", c["value"], 1.0, None, c["passed"])
     assert report.passed

@@ -255,7 +255,7 @@ import lfpp.cli
 eager = sorted(m for m in sys.modules
                if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
 from lfpp.config import default_config
-from lfpp.experiments import run_dufresne_check
+from lfpp.experiments import EXPERIMENTS
 from lfpp.field import GridSpec
 from lfpp.metric import MetricProblem, geodesic_tube_areas
 from lfpp.mollify import from_values
@@ -266,7 +266,7 @@ prob.distance((0, 0), (15, 15))
 csgraph_loaded = "scipy.sparse.csgraph" in sys.modules
 geodesic_tube_areas(spec.spacing, (16, 16), [[(0, 0), (1, 1)]], [(2, 2)], [0.2])
 ndimage_loaded = "scipy.ndimage" in sys.modules
-rep = run_dufresne_check(LqgParams.pure_gravity(), replace(default_config(), replicas=10))
+rep = EXPERIMENTS["dufresne-check"](LqgParams.pure_gravity(), replace(default_config(), replicas=10))
 print(json.dumps({"eager": eager, "csgraph_loaded": csgraph_loaded, "ndimage_loaded": ndimage_loaded,
                   "ks": rep.metrics["ks_alpha_0"], "stats_loaded": "scipy.stats" in sys.modules}))
 """

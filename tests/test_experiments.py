@@ -1,4 +1,5 @@
 import concurrent.futures
+import copy
 import inspect
 import json
 import math
@@ -12,21 +13,12 @@ from lfpp.experiments import (
     EXPERIMENTS,
     _centered_spec,
     _check,
+    _crossing_replica,
     _pool_map,
     _shifted,
     _weyl_replica,
-    crossing_series,
     default_test_function,
-    run_circle_average_bm,
-    run_diameter_tail,
-    run_dufresne_check,
-    run_geodesic_ball_overlap,
-    run_holder_scan,
-    run_locality_check,
-    run_scaling_relation_check,
     run_suite,
-    run_tube_distance,
-    run_weyl_check,
     simulate_bm_integral,
     suite_summary_rows,
     bm_integral_cdf,
@@ -95,7 +87,7 @@ def weyl_ratio_ladder(params, config, eps_list=(2 ** -4, 2 ** -5, 2 ** -6),
 
 class TestWeyl:
     def test_small_run_passes(self):
-        rep = run_weyl_check(PARAMS, config(master_seed=4, replicas=2))
+        rep = EXPERIMENTS["weyl-check"](PARAMS, config(master_seed=4, replicas=2))
         assert rep.passed
         assert rep.name == "weyl-check"
         assert len(rep.checks) == 4
@@ -139,7 +131,7 @@ class TestWeyl:
 
 class TestLocality:
     def test_small_run_passes(self):
-        rep = run_locality_check(PARAMS, config(master_seed=7, replicas=2))
+        rep = EXPERIMENTS["locality-check"](PARAMS, config(master_seed=7, replicas=2))
         assert rep.passed
         assert rep.metrics["changed_internal_distances"] == 0.0
         assert rep.metrics["gap_monotone_replicas"] == 2.0
@@ -147,7 +139,7 @@ class TestLocality:
 
 class TestScalingRelation:
     def test_small_run_passes(self):
-        rep = run_scaling_relation_check(PARAMS, config(master_seed=8, replicas=1))
+        rep = EXPERIMENTS["scaling-relation"](PARAMS, config(master_seed=8, replicas=1))
         assert rep.passed
         assert rep.metrics["constant_field_max_gap"] <= 1e-12
         assert rep.metrics["vertex_sum_max_abs_gap"] <= 1e-12
@@ -158,10 +150,13 @@ class TestCrossing:
     n, side = 64, 2.2
     square = (-0.5, -0.5, 1.0)
 
-    def series(self, params, strides, master_seed=11, workers=1):
+    def replicas(self, params, ladders, master_seed=11, workers=1):
+        """Three crossing replicas at two scales: (replica, convention, scale)."""
         s = self.side / (self.n - 1)
-        return crossing_series(params, self.n, self.side, [4 * s, 2 * s], strides, 3,
-                               master_seed, self.square, workers=workers)
+        spec = _centered_spec(self.n, self.side)
+        args = [(params, spec, replica_seed(master_seed, k), (4 * s, 2 * s), ladders, self.square)
+                for k in range(3)]
+        return np.array(_pool_map(_crossing_replica, args, workers))
 
     def lattice_width(self, stride):
         """Columns of the stride-coarsened centered lattice inside the square,
@@ -173,38 +168,32 @@ class TestCrossing:
         return cols.size, (cols[-1] - cols[0]) * step
 
     def test_unit_weights_give_lattice_width(self):
-        out = self.series(LqgParams.degenerate(), {EDGE_WEIGHTED: [1, 1], VERTEX_SUM: [1, 1]})
+        out = self.replicas(LqgParams.degenerate(), ((EDGE_WEIGHTED, [1, 1]), (VERTEX_SUM, [1, 1])))
         columns, width = self.lattice_width(1)
-        np.testing.assert_allclose(out[EDGE_WEIGHTED].medians, width, rtol=1e-12)
-        np.testing.assert_array_equal(out[VERTEX_SUM].medians, float(columns))
-        for ser in out.values():
-            np.testing.assert_array_equal(ser.iqr, 0.0)
-            assert ser.replicas == 3
+        assert out.shape == (3, 2, 2)
+        np.testing.assert_allclose(out[:, 0], width, rtol=1e-12)
+        np.testing.assert_array_equal(out[:, 1], float(columns))
 
     def test_stride_coarsens_lattice(self):
-        out = self.series(LqgParams.degenerate(), {EDGE_WEIGHTED: [2, 1]})
-        assert set(out) == {EDGE_WEIGHTED}
+        out = self.replicas(LqgParams.degenerate(), ((EDGE_WEIGHTED, [2, 1]),))
+        assert out.shape == (3, 1, 2)
         (_, coarse), (_, fine) = self.lattice_width(2), self.lattice_width(1)
         assert coarse < fine
-        np.testing.assert_allclose(out[EDGE_WEIGHTED].medians, [coarse, fine], rtol=1e-12)
+        np.testing.assert_allclose(out[:, 0], [[coarse, fine]] * 3, rtol=1e-12)
 
     def test_series_deterministic_in_master_seed(self):
-        strides = {VERTEX_SUM: [2, 1], EDGE_WEIGHTED: [1, 1]}
-        a = self.series(PARAMS, strides, master_seed=7)
-        b = self.series(PARAMS, strides, master_seed=7)
-        c = self.series(PARAMS, strides, master_seed=8)
-        for conv in strides:
-            np.testing.assert_array_equal(a[conv].medians, b[conv].medians)
-            np.testing.assert_array_equal(a[conv].iqr, b[conv].iqr)
-            assert not np.array_equal(a[conv].medians, c[conv].medians)
+        ladders = ((VERTEX_SUM, [2, 1]), (EDGE_WEIGHTED, [1, 1]))
+        a = self.replicas(PARAMS, ladders, master_seed=7)
+        b = self.replicas(PARAMS, ladders, master_seed=7)
+        c = self.replicas(PARAMS, ladders, master_seed=8)
+        np.testing.assert_array_equal(a, b)
+        for conv in range(len(ladders)):
+            assert not np.array_equal(np.median(a[:, conv], axis=0), np.median(c[:, conv], axis=0))
 
     def test_worker_count_does_not_change_results(self):
-        strides = {VERTEX_SUM: [2, 1], EDGE_WEIGHTED: [1, 1]}
-        a = self.series(PARAMS, strides, workers=1)
-        b = self.series(PARAMS, strides, workers=2)
-        for conv in strides:
-            np.testing.assert_array_equal(a[conv].medians, b[conv].medians)
-            np.testing.assert_array_equal(a[conv].iqr, b[conv].iqr)
+        ladders = ((VERTEX_SUM, [2, 1]), (EDGE_WEIGHTED, [1, 1]))
+        np.testing.assert_array_equal(self.replicas(PARAMS, ladders, workers=1),
+                                      self.replicas(PARAMS, ladders, workers=2))
 
 
 class TestScaleRatio:
@@ -223,7 +212,7 @@ class TestDufresne:
     def test_flat_field_rejected(self):
         # the drifts (q - alpha)/xi do not exist at xi = 0
         with pytest.raises(ValueError, match="dufresne-check.*xi = 0"):
-            run_dufresne_check(LqgParams.degenerate(), config(replicas=10))
+            EXPERIMENTS["dufresne-check"](LqgParams.degenerate(), config(replicas=10))
 
     def test_nonpositive_drift_rejected(self):
         with pytest.raises(ValueError, match="drift"):
@@ -238,7 +227,7 @@ class TestDufresne:
 
 class TestDegenerateOracles:
     def test_diameter_tail_flags_constant_field(self):
-        rep = run_diameter_tail(LqgParams.degenerate(), config(master_seed=2, replicas=3))
+        rep = EXPERIMENTS["diameter-tail"](LqgParams.degenerate(), config(master_seed=2, replicas=3))
         assert rep.passed
         assert rep.checks[0]["kind"] == "not-applicable"
 
@@ -247,15 +236,15 @@ class TestDegenerateOracles:
         # one replica used to read as a deterministic diameter and pass;
         # two failed deep inside the Hill estimator
         with pytest.raises(ValueError, match="diameter-tail"):
-            run_diameter_tail(PARAMS, config(replicas=replicas))
+            EXPERIMENTS["diameter-tail"](PARAMS, config(replicas=replicas))
 
     def test_circle_average_rejects_one_replica(self):
         # one replica has no increment variance
         with pytest.raises(ValueError, match="circle-average-bm"):
-            run_circle_average_bm(PARAMS, config(replicas=1))
+            EXPERIMENTS["circle-average-bm"](PARAMS, config(replicas=1))
 
     def test_tube_ratios_exactly_one_on_flat_field(self):
-        rep = run_tube_distance(LqgParams.degenerate(), config(master_seed=3, replicas=2))
+        rep = EXPERIMENTS["tube-distance"](LqgParams.degenerate(), config(master_seed=3, replicas=2))
         for k, v in rep.metrics.items():
             if k.startswith("median_ratio_width_"):
                 # the straight segment is the geodesic inside every tube
@@ -265,14 +254,14 @@ class TestDegenerateOracles:
         assert not rep.passed
 
     def test_holder_exponents_near_one_on_flat_field(self):
-        rep = run_holder_scan(LqgParams.degenerate(), config(master_seed=4, replicas=1))
+        rep = EXPERIMENTS["holder-scan"](LqgParams.degenerate(), config(master_seed=4, replicas=1))
         # unit weights: distances are chamfer, exponent 1 up to lattice rounding
         assert rep.metrics["median_local_exponent"] == pytest.approx(1.0, abs=0.05)
         assert rep.metrics["min_local_exponent"] > 0.9
         assert rep.metrics["max_local_exponent"] < 1.1
 
     def test_ball_overlap_flat_field_superlinear(self):
-        rep = run_geodesic_ball_overlap(LqgParams.degenerate(), config(master_seed=5, replicas=1))
+        rep = EXPERIMENTS["geodesic-ball-overlap"](LqgParams.degenerate(), config(master_seed=5, replicas=1))
         assert rep.passed
         assert rep.metrics["median_area_exponent"] > 1.0
 
@@ -290,7 +279,7 @@ class TestSuitePlumbing:
         }
 
     def test_report_to_dict_and_summary_rows(self):
-        rep = run_circle_average_bm(PARAMS, config(master_seed=1, replicas=3))
+        rep = EXPERIMENTS["circle-average-bm"](PARAMS, config(master_seed=1, replicas=3))
         d = rep.to_dict()
         assert set(d) == {"name", "settings", "metrics", "checks", "passed",
                           "runtime_seconds"}
@@ -324,6 +313,10 @@ class TestSuitePlumbing:
         assert _pool_map(abs, [-1, -2, -3, -4, -5], 2) == [1, 2, 3, 4, 5]
         assert started == [2, 2]
 
+    def test_registry_keys_are_record_names(self):
+        for name, protocol in EXPERIMENTS.items():
+            assert protocol.name == name
+
     def test_every_protocol_takes_params_and_config(self):
         # config.replicas is the one size input: no protocol has keywords
         for name, protocol in EXPERIMENTS.items():
@@ -347,6 +340,34 @@ def test_workers_do_not_change_reports(small_reports):
         del rep["runtime_seconds"]
     assert "degenerate" not in reports[0]["metrics"]
     assert reports[0] == reports[1]
+
+
+def same(a, b) -> bool:
+    """Exact equality through nested dicts, lists, tuples and arrays."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return type(b) is dict and a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def test_reduce_is_pure(small_reports):
+    """A protocol's reducer depends on the ordered replica outputs alone:
+    rerun on the same outputs it returns the same report body and leaves
+    the outputs as they were."""
+    report = small_reports[0]
+    cfg = config(master_seed=9, replicas=REPLICAS)
+    replica_fn, tasks, reduce = EXPERIMENTS[report.name].plan(PARAMS, cfg, REPLICAS)
+    outputs = _pool_map(replica_fn, tasks, 2)
+    kept = copy.deepcopy(outputs)
+    first, second = reduce(outputs), reduce(outputs)
+    assert same(first, second)
+    assert same(outputs, kept)
+    settings, metrics, checks = first
+    assert (settings, checks) == (report.settings, report.checks)
+    assert {k: float(v) for k, v in metrics.items()} == report.metrics
 
 
 def test_replicas_size_every_protocol(small_reports):

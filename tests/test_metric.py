@@ -262,16 +262,8 @@ class TestQueries:
         sub = np.zeros((32, 32), dtype=bool)
         sub[:8, :] = True
         amb = prob.distance((0, 0), (7, 23)).distance
-        internal = prob.restricted(sub).distance((0, 0), (7, 23)).distance
+        internal = MetricProblem(prob.field, PARAMS, EDGE_WEIGHTED, mask=sub).distance((0, 0), (7, 23)).distance
         assert internal >= amb - 1e-15
-
-    def test_submask_containment_enforced(self):
-        mask = np.zeros((16, 16), dtype=bool)
-        mask[:8, :] = True
-        prob = zero_problem(n=16, mask=mask)
-        bad = np.ones((16, 16), dtype=bool)
-        with pytest.raises(ValueError):
-            prob.restricted(bad).distance((0, 0), (5, 5))
 
 
 class TestCrossing:
@@ -364,7 +356,7 @@ class TestCrossingProperties:
             return
         cols = np.nonzero(sub.any(axis=1))[0]
         left = [(int(cols[0]), int(j)) for j in np.nonzero(sub[cols[0]])[0]]
-        d = prob.restricted(sub).multi_source_distance(left)
+        d = MetricProblem(prob.field, PARAMS, prob.convention, mask=sub).multi_source_distance(left)
         want = float(d[cols[-1]][sub[cols[-1]]].min())
         assert crossing_or_inf(prob, square) == want
 
@@ -379,7 +371,8 @@ class TestCrossingProperties:
         cols = np.nonzero(sub.any(axis=1))[0]
         submask = prob.mask & (np.random.default_rng(seed).random(prob.mask.shape) >= holes)
         submask[cols[[0, -1]]] = prob.mask[cols[[0, -1]]]
-        assert crossing_or_inf(prob.restricted(submask), square) >= crossing_or_inf(prob, square)
+        inner = MetricProblem(prob.field, PARAMS, prob.convention, mask=submask)
+        assert crossing_or_inf(inner, square) >= crossing_or_inf(prob, square)
 
 
 class TestNetworkxOracle:
@@ -479,7 +472,7 @@ class TestAnnulusCycle:
         for seed, mask, z, r1, r2 in cases:
             prob = random_problem(n, seed, convention, spacing=s)
             if mask is not None:
-                prob = prob.restricted(mask)
+                prob = MetricProblem(prob.field, PARAMS, convention, mask=mask)
             res = prob.distance_around_annulus(z, r1, r2)
             want, fires_column_rule = _nx_annulus_cycle(prob, z, r1, r2)
             assert res.reached
