@@ -14,7 +14,7 @@ from .field import (
     circle_average,
     rescale_field,
 )
-from .mollify import MollifiedField, mollify_heat, mollify_heat_ladder, mollify_truncated
+from .mollify import mollify_heat, mollify_heat_ladder, mollify_truncated
 from .metric import MetricProblem, PathResult, MetricBall
 from .scaling import ExponentFit, fit_loglog, hill_estimator
 from .config import RunConfig, default_config, parse_config, serialize_config, config_hash
@@ -29,7 +29,6 @@ __all__ = [
     "sample_whole_plane_gff",
     "circle_average",
     "rescale_field",
-    "MollifiedField",
     "mollify_heat",
     "mollify_heat_ladder",
     "mollify_truncated",

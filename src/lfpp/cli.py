@@ -28,7 +28,7 @@ from .field import (
     sample_zero_boundary_gff,
 )
 from .metric import MetricProblem
-from .mollify import from_values, mollify
+from .mollify import mollify
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -77,8 +77,7 @@ def _stamped_json(cfg: RunConfig, payload: dict) -> dict:
 
 def _field_problem(cfg: RunConfig, field: LatticeField) -> MetricProblem:
     """Metric over a saved field's raw values (no further smoothing)."""
-    mf = from_values(field.spec, field.values, eps=2.0 * field.spec.spacing)
-    return MetricProblem(mf, cfg.params, cfg.convention)
+    return MetricProblem(field, cfg.params, cfg.convention)
 
 
 def _nearest_vertex(spec: GridSpec, x: float, y: float):

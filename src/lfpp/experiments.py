@@ -35,8 +35,6 @@ from .metric import (
     geodesic_tube_areas,
 )
 from .mollify import (
-    HEAT_FULL,
-    MollifiedField,
     mollify_heat,
     mollify_heat_ladder,
     mollify_truncated,
@@ -247,10 +245,10 @@ def _plan_scale_ratio(params: LqgParams, config: RunConfig, replicas: int) -> Pl
 # -- Weyl scaling --------------------------------------------------------------
 
 
-def _shifted(mf: MollifiedField, delta: np.ndarray) -> MollifiedField:
+def _shifted(mf: LatticeField, delta: np.ndarray) -> LatticeField:
     values = mf.values + delta
     values.setflags(write=False)
-    return MollifiedField(eps=mf.eps, kernel=mf.kernel, values=values, spec=mf.spec, padding=mf.padding)
+    return LatticeField(spec=mf.spec, values=values, kind=mf.kind, seed=mf.seed)
 
 
 def default_test_function(spec: GridSpec) -> np.ndarray:
@@ -431,7 +429,7 @@ def _plan_locality_check(params: LqgParams, config: RunConfig, replicas: int) ->
 # -- scaling relation ------------------------------------------------------------
 
 
-def rescaled_mollified(field: LatticeField, mf: MollifiedField, r: int) -> Tuple[MollifiedField, float]:
+def rescaled_mollified(field: LatticeField, mf: LatticeField, r: int) -> Tuple[LatticeField, float]:
     """The rescaled field h(r.) - h_r(0), smoothed at scale eps/r.
 
     ``mf`` is the fine-grid heat mollification of ``field`` (h) at
@@ -441,15 +439,13 @@ def rescaled_mollified(field: LatticeField, mf: MollifiedField, r: int) -> Tuple
     direct coarse-grid convolution of the rough field would introduce.
     """
     coarse = rescale_field(field, r)
-    sub = subsample(mf, r)
-    vals = sub.values - coarse.recentering
+    vals = subsample(mf, r).values - coarse.recentering
     vals.setflags(write=False)
-    out = MollifiedField(eps=mf.eps / r, kernel=HEAT_FULL, values=vals, spec=coarse.spec,
-                         padding=sub.padding)
+    out = LatticeField(spec=coarse.spec, values=vals, kind=coarse.kind, seed=coarse.seed)
     return out, coarse.recentering
 
 
-def scaling_relation_gaps(field: LatticeField, mf: MollifiedField, params: LqgParams, convention: str,
+def scaling_relation_gaps(field: LatticeField, mf: LatticeField, params: LqgParams, convention: str,
                           pairs: int, rng: np.random.Generator, r: int = 2) -> np.ndarray:
     """Signed relative gaps (LHS - RHS)/RHS of the rescaling identity.
 
@@ -923,13 +919,11 @@ EXPERIMENTS: Dict[str, Protocol] = {p.name: p for p in (
 def run_suite(params: LqgParams, config: RunConfig,
               names: Optional[Sequence[str]] = None) -> List[ExperimentReport]:
     chosen = list(EXPERIMENTS) if names is None else list(names)
-    reports = []
-    for name in chosen:
+    for name in chosen:  # every name, before the first protocol runs
         if name not in EXPERIMENTS:
             known = ", ".join(sorted(EXPERIMENTS))
             raise ValueError(f"unknown experiment {name!r}; known: {known}")
-        reports.append(EXPERIMENTS[name](params, config))
-    return reports
+    return [EXPERIMENTS[name](params, config) for name in chosen]
 
 
 def suite_summary_rows(reports: Sequence[ExperimentReport]) -> List[dict]:

@@ -104,7 +104,9 @@ class LatticeField:
         v = read_only(self.values)
         if v.shape != (self.spec.n, self.spec.n):
             raise ValueError(f"values shape {v.shape} != grid {self.spec.n}")
-        if not np.all(np.isfinite(v)):
+        # min and max are nan or infinite exactly when some value is; unlike
+        # isfinite they allocate no n x n temporary per field built
+        if not (math.isfinite(v.min()) and math.isfinite(v.max())):
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", v)
 

@@ -41,7 +41,7 @@ def save_field(path: str, field: LatticeField) -> None:
         spec.origin[0],
         spec.origin[1],
         _KIND_CODES[field.kind],
-        field.seed if field.seed is not None else 0,
+        field.seed,
     )
     with open(path, "wb") as fh:
         fh.write(header)

@@ -1,7 +1,7 @@
 """Weighted shortest-path metrics on the 8-neighbor lattice.
 
-A ``MetricProblem`` freezes a mollified field, coupling parameters, a
-weight convention and a domain mask into a graph:
+A ``MetricProblem`` freezes a field (mollified or raw), coupling parameters,
+a weight convention and a domain mask into a graph:
 
 * ``vertex-sum``: a path pays e^(xi*h(v)) at every vertex it visits,
   endpoints included (so the one-vertex path already costs one weight).
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mollify import MollifiedField
+from .field import LatticeField
 from .params import LqgParams
 
 if TYPE_CHECKING:
@@ -174,7 +174,7 @@ class MetricProblem:
 
     def __init__(
         self,
-        field: MollifiedField,
+        field: LatticeField,
         params: LqgParams,
         convention: str = EDGE_WEIGHTED,
         mask: Optional[np.ndarray] = None,
@@ -191,10 +191,8 @@ class MetricProblem:
             raise ValueError("mask shape does not match the field grid")
         self.mask = mask.copy()
         self.mask.setflags(write=False)
-        self._graph = None
-        self._ids = None
         # xi >= 0 makes the weight monotone in the value, so the extremes
-        # bound every weight; a NaN value gives NaN extremes, which fail both
+        # bound every weight; exp overflow or underflow of finite values fails
         lo, hi = self._weight(np.array([field.values.min(), field.values.max()]))
         if not (lo > 0.0 and hi < np.inf):
             raise ValueError("vertex weights must be positive and finite")
@@ -208,22 +206,17 @@ class MetricProblem:
 
     # -- graph construction -------------------------------------------------
 
-    def _build(self):
-        if self._graph is not None:
-            return
-        self._graph, self._ids = build_lattice_graph(
-            self.mask, self.vertex_weight, self.spacing, self.convention
-        )
+    @functools.cached_property
+    def _lattice(self) -> Tuple[csr_matrix, np.ndarray]:
+        return build_lattice_graph(self.mask, self.vertex_weight, self.spacing, self.convention)
 
     @property
     def graph(self) -> csr_matrix:
-        self._build()
-        return self._graph
+        return self._lattice[0]
 
     @property
     def ids(self) -> np.ndarray:
-        self._build()
-        return self._ids
+        return self._lattice[1]
 
     def _vid(self, v: Tuple[int, int]) -> int:
         vid = int(self.ids[v[0], v[1]])
@@ -513,6 +506,5 @@ def _set_distance(spacing: float, shape: Tuple[int, int],
     from scipy import ndimage  # loaded on first use: only tube areas and locality need it
 
     far = np.ones(shape, dtype=bool)
-    for v in vertices:
-        far[v] = False
+    far[tuple(np.asarray(vertices).T)] = False
     return ndimage.distance_transform_edt(far, sampling=spacing)

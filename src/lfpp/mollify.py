@@ -1,9 +1,12 @@
 """Heat-kernel mollification of lattice fields, full and truncated.
 
+Every mollifier returns a ``LatticeField`` of the base field's kind and
+seed, and both pad the base by its kind: periodically for the torus-backed
+whole-plane surrogate, by reflection otherwise.
+
 The full mollifier convolves with the Gaussian kernel of per-coordinate
-variance eps^2/2 (density (1/(pi*eps^2)) * exp(-|z|^2/eps^2)) by real FFT,
-with padding matched to the field's boundary behavior: periodic for the
-torus-backed whole-plane surrogate, reflective otherwise.  The kernel is
+variance eps^2/2 (density (1/(pi*eps^2)) * exp(-|z|^2/eps^2)) by real FFT.
+The kernel is
 renormalized to unit mass on the grid, so constants pass through exactly.
 The wrapped kernel is separable, so its spectrum is the outer product of
 one 1-D transform; no 2-D kernel is built.  ``mollify_heat_ladder``
@@ -25,47 +28,16 @@ of psi_eps * p_(eps^2/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from .field import WHOLE_PLANE, GridSpec, LatticeField, read_only
+from .field import WHOLE_PLANE, GridSpec, LatticeField
 
 HEAT_FULL = "heat-full"
 HEAT_TRUNCATED = "heat-truncated"
 
 MOLLIFIER_KINDS = (HEAT_FULL, HEAT_TRUNCATED)
-
-
-@dataclass(frozen=True)
-class MollifiedField:
-    """A field convolved at scale eps.
-
-    ``spec`` describes the lattice the mollified values live on.  It equals
-    the base field's spec right after mollification but may be coarser
-    after ``subsample`` (used to build metric lattices whose step matches
-    eps).  The base field is not kept: a caller that needs it again holds
-    it, and one that does not is not made to keep it alive.
-    """
-
-    eps: float
-    kernel: str
-    values: np.ndarray
-    spec: GridSpec
-    padding: str
-
-    def __post_init__(self):
-        if self.kernel not in MOLLIFIER_KINDS:
-            raise ValueError(f"unknown mollifier kind {self.kernel!r}")
-        v = read_only(self.values)
-        if v.shape != (self.spec.n, self.spec.n):
-            raise ValueError("mollified values do not match the grid spec")
-        object.__setattr__(self, "values", v)
-
-
-def _padding_for(base: LatticeField) -> str:
-    return "periodic" if base.kind == WHOLE_PLANE else "reflective"
 
 
 def _heat_spectrum(m: int, spacing: float, eps: float) -> np.ndarray:
@@ -84,8 +56,7 @@ def _heat_spectrum(m: int, spacing: float, eps: float) -> np.ndarray:
     return fu[:, None] * fu[None, : m // 2 + 1]
 
 
-def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float],
-                        padding: str | None = None) -> Iterator[MollifiedField]:
+def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float]) -> Iterator[LatticeField]:
     """FFT convolution with the heat kernel at time eps^2/2, for each eps.
 
     Every scale is validated here, before anything is computed; the fields
@@ -102,16 +73,13 @@ def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float],
     for eps in eps_list:
         if eps < 2.0 * s:
             raise ValueError(f"eps {eps} below resolvable scale {2 * s}")
-    pad_mode = padding if padding is not None else _padding_for(base)
-    if pad_mode not in ("periodic", "reflective"):
-        raise ValueError(f"unknown padding {pad_mode!r}")
-    return _heat_ladder(base.values, base.spec, list(eps_list), pad_mode)
+    return _heat_ladder(base.values, base.spec, base.kind, base.seed, list(eps_list))
 
 
-def _heat_ladder(base_values: np.ndarray, spec: GridSpec, eps_list: List[float],
-                 pad_mode: str) -> Iterator[MollifiedField]:
+def _heat_ladder(base_values: np.ndarray, spec: GridSpec, kind: str, seed: int,
+                 eps_list: List[float]) -> Iterator[LatticeField]:
     n, s = spec.n, spec.spacing
-    widths = [0 if pad_mode == "periodic" else min(n - 1, int(math.ceil(6.5 * eps / s))) for eps in eps_list]
+    widths = [0 if kind == WHOLE_PLANE else min(n - 1, int(math.ceil(6.5 * eps / s))) for eps in eps_list]
     transforms = [a for a, p in enumerate(widths) if a == 0 or p != widths[a - 1]]
     for a, eps in enumerate(eps_list):
         p = widths[a]
@@ -128,12 +96,12 @@ def _heat_ladder(base_values: np.ndarray, spec: GridSpec, eps_list: List[float],
         values = np.ascontiguousarray(conv[p : p + n, p : p + n])
         del conv
         values.setflags(write=False)
-        yield MollifiedField(eps=float(eps), kernel=HEAT_FULL, values=values, spec=spec, padding=pad_mode)
+        yield LatticeField(spec=spec, values=values, kind=kind, seed=seed)
 
 
-def mollify_heat(base: LatticeField, eps: float, padding: str | None = None) -> MollifiedField:
+def mollify_heat(base: LatticeField, eps: float) -> LatticeField:
     """FFT convolution with the heat kernel at time eps^2/2."""
-    return next(mollify_heat_ladder(base, [eps], padding))
+    return next(mollify_heat_ladder(base, [eps]))
 
 
 def bump_profile(rho: np.ndarray, eps: float) -> np.ndarray:
@@ -185,7 +153,7 @@ def _symmetric_direct_sum(values: np.ndarray, k: np.ndarray, pad_mode: str) -> n
     return out
 
 
-def mollify_truncated(base: LatticeField, eps: float, padding: str | None = None) -> MollifiedField:
+def mollify_truncated(base: LatticeField, eps: float) -> LatticeField:
     """Spatial convolution with the bump-truncated heat kernel.
 
     A symmetric-folded direct sum over the kernel's nonzero taps (see
@@ -196,28 +164,25 @@ def mollify_truncated(base: LatticeField, eps: float, padding: str | None = None
     s = base.spec.spacing
     if math.sqrt(eps) < 4.0 * s:
         raise ValueError(f"truncation radius sqrt({eps}) below 4*spacing = {4 * s}")
-    pad_mode = padding if padding is not None else _padding_for(base)
-    extension = {"periodic": "wrap", "reflective": "symmetric"}.get(pad_mode)
-    if extension is None:
-        raise ValueError(f"unknown padding {pad_mode!r}")
+    extension = "wrap" if base.kind == WHOLE_PLANE else "symmetric"
     k = truncated_kernel(s, eps)
     out = _symmetric_direct_sum(base.values, k, extension)
     out.setflags(write=False)
-    return MollifiedField(eps=float(eps), kernel=HEAT_TRUNCATED, values=out, spec=base.spec, padding=pad_mode)
+    return LatticeField(spec=base.spec, values=out, kind=base.kind, seed=base.seed)
 
 
-def mollify(base: LatticeField, eps: float, kind: str, padding: str | None = None) -> MollifiedField:
+def mollify(base: LatticeField, eps: float, kind: str) -> LatticeField:
     if kind == HEAT_FULL:
-        return mollify_heat(base, eps, padding)
+        return mollify_heat(base, eps)
     if kind == HEAT_TRUNCATED:
-        return mollify_truncated(base, eps, padding)
+        return mollify_truncated(base, eps)
     raise ValueError(f"unknown mollifier kind {kind!r}")
 
 
-def subsample(mf: MollifiedField, stride: int) -> MollifiedField:
-    """Coarsen the mollified lattice by an integer stride (metric lattices).
+def subsample(mf: LatticeField, stride: int) -> LatticeField:
+    """Coarsen a mollified lattice by an integer stride (metric lattices).
 
-    Keeps eps, kernel and padding; only the lattice the metric will be
+    Keeps the field's kind and seed; only the lattice the metric will be
     built on changes.  The coarse step may equal eps (the discretized-LFPP
     coupling), which is why resolvability is enforced at mollification
     time, not here.
@@ -232,14 +197,4 @@ def subsample(mf: MollifiedField, stride: int) -> MollifiedField:
     spec = GridSpec(
         n=sub.shape[0], spacing=mf.spec.spacing * stride, origin=mf.spec.origin
     )
-    return MollifiedField(eps=mf.eps, kernel=mf.kernel, values=sub, spec=spec, padding=mf.padding)
-
-
-def from_values(spec: GridSpec, values: np.ndarray, eps: float) -> MollifiedField:
-    """Wrap explicit per-vertex values as a mollified field (weight tables in tests).
-
-    The values are not checked here: ``MetricProblem`` rejects a field
-    whose weights are not all positive and finite.  A read-only array is
-    wrapped as it is; one the caller can still write is copied.
-    """
-    return MollifiedField(eps=float(eps), kernel=HEAT_FULL, values=values, spec=spec, padding="reflective")
+    return LatticeField(spec=spec, values=sub, kind=mf.kind, seed=mf.seed)

@@ -61,13 +61,16 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
 def hill_estimator(sample: np.ndarray, k: Optional[int] = None) -> float:
     """Hill tail-index estimate from the top k order statistics.
 
-    Defaults to the top 10% of the sample.  Returns math.inf for samples
-    whose upper order statistics are all equal (no tail to estimate).
+    Defaults to the top 10% of the sample; k must lie in [1, n).  Returns
+    math.inf for samples whose upper order statistics are all equal (no
+    tail to estimate).
     """
     x = np.sort(np.asarray(sample, dtype=np.float64))[::-1]
     n = x.size
     if k is None:
         k = max(2, n // 10)
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     if k >= n:
         raise ValueError("k must be smaller than the sample size")
     if x[k] <= 0.0:

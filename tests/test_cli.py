@@ -256,12 +256,12 @@ eager = sorted(m for m in sys.modules
                if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
 from lfpp.config import default_config
 from lfpp.experiments import EXPERIMENTS
-from lfpp.field import GridSpec
+from lfpp.field import DETERMINISTIC, GridSpec, LatticeField
 from lfpp.metric import MetricProblem, geodesic_tube_areas
-from lfpp.mollify import from_values
 from lfpp.params import LqgParams
 spec = GridSpec(n=16, spacing=1.0 / 15)
-prob = MetricProblem(from_values(spec, np.zeros((16, 16)), eps=0.1), LqgParams.pure_gravity())
+prob = MetricProblem(LatticeField(spec=spec, values=np.zeros((16, 16)), kind=DETERMINISTIC),
+                     LqgParams.pure_gravity())
 prob.distance((0, 0), (15, 15))
 csgraph_loaded = "scipy.sparse.csgraph" in sys.modules
 geodesic_tube_areas(spec.spacing, (16, 16), [[(0, 0), (1, 1)]], [(2, 2)], [0.2])

@@ -61,14 +61,13 @@ def weyl_ratio_ladder(params, config, eps_list=(2 ** -4, 2 ** -5, 2 ** -6),
     per_query = max(1, queries // replicas)
     for rep in range(replicas):
         h = sample_whole_plane_gff(spec, replica_seed(config.master_seed, rep))
-        hf = LatticeField(spec=spec, values=h.values + f, kind=DETERMINISTIC)
+        hf = LatticeField(spec=spec, values=h.values + f, kind=h.kind)
         pts = [(tuple(int(x) for x in rng.integers(0, n, 2)),
                 tuple(int(x) for x in rng.integers(0, n, 2)))
                for _ in range(per_query)]
         for a, eps in enumerate(eps_list):
             mf = mollify_heat(h, eps)
-            pert_prob = MetricProblem(mollify_heat(hf, eps, padding=mf.padding),
-                                      params, config.convention)
+            pert_prob = MetricProblem(mollify_heat(hf, eps), params, config.convention)
             ref_prob = MetricProblem(_shifted(mf, f), params, config.convention)
             for z, w in pts:
                 if z == w:
@@ -270,6 +269,13 @@ class TestSuitePlumbing:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             run_suite(PARAMS, config(), names=["nope"])
+
+    def test_every_name_checked_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(EXPERIMENTS, "dufresne-check", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="unknown experiment 'no-such'; known: "):
+            run_suite(PARAMS, config(), ["dufresne-check", "no-such"])
+        assert calls == []
 
     def test_registry_names(self):
         assert set(EXPERIMENTS) == {

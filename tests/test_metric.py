@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from lfpp.config import default_config
-from lfpp.field import GridSpec, sample_whole_plane_gff
+from lfpp.field import DETERMINISTIC, GridSpec, LatticeField, sample_whole_plane_gff
 from lfpp.metric import (
     EDGE_WEIGHTED,
     OFFSETS,
@@ -18,7 +18,7 @@ from lfpp.metric import (
     build_lattice_graph,
     geodesic_tube_areas,
 )
-from lfpp.mollify import HEAT_FULL, MollifiedField, from_values, mollify_heat
+from lfpp.mollify import mollify_heat
 from lfpp.params import LqgParams
 
 from oracle_paths import (
@@ -43,7 +43,7 @@ def octile(spacing, a, b):
 
 def zero_problem(n=64, side=1.0, convention=EDGE_WEIGHTED, mask=None):
     spec = GridSpec(n=n, spacing=side / (n - 1))
-    mf = from_values(spec, np.zeros((n, n)), 0.1)
+    mf = LatticeField(spec=spec, values=np.zeros((n, n)), kind=DETERMINISTIC)
     return MetricProblem(mf, PARAMS, convention, mask=mask)
 
 
@@ -107,7 +107,7 @@ def random_problem(n, seed, convention, spacing=0.1):
     spec = GridSpec(n=n, spacing=spacing)
     rng = np.random.default_rng(seed)
     vals = rng.normal(0.0, 1.0, (n, n))
-    mf = from_values(spec, vals, 0.5)
+    mf = LatticeField(spec=spec, values=vals, kind=DETERMINISTIC)
     return MetricProblem(mf, PARAMS, convention)
 
 
@@ -334,7 +334,7 @@ def masked_squares(draw):
     spacing = 0.1
     spec = GridSpec(n=n, spacing=spacing, origin=(-0.3, 0.2))
     mask = rng.random((n, n)) >= draw(st.floats(0.0, 0.4))
-    mf = from_values(spec, rng.normal(0.0, 1.0, (n, n)), 0.5)
+    mf = LatticeField(spec=spec, values=rng.normal(0.0, 1.0, (n, n)), kind=DETERMINISTIC)
     convention = draw(st.sampled_from([VERTEX_SUM, EDGE_WEIGHTED]))
     jitter = st.sampled_from([0.0, 0.4, 1e-12, -1e-12])
     corner = [o + spacing * (draw(st.integers(-n // 2, n)) + draw(jitter)) for o in spec.origin]
@@ -390,7 +390,7 @@ class TestNetworkxOracle:
             mask = np.zeros((n, n), dtype=bool)
             mask[i0:i1, j0:j1] = rng.random((i1 - i0, j1 - j0)) < 0.85
             spec = GridSpec(n=n, spacing=0.1)
-            mf = from_values(spec, rng.normal(0.0, 1.0, (n, n)), 0.5)
+            mf = LatticeField(spec=spec, values=rng.normal(0.0, 1.0, (n, n)), kind=DETERMINISTIC)
             yield rng, MetricProblem(mf, PARAMS, convention, mask=mask)
 
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
@@ -436,7 +436,7 @@ class TestAnnulusCycle:
     def _setup(self, convention):
         n = 128
         spec = GridSpec(n=n, spacing=2.0 / (n - 1), origin=(-1.0, -1.0))
-        mf = from_values(spec, np.zeros((n, n)), 0.1)
+        mf = LatticeField(spec=spec, values=np.zeros((n, n)), kind=DETERMINISTIC)
         return MetricProblem(mf, PARAMS, convention)
 
     def test_constant_field_cycle_cost_and_separation(self):
@@ -498,8 +498,8 @@ class TestAnnulusCycle:
         cfg = default_config()
         spec, s = cfg.grid, cfg.grid.spacing
         z = (spec.origin[0] + 128.5 * s, spec.origin[1] + 128.1 * s)
-        prob = MetricProblem(from_values(spec, np.zeros((spec.n, spec.n)), 0.1), cfg.params,
-                             convention)
+        zero = LatticeField(spec=spec, values=np.zeros((spec.n, spec.n)), kind=DETERMINISTIC)
+        prob = MetricProblem(zero, cfg.params, convention)
         res = prob.distance_around_annulus(z, 0.3 * s, 0.2)
         assert res.path[0] == res.path[-1]
         assert len(res.path) == 4
@@ -693,7 +693,7 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             build_lattice_graph(np.ones((3, 3), dtype=bool), np.ones((3, 3)), 1.0, "bogus")
         spec = GridSpec(n=8, spacing=0.1)
-        mf = from_values(spec, np.zeros((8, 8)), 0.1)
+        mf = LatticeField(spec=spec, values=np.zeros((8, 8)), kind=DETERMINISTIC)
         with pytest.raises(ValueError):
             MetricProblem(mf, PARAMS, "bogus")
 
@@ -701,7 +701,7 @@ class TestGraphConstruction:
         spec = GridSpec(n=8, spacing=0.1)
         vals = np.zeros((8, 8))
         vals[0, 0] = 2000.0  # overflows exp into inf
-        mf = from_values(spec, vals, 0.1)
+        mf = LatticeField(spec=spec, values=vals, kind=DETERMINISTIC)
         with np.errstate(over="ignore"), pytest.raises(ValueError):
             MetricProblem(mf, PARAMS, EDGE_WEIGHTED)
 
@@ -709,7 +709,7 @@ class TestGraphConstruction:
         spec = GridSpec(n=8, spacing=0.1)
         vals = np.zeros((8, 8))
         vals[3, 4] = -2000.0  # underflows exp to 0
-        mf = from_values(spec, vals, 0.1)
+        mf = LatticeField(spec=spec, values=vals, kind=DETERMINISTIC)
         with np.errstate(under="ignore"), pytest.raises(ValueError, match="positive and finite"):
             MetricProblem(mf, PARAMS, VERTEX_SUM)
 
@@ -759,7 +759,7 @@ class TestGraphConstruction:
                 w = np.exp(xi * vals)
             bad = bool(np.any(w == 0.0) or np.any(w == np.inf))
             outcomes.add(bad)
-            mf = from_values(spec, vals, 0.1)
+            mf = LatticeField(spec=spec, values=vals, kind=DETERMINISTIC)
             with np.errstate(over="ignore", under="ignore"):
                 if bad:
                     with pytest.raises(ValueError, match="positive and finite"):
@@ -769,25 +769,16 @@ class TestGraphConstruction:
         assert outcomes == {False, True}  # the steps cross the threshold
 
     def test_nan_value_rejected(self):
-        # from_values checks nothing, so a non-finite value must still be
-        # caught by the problem, also where xi = 0 makes every finite weight 1
+        # a non-finite value never reaches a problem: the field rejects it
         spec = GridSpec(n=8, spacing=0.1)
         for bad in (np.nan, np.inf, -np.inf):
             vals = np.zeros((8, 8))
             vals[6, 1] = bad
-            fields = (
-                MollifiedField(eps=0.1, kernel=HEAT_FULL, values=vals, spec=spec, padding="reflective"),
-                from_values(spec, vals, 0.1),
-            )
-            for mf in fields:
-                for params in (PARAMS, LqgParams.degenerate()):
-                    for convention in (VERTEX_SUM, EDGE_WEIGHTED):
-                        with np.errstate(invalid="ignore"):  # 0 * inf under xi = 0
-                            with pytest.raises(ValueError, match="positive and finite"):
-                                MetricProblem(mf, params, convention)
+            with pytest.raises(ValueError, match="finite"):
+                LatticeField(spec=spec, values=vals, kind=DETERMINISTIC)
 
     def test_vertex_weight_is_exp_of_values(self):
         spec = GridSpec(n=16, spacing=0.1)
         vals = np.random.default_rng(12).normal(0.0, 2.0, (16, 16))
-        prob = MetricProblem(from_values(spec, vals, 0.1), PARAMS, VERTEX_SUM)
+        prob = MetricProblem(LatticeField(spec=spec, values=vals, kind=DETERMINISTIC), PARAMS, VERTEX_SUM)
         assert np.array_equal(prob.vertex_weight, np.exp(PARAMS.xi * vals))

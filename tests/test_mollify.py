@@ -17,7 +17,6 @@ from lfpp.mollify import (
     HEAT_TRUNCATED,
     _heat_spectrum,
     bump_profile,
-    from_values,
     mollify,
     mollify_heat,
     mollify_heat_ladder,
@@ -35,12 +34,17 @@ def constant_field(spec, value):
     return LatticeField(spec=spec, values=np.full((spec.n, spec.n), value), kind=DETERMINISTIC)
 
 
+def padded_by(padding, values, spec):
+    """The values as a field whose kind selects ``padding``."""
+    kind = WHOLE_PLANE if padding == "periodic" else DETERMINISTIC
+    return LatticeField(spec=spec, values=values, kind=kind)
+
+
 class TestHeatMollifier:
     def test_constant_passes_through(self):
         spec = unit_spec()
-        f = constant_field(spec, 2.5)
         for padding in ("reflective", "periodic"):
-            out = mollify_heat(f, 2 ** -4, padding=padding)
+            out = mollify_heat(padded_by(padding, np.full((spec.n, spec.n), 2.5), spec), 2 ** -4)
             np.testing.assert_allclose(out.values, 2.5, rtol=1e-12)
 
     def test_fourier_mode_damping(self):
@@ -50,9 +54,9 @@ class TestHeatMollifier:
         spec = GridSpec(n=n, spacing=1.0 / n)  # torus period L = n*spacing = 1
         i = np.arange(n)
         vals = np.sin(2.0 * np.pi * i / n)[:, None] * np.ones((1, n))
-        f = LatticeField(spec=spec, values=vals, kind=DETERMINISTIC)
+        f = LatticeField(spec=spec, values=vals, kind=WHOLE_PLANE)  # periodic padding
         eps = 2 ** -4
-        out = mollify_heat(f, eps, padding="periodic")
+        out = mollify_heat(f, eps)
         factor = math.exp(-((math.pi * 1 * eps) / 1.0) ** 2)
         np.testing.assert_allclose(out.values, factor * vals, atol=2e-4)
 
@@ -61,19 +65,17 @@ class TestHeatMollifier:
         with pytest.raises(ValueError):
             mollify_heat(constant_field(spec, 0.0), spec.spacing)
 
-    @pytest.mark.parametrize("mollifier", [mollify_heat, mollify_truncated], ids=["heat", "truncated"])
-    def test_unknown_padding_rejected(self, mollifier):
-        spec = unit_spec()
-        with pytest.raises(ValueError, match="unknown padding"):
-            mollifier(constant_field(spec, 0.0), 2 ** -4, padding="toroidal")
-
     def test_whole_plane_defaults_to_periodic(self):
         spec = GridSpec(n=64, spacing=2.5 / 63, origin=(-1.25, -1.25))
         f = sample_whole_plane_gff(spec, 4)
-        out = mollify_heat(f, 2 ** -3)
-        assert out.padding == "periodic"
-        assert out.kernel == HEAT_FULL
-        assert out.eps == 2 ** -3
+        eps = 2 ** -3
+        out = mollify_heat(f, eps)
+        assert (out.kind, out.seed) == (f.kind, f.seed)
+        # a whole-plane field is convolved on its own torus, with no padding
+        torus = np.fft.irfft2(np.fft.rfft2(f.values) * _heat_spectrum(64, spec.spacing, eps), s=(64, 64))
+        assert np.array_equal(out.values, torus)
+        reflective = mollify_heat(padded_by("reflective", f.values, spec), eps)
+        assert not np.allclose(out.values, reflective.values)
 
     @pytest.mark.parametrize("m", [64, 64 + 2 * 26])
     def test_separable_spectrum_matches_2d_kernel(self, m):
@@ -90,14 +92,14 @@ class TestHeatMollifier:
     @pytest.mark.parametrize("padding", ["periodic", "reflective"])
     def test_ladder_equals_single_scale(self, padding):
         spec = GridSpec(n=128, spacing=2.5 / 127, origin=(-1.25, -1.25))
-        f = sample_whole_plane_gff(spec, 9)
+        f = padded_by(padding, sample_whole_plane_gff(spec, 9).values, spec)
         # the reflective widths are 26, 26, 14 and 13 samples
         eps_list = [4 * spec.spacing, 3.9 * spec.spacing, 2.1 * spec.spacing, 2 * spec.spacing]
-        ladder = list(mollify_heat_ladder(f, eps_list, padding=padding))
-        assert [mf.eps for mf in ladder] == eps_list
+        ladder = list(mollify_heat_ladder(f, eps_list))
+        assert len(ladder) == len(eps_list)
         for eps, mf in zip(eps_list, ladder):
-            single = mollify_heat(f, eps, padding=padding)
-            assert mf.padding == single.padding == padding
+            single = mollify_heat(f, eps)
+            assert mf.kind == single.kind == f.kind
             assert np.array_equal(mf.values, single.values)
 
     @pytest.mark.parametrize("padding, kept", [("periodic", 0), ("reflective", 3)])
@@ -106,10 +108,10 @@ class TestHeatMollifier:
         # first under periodic padding; the reflective widths 26, 26, 14 and
         # 13 transform at scales 0, 2 and 3
         spec = GridSpec(n=128, spacing=2.5 / 127, origin=(-1.25, -1.25))
-        f = sample_whole_plane_gff(spec, 9)
+        f = padded_by(padding, sample_whole_plane_gff(spec, 9).values, spec)
         field, values = weakref.ref(f), weakref.ref(f.values)
         ladder = mollify_heat_ladder(f, [4 * spec.spacing, 3.9 * spec.spacing, 2.1 * spec.spacing,
-                                         2 * spec.spacing], padding=padding)
+                                         2 * spec.spacing])
         del f
         taken = [next(ladder)]
         assert field() is None
@@ -195,10 +197,7 @@ class TestTruncatedMollifier:
         base = sample_zero_boundary_gff(spec, 21).values
         tampered = base.copy()
         tampered[rows, cols] += 100.0 + np.arange(da.size)
-        a, b = (
-            mollify_truncated(LatticeField(spec=spec, values=v, kind=DETERMINISTIC), eps, padding)
-            for v in (base, tampered)
-        )
+        a, b = (mollify_truncated(padded_by(padding, v, spec), eps) for v in (base, tampered))
         assert a.values[center] == b.values[center]
         assert not np.array_equal(a.values, b.values)
 
@@ -224,12 +223,11 @@ class TestTruncatedMollifier:
         from scipy import signal
 
         spec = GridSpec(n=n, spacing=spacing)
-        kind = WHOLE_PLANE if padding == "periodic" else DETERMINISTIC
         vals = np.random.default_rng(n).standard_normal((n, n))
-        base = LatticeField(spec=spec, values=vals, kind=kind)
+        base = padded_by(padding, vals, spec)
         k = truncated_kernel(spacing, eps)
         out = mollify_truncated(base, eps)
-        assert out.padding == padding
+        assert out.kind == base.kind
         ref = signal.convolve2d(vals, k, mode="same", boundary=boundary)
         assert np.abs(out.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -251,9 +249,10 @@ class TestTruncatedMollifier:
 class TestDispatchAndViews:
     def test_mollify_dispatch(self):
         spec = GridSpec(n=128, spacing=2 ** -7)
-        f = constant_field(spec, 1.0)
-        assert mollify(f, 2 ** -4, HEAT_FULL).kernel == HEAT_FULL
-        assert mollify(f, 2 ** -4, HEAT_TRUNCATED).kernel == HEAT_TRUNCATED
+        f = sample_zero_boundary_gff(spec, 3)
+        assert np.array_equal(mollify(f, 2 ** -4, HEAT_FULL).values, mollify_heat(f, 2 ** -4).values)
+        assert np.array_equal(mollify(f, 2 ** -4, HEAT_TRUNCATED).values,
+                              mollify_truncated(f, 2 ** -4).values)
         with pytest.raises(ValueError):
             mollify(f, 2 ** -4, "box")
 
@@ -264,7 +263,7 @@ class TestDispatchAndViews:
         sub = subsample(mf, 4)
         assert sub.spec.n == 16
         assert sub.spec.spacing == pytest.approx(0.04)
-        assert sub.eps == mf.eps
+        assert (sub.kind, sub.seed) == (mf.kind, mf.seed)
         np.testing.assert_array_equal(sub.values, mf.values[::4, ::4])
         assert subsample(mf, 1) is mf
         with pytest.raises(ValueError):
@@ -273,10 +272,19 @@ class TestDispatchAndViews:
     def test_constant_and_explicit_wrappers(self):
         spec = GridSpec(n=16, spacing=0.1)
         vals = np.arange(256, dtype=float).reshape(16, 16)
-        fv = from_values(spec, vals, 0.3)
+        fv = LatticeField(spec=spec, values=vals, kind=DETERMINISTIC)
         np.testing.assert_array_equal(fv.values, vals)
+
+    def test_package_exports(self):
+        import lfpp
+        import lfpp.mollify
+
+        assert all(hasattr(lfpp, name) for name in lfpp.__all__)
+        for gone in ("MollifiedField", "from_values"):
+            assert not hasattr(lfpp, gone)
+            assert not hasattr(lfpp.mollify, gone)
 
     def test_values_shape_validated(self):
         spec = GridSpec(n=16, spacing=0.1)
         with pytest.raises(ValueError):
-            from_values(spec, np.zeros((8, 8)), 0.3)
+            LatticeField(spec=spec, values=np.zeros((8, 8)), kind=DETERMINISTIC)

@@ -53,6 +53,12 @@ class TestHillEstimator:
         with pytest.raises(ValueError):
             hill_estimator(np.arange(1.0, 11.0), k=10)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_must_be_positive(self, k):
+        # k = 0 gave nan and k = -1 fitted all but the last order statistic
+        with pytest.raises(ValueError, match="at least 1"):
+            hill_estimator(np.arange(1, 50), k=k)
+
     def test_flat_positive_sample_gives_inf(self):
         assert hill_estimator(np.ones(100)) == math.inf
 
