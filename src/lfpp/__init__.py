@@ -12,7 +12,6 @@ from .field import (
     sample_zero_boundary_gff,
     sample_whole_plane_gff,
     circle_average,
-    rescale_field,
 )
 from .mollify import mollify_heat, mollify_heat_ladder, mollify_truncated
 from .metric import MetricProblem, PathResult, MetricBall
@@ -28,7 +27,6 @@ __all__ = [
     "sample_zero_boundary_gff",
     "sample_whole_plane_gff",
     "circle_average",
-    "rescale_field",
     "mollify_heat",
     "mollify_heat_ladder",
     "mollify_truncated",

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as lio
 from .config import RunConfig, config_hash, default_config, parse_config
-from .experiments import EXPERIMENTS, ExperimentReport, run_suite, suite_summary_rows
+from .experiments import EXPERIMENTS, ExperimentReport, run_suite
 from .field import (
     DETERMINISTIC,
     GridSpec,
@@ -201,8 +201,7 @@ def cmd_experiment(args) -> int:
 def cmd_suite(args) -> int:
     cfg = _load_config(args)
     reports = _run_and_write(cfg, args.names if args.names else None)
-    lio.write_suite_summary_csv(_artifact(cfg, "suite_summary.csv"),
-                                suite_summary_rows(reports), comment=_stamp(cfg))
+    lio.write_suite_summary_csv(_artifact(cfg, "suite_summary.csv"), reports, comment=_stamp(cfg))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_EXPERIMENT
 
 

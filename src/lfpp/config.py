@@ -22,9 +22,6 @@ from .metric import CONVENTIONS, EDGE_WEIGHTED
 from .mollify import HEAT_TRUNCATED, MOLLIFIER_KINDS
 from .params import LqgParams
 
-DEFAULT_GAMMA = math.sqrt(8.0 / 3.0)
-DEFAULT_D = 4.0
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -50,8 +47,8 @@ class RunConfig:
         eps = tuple(float(e) for e in self.eps_list)
         if len(eps) == 0:
             raise ValueError("eps_list must be nonempty")
-        if any(e <= 0 for e in eps):
-            raise ValueError("eps values must be positive")
+        if not all(0.0 < e < math.inf for e in eps):
+            raise ValueError("eps values must be positive and finite")
         if len(eps) >= 2:
             ratios = np.array(eps[:-1]) / np.array(eps[1:])
             if np.any(ratios <= 1.0) or not np.allclose(
@@ -66,7 +63,7 @@ def default_config() -> RunConfig:
     spacing = 2.05 / (n - 1)
     half = (n - 1) * spacing / 2.0
     return RunConfig(
-        params=LqgParams(gamma=DEFAULT_GAMMA, d=DEFAULT_D),
+        params=LqgParams.pure_gravity(),
         grid=GridSpec(n=n, spacing=spacing, origin=(-half, -half)),
         eps_list=(2**-3, 2**-4, 2**-5, 2**-6),
         replicas=None,

@@ -20,11 +20,11 @@ import numpy as np
 
 from .config import RunConfig
 from .field import (
+    COMPOSITE,
     DETERMINISTIC,
     GridSpec,
     LatticeField,
     circle_average,
-    rescale_field,
     sample_whole_plane_gff,
     sample_zero_boundary_gff,
 )
@@ -429,45 +429,42 @@ def _plan_locality_check(params: LqgParams, config: RunConfig, replicas: int) ->
 # -- scaling relation ------------------------------------------------------------
 
 
-def rescaled_mollified(field: LatticeField, mf: LatticeField, r: int) -> Tuple[LatticeField, float]:
-    """The rescaled field h(r.) - h_r(0), smoothed at scale eps/r.
-
-    ``mf`` is the fine-grid heat mollification of ``field`` (h) at
-    physical scale eps.
-    Smoothing commutes exactly with the coordinate rescaling, so the values
-    are ``mf`` subsampled onto the coarse grid.  This avoids the aliasing a
-    direct coarse-grid convolution of the rough field would introduce.
-    """
-    coarse = rescale_field(field, r)
-    vals = subsample(mf, r).values - coarse.recentering
-    vals.setflags(write=False)
-    out = LatticeField(spec=coarse.spec, values=vals, kind=coarse.kind, seed=coarse.seed)
-    return out, coarse.recentering
-
-
 def scaling_relation_gaps(field: LatticeField, mf: LatticeField, params: LqgParams, convention: str,
                           pairs: int, rng: np.random.Generator, r: int = 2) -> np.ndarray:
     """Signed relative gaps (LHS - RHS)/RHS of the rescaling identity.
 
-    ``mf`` is the heat mollification of ``field`` (h) at scale eps.  LHS: distances
-    under the rescaled field at scale eps/r from one coarse source.  RHS:
-    distances under the original field at scale eps from the corresponding
-    fine source, normalized by the recentering factor (and by 1/r for the
-    edge-weighted convention, whose costs carry the physical length
-    element; the vertex-sum convention is spacing-free).
+    ``mf`` is the heat mollification of ``field`` (h) at scale eps.  LHS:
+    distances from one coarse source under the rescaled field
+    h(r.) - h_r(0) at scale eps/r, on the stride-r grid with coordinates
+    divided by r; h_r(0) is the unit-circle average of h(r.) under that
+    grid's quadrature.  Smoothing commutes exactly with the coordinate
+    rescaling, so the smoothed values are ``mf`` subsampled onto the coarse
+    grid, which avoids the aliasing a direct coarse-grid convolution of the
+    rough field would introduce.  RHS: distances under the original field at
+    scale eps from the corresponding fine source, normalized by the
+    recentering factor (and by 1/r for the edge-weighted convention, whose
+    costs carry the physical length element; the vertex-sum convention is
+    spacing-free).
     """
     xi = params.xi
-    lhs_mf, c = rescaled_mollified(field, mf, r)
-    lhs_prob = MetricProblem(lhs_mf, params, convention)
+    sub = subsample(mf, r)
+    ox, oy = field.spec.origin
+    coarse = GridSpec(n=sub.spec.n, spacing=field.spec.spacing, origin=(ox / r, oy / r))
+    c = circle_average(LatticeField(spec=coarse, values=field.values[::r, ::r], kind=COMPOSITE),
+                       (0.0, 0.0), 1.0)
+    lhs_values = sub.values - c
+    lhs_values.setflags(write=False)
+    lhs_prob = MetricProblem(LatticeField(spec=coarse, values=lhs_values, kind=COMPOSITE, seed=field.seed),
+                             params, convention)
     if convention == VERTEX_SUM:
-        rhs_prob = MetricProblem(subsample(mf, r), params, convention)
+        rhs_prob = MetricProblem(sub, params, convention)
         factor = math.exp(-xi * c)
         stretch = 1
     else:
         rhs_prob = MetricProblem(mf, params, convention)
         factor = math.exp(-xi * c) / r
         stretch = r
-    nc = lhs_mf.spec.n
+    nc = coarse.n
     z = tuple(int(x) for x in rng.integers(nc // 8, nc - nc // 8, 2))
     lhs_d = lhs_prob.multi_source_distance([z])
     rhs_d = rhs_prob.multi_source_distance([(z[0] * stretch, z[1] * stretch)])
@@ -925,19 +922,3 @@ def run_suite(params: LqgParams, config: RunConfig,
             raise ValueError(f"unknown experiment {name!r}; known: {known}")
     return [EXPERIMENTS[name](params, config) for name in chosen]
 
-
-def suite_summary_rows(reports: Sequence[ExperimentReport]) -> List[dict]:
-    rows = []
-    for rep in reports:
-        for c in rep.checks:
-            rows.append({
-                "experiment": rep.name,
-                "metric": c["metric"],
-                "value": c["value"],
-                "target": c["target"],
-                "tolerance": c["tolerance"],
-                "kind": c["kind"],
-                "pass": c["passed"],
-                "seconds": rep.runtime_seconds,
-            })
-    return rows

@@ -61,9 +61,12 @@ class GridSpec:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if self.n >= 2**32:
             raise ValueError(f"n must be below 2**32, the field file's u32 limit, got {self.n}")
-        if not (self.spacing > 0.0):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-        object.__setattr__(self, "origin", (float(self.origin[0]), float(self.origin[1])))
+        if not (0.0 < self.spacing < math.inf):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        origin = (float(self.origin[0]), float(self.origin[1]))
+        if not all(map(math.isfinite, origin)):
+            raise ValueError(f"origin must be finite, got {origin}")
+        object.__setattr__(self, "origin", origin)
 
     @property
     def side(self) -> float:
@@ -94,13 +97,12 @@ class LatticeField:
     values: np.ndarray
     kind: str
     seed: int = 0
-    # Constant subtracted by rescale_field (the circle average h_r(0) under
-    # the target grid's own quadrature); 0.0 for fields built any other way.
-    recentering: float = 0.0
 
     def __post_init__(self):
         if self.kind not in FIELD_KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        if not (0 <= self.seed < 2**64):
+            raise ValueError(f"seed must lie in [0, 2**64), the field file's u64 limit, got {self.seed}")
         v = read_only(self.values)
         if v.shape != (self.spec.n, self.spec.n):
             raise ValueError(f"values shape {v.shape} != grid {self.spec.n}")
@@ -252,34 +254,3 @@ def circle_average(field: LatticeField, z: Tuple[float, float], r: float) -> flo
     pts = np.stack([z[0] + r * np.cos(theta), z[1] + r * np.sin(theta)], axis=1)
     return float(np.mean(bilinear(field, pts)))
 
-
-def rescale_field(field: LatticeField, r: int) -> LatticeField:
-    """Zoom out by a power of two: h^r(z) = h(r*z) - h_r(0).
-
-    The target grid is the stride-r subsample of the source with coordinates
-    divided by r, so no interpolation happens.  The subtracted constant is
-    the circle average of h(r*.) at radius 1 about the physical origin,
-    i.e. h_r(0) under the target grid's quadrature; it is recorded in
-    ``recentering`` so scaling experiments can reuse the exact value.
-    """
-    if r < 1 or (r & (r - 1)) != 0:
-        raise ValueError(f"rescale factor must be a power of two >= 1, got {r}")
-    sub = field.values[::r, ::r]
-    n_new = sub.shape[0]
-    spec_new = GridSpec(
-        n=n_new,
-        spacing=field.spec.spacing,
-        origin=(field.spec.origin[0] / r, field.spec.origin[1] / r),
-    )
-    # sub views the field's read-only values, so the field is built on it as is
-    raw = LatticeField(spec=spec_new, values=sub, kind=COMPOSITE, seed=field.seed)
-    c = circle_average(raw, (0.0, 0.0), 1.0)
-    values = sub - c
-    values.setflags(write=False)
-    return LatticeField(
-        spec=spec_new,
-        values=values,
-        kind=COMPOSITE,
-        seed=field.seed,
-        recentering=c,
-    )

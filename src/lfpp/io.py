@@ -11,11 +11,14 @@ import csv
 import json
 import os
 import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .field import COMPOSITE, DETERMINISTIC, WHOLE_PLANE, ZERO_BOUNDARY, GridSpec, LatticeField
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentReport
 
 MAGIC = b"LFPF"
 FORMAT_VERSION = 1
@@ -100,8 +103,9 @@ def write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_suite_summary_csv(path: str, rows: List[dict], comment: Optional[str] = None) -> None:
-    """Suite table: one row per experiment metric checked against a target.
+def write_suite_summary_csv(path: str, reports: Sequence[ExperimentReport],
+                            comment: Optional[str] = None) -> None:
+    """Suite table: one row per check of each experiment report.
 
     Each row carries its check's ``kind``, so its ``pass`` flag can be
     recomputed from the file by the kind's rule."""
@@ -109,16 +113,17 @@ def write_suite_summary_csv(path: str, rows: List[dict], comment: Optional[str] 
         _comment_line(fh, comment)
         w = csv.writer(fh)
         w.writerow(["experiment", "metric", "value", "target", "tolerance", "kind", "pass", "seconds"])
-        for r in rows:
-            w.writerow(
-                [
-                    r["experiment"],
-                    r["metric"],
-                    repr(float(r["value"])),
-                    "" if r.get("target") is None else repr(float(r["target"])),
-                    "" if r.get("tolerance") is None else repr(float(r["tolerance"])),
-                    r["kind"],
-                    int(bool(r["pass"])),
-                    repr(float(r["seconds"])),
-                ]
-            )
+        for rep in reports:
+            for c in rep.checks:
+                w.writerow(
+                    [
+                        rep.name,
+                        c["metric"],
+                        repr(float(c["value"])),
+                        "" if c["target"] is None else repr(float(c["target"])),
+                        "" if c["tolerance"] is None else repr(float(c["tolerance"])),
+                        c["kind"],
+                        int(bool(c["passed"])),
+                        repr(float(rep.runtime_seconds)),
+                    ]
+                )

@@ -162,11 +162,8 @@ class PathResult:
 
 @dataclass(frozen=True)
 class MetricBall:
-    center: Tuple[int, int]
-    radius: float
     membership: np.ndarray
     boundary: List[Tuple[int, int]]
-    distances: np.ndarray
 
 
 class MetricProblem:
@@ -339,7 +336,7 @@ class MetricProblem:
         and swept once from that source.
         """
         x0, y0, side = square
-        if side <= 0:
+        if not (math.isfinite(x0) and math.isfinite(y0) and 0 < side < math.inf):
             raise ValueError("degenerate square")
         rows, cols = self._square_window(x0, y0, side)
         sub = self.mask[rows, cols]
@@ -369,20 +366,16 @@ class MetricProblem:
 
     def metric_ball(self, center: Tuple[int, int], s: float) -> MetricBall:
         """All vertices within metric distance s of the center."""
-        if s < 0:
+        if not s >= 0:
             raise ValueError("radius must be >= 0")
         cid = self._vid(center)
         base = self._source_charge(center)
         limit = s - base
         if limit < 0:
-            member = np.zeros((self.n, self.n), dtype=bool)
-            dist = np.full((self.n, self.n), np.inf)
-            return MetricBall(center=center, radius=s, membership=member, boundary=[], distances=dist)
+            return MetricBall(membership=np.zeros((self.n, self.n), dtype=bool), boundary=[])
         d = _dijkstra(self.graph, cid, limit=limit)
-        dist = self._grid_distances(d) + base
-        member = dist <= s
-        boundary = _boundary_vertices(member)
-        return MetricBall(center=center, radius=s, membership=member, boundary=boundary, distances=dist)
+        member = self._grid_distances(d) + base <= s
+        return MetricBall(membership=member, boundary=_boundary_vertices(member))
 
     # -- annulus cycle -----------------------------------------------------------
 

@@ -23,10 +23,10 @@ class LqgParams:
     def __post_init__(self):
         if not (0.0 < self.gamma < 2.0):
             raise ValueError(f"gamma must lie in (0, 2), got {self.gamma}")
-        if self.d <= 0.0:
-            raise ValueError(f"dimension must be positive, got {self.d}")
-        if self.xi < 0.0:
-            raise ValueError(f"xi must be nonnegative, got {self.xi}")
+        if not (0.0 < self.d < math.inf):
+            raise ValueError(f"dimension must be positive and finite, got {self.d}")
+        if not (0.0 <= self.xi < math.inf):
+            raise ValueError(f"xi must be nonnegative and finite, got {self.xi}")
 
     @property
     def xi(self) -> float:

@@ -19,9 +19,6 @@ class ExponentFit:
     slope: float
     intercept: float
     stderr: float
-    r2: float
-    residual_rms: float
-    n_scales: int
 
 
 def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
@@ -42,20 +39,11 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
     intercept = float(my - slope * mx)
     resid = ly - (intercept + slope * lx)
     ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ly - my) ** 2))
     if m > 2 and ss_res > 0.0:
         stderr = math.sqrt(ss_res / (m - 2) / sxx)
     else:
         stderr = 0.0
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return ExponentFit(
-        slope=slope,
-        intercept=intercept,
-        stderr=stderr,
-        r2=r2,
-        residual_rms=math.sqrt(ss_res / m),
-        n_scales=m,
-    )
+    return ExponentFit(slope=slope, intercept=intercept, stderr=stderr)
 
 
 def hill_estimator(sample: np.ndarray, k: Optional[int] = None) -> float:

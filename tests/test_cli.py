@@ -90,6 +90,32 @@ class TestErrors:
         assert "2**32" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_beyond_field_file(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        rc = main(["sample-field", "--config", small_config(tmp_path), "--seed", str(seed),
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "field.lfpf").exists()
+
+    @pytest.mark.parametrize("square", [("0", "0", "nan"), ("0", "0", "inf"), ("nan", "0", "1.0")])
+    def test_non_finite_square(self, tmp_path, capsys, square):
+        field_path = tmp_path / "flat.lfpf"
+        write_constant_field(field_path, n=64, side=1.0)
+        rc = main(["crossing", "--field", str(field_path), "--square", *square,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "degenerate square" in capsys.readouterr().err
+
+    def test_nan_ball_radius(self, tmp_path, capsys):
+        field_path = tmp_path / "flat.lfpf"
+        write_constant_field(field_path, n=64, side=1.0)
+        rc = main(["ball", "--field", str(field_path), "--center", "0.5", "0.5",
+                   "--radius", "nan", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "radius must be >= 0" in capsys.readouterr().err
+
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("gamma = 9.0\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lfpp.config import RunConfig, config_hash, default_config, parse_config, serialize_config
-from lfpp.experiments import ExperimentReport, _check, suite_summary_rows
+from lfpp.experiments import ExperimentReport, _check
 from lfpp.field import DETERMINISTIC, GridSpec, LatticeField, sample_zero_boundary_gff
 from lfpp.io import (
     FORMAT_VERSION,
@@ -93,6 +93,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="xi"):
             LqgParams(gamma=1.0, d=4.0, xi_override=-0.1)
 
+    @pytest.mark.parametrize("text, what", [
+        ("d = inf", "dimension"),
+        ("d = nan", "dimension"),
+        ("eps_list = nan", "eps"),
+        ("eps_list = inf", "eps"),
+        ("spacing = inf", "spacing"),
+        ("spacing = nan", "spacing"),
+        ("origin_x = nan", "origin"),
+        ("origin_y = -inf", "origin"),
+    ])
+    def test_non_finite_value_rejected(self, text, what):
+        with pytest.raises(ValueError, match=what):
+            parse_config(text + "\n")
+
     def test_n_beyond_field_header_rejected(self):
         # a power of two the field file's u32 n cannot hold
         with pytest.raises(ValueError, match=r"2\*\*32"):
@@ -123,6 +137,7 @@ class TestConfig:
     def test_hash_stable_and_sensitive(self):
         a = default_config()
         assert config_hash(a) == config_hash(default_config())
+        assert config_hash(a) == "1fbecb45e238234d"  # pure gravity on the 256^2 default grid
         b = parse_config("master_seed = 1\n")
         assert config_hash(a) != config_hash(b)
         assert len(config_hash(a)) == 16
@@ -222,9 +237,8 @@ class TestCsvWriters:
                 _check("ratio", 3.0, None, None, "not-applicable"),
             ], False, 0.25),
         ]
-        rows = suite_summary_rows(reports)
         path = tmp_path / "suite.csv"
-        write_suite_summary_csv(str(path), rows, comment="config_hash=abc")
+        write_suite_summary_csv(str(path), reports, comment="config_hash=abc")
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_hash=abc"
         assert lines[1] == "experiment,metric,value,target,tolerance,kind,pass,seconds"

@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import csv
 import inspect
 import json
 import math
@@ -20,10 +21,10 @@ from lfpp.experiments import (
     default_test_function,
     run_suite,
     simulate_bm_integral,
-    suite_summary_rows,
     bm_integral_cdf,
 )
 from lfpp.field import DETERMINISTIC, GridSpec, LatticeField, sample_whole_plane_gff
+from lfpp.io import write_suite_summary_csv
 from lfpp.metric import EDGE_WEIGHTED, VERTEX_SUM, MetricProblem
 from lfpp.mollify import mollify_heat
 from lfpp.params import LqgParams
@@ -284,12 +285,14 @@ class TestSuitePlumbing:
             "geodesic-ball-overlap", "diameter-tail",
         }
 
-    def test_report_to_dict_and_summary_rows(self):
+    def test_report_to_dict_and_summary_rows(self, tmp_path):
         rep = EXPERIMENTS["circle-average-bm"](PARAMS, config(master_seed=1, replicas=3))
         d = rep.to_dict()
         assert set(d) == {"name", "settings", "metrics", "checks", "passed",
                           "runtime_seconds"}
-        rows = suite_summary_rows([rep])
+        path = tmp_path / "suite.csv"
+        write_suite_summary_csv(str(path), [rep])
+        rows = list(csv.DictReader(path.read_text().splitlines()))
         assert len(rows) == len(rep.checks)
         assert rows[0]["experiment"] == "circle-average-bm"
         assert set(rows[0]) == {"experiment", "metric", "value", "target",

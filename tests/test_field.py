@@ -1,4 +1,5 @@
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,11 +12,16 @@ from lfpp.field import (
     _whole_plane_spectrum,
     bilinear,
     circle_average,
-    rescale_field,
     sample_whole_plane_gff,
     sample_zero_boundary_gff,
 )
+from lfpp.experiments import scaling_relation_gaps
+from lfpp.metric import EDGE_WEIGHTED, VERTEX_SUM
+from lfpp.mollify import mollify_heat
+from lfpp.params import LqgParams
 from lfpp.seeds import replica_seed
+
+PARAMS = LqgParams.pure_gravity()
 
 
 def centered_spec(n, side):
@@ -49,6 +55,19 @@ class TestGridSpec:
 
 
 class TestLatticeField:
+    def test_holds_spec_values_kind_seed_only(self):
+        assert [f.name for f in dataclasses.fields(LatticeField)] == ["spec", "values", "kind", "seed"]
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_beyond_field_file_rejected(self, seed):
+        spec = GridSpec(n=8, spacing=0.1)
+        with pytest.raises(ValueError, match="u64"):
+            LatticeField(spec=spec, values=np.zeros((8, 8)), kind=DETERMINISTIC, seed=seed)
+
+    def test_largest_file_seed_accepted(self):
+        spec = GridSpec(n=8, spacing=0.1)
+        assert LatticeField(spec=spec, values=np.zeros((8, 8)), kind=DETERMINISTIC, seed=2**64 - 1).seed == 2**64 - 1
+
     def test_shape_mismatch_rejected(self):
         spec = GridSpec(n=8, spacing=0.1)
         with pytest.raises(ValueError):
@@ -300,25 +319,28 @@ class TestCircleAverage:
             circle_average(f, (0.9, 0.0), 0.5)
 
 
-class TestRescale:
-    def test_values_and_recentering(self):
-        spec = centered_spec(128, 4.2)
-        h = sample_whole_plane_gff(spec, 9)
-        out = rescale_field(h, 2)
-        assert out.spec.n == 64
-        assert out.spec.spacing == spec.spacing
-        assert out.spec.origin[0] == pytest.approx(spec.origin[0] / 2)
-        np.testing.assert_array_equal(
-            out.values, h.values[::2, ::2] - out.recentering
-        )
-        # the rescaled field's own unit-circle average about the origin is 0
-        assert abs(circle_average(out, (0.0, 0.0), 1.0)) < 1e-10
+class TestScalingRelation:
+    """``scaling_relation_gaps`` on the grid centered_spec(128, 4.2): the
+    rescaling identity is exact for a constant field under both conventions,
+    and for every field under vertex-sum."""
 
-    def test_non_power_of_two_factor_rejected(self):
-        spec = centered_spec(128, 4.2)
-        h = sample_whole_plane_gff(spec, 9)
-        with pytest.raises(ValueError):
-            rescale_field(h, 3)
+    spec = centered_spec(128, 4.2)
+    eps = 2 ** -3
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_constant_field_exact(self, convention):
+        const = LatticeField(spec=self.spec, values=np.full((128, 128), 1.3), kind=DETERMINISTIC)
+        gaps = scaling_relation_gaps(const, mollify_heat(const, self.eps), PARAMS, convention, 10,
+                                     np.random.default_rng(0))
+        assert gaps.shape == (10,)
+        assert np.abs(gaps).max() <= 1e-12
+
+    def test_sampled_field_exact_under_vertex_sum(self):
+        h = sample_whole_plane_gff(self.spec, 9)
+        gaps = scaling_relation_gaps(h, mollify_heat(h, self.eps), PARAMS, VERTEX_SUM, 20,
+                                     np.random.default_rng(1))
+        assert gaps.shape == (20,)
+        assert np.abs(gaps).max() <= 1e-12
 
 
 class TestSeeds:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,6 +15,7 @@ from lfpp.metric import (
     EDGE_WEIGHTED,
     OFFSETS,
     VERTEX_SUM,
+    MetricBall,
     MetricProblem,
     build_lattice_graph,
     geodesic_tube_areas,
@@ -160,6 +162,18 @@ class TestChamferOracle:
         assert len(ball.boundary) > 0
         assert all(ball.membership[v] for v in ball.boundary)
 
+    def test_metric_ball_holds_membership_and_boundary_only(self):
+        assert [f.name for f in dataclasses.fields(MetricBall)] == ["membership", "boundary"]
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan])
+    def test_metric_ball_bad_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            zero_problem(n=16).metric_ball((3, 3), radius)
+
+    def test_metric_ball_infinite_radius_holds_everything(self):
+        ball = zero_problem(n=16).metric_ball((3, 3), math.inf)
+        assert ball.membership.all()
+
 
 class TestQueries:
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
@@ -288,6 +302,12 @@ class TestCrossing:
         prob = zero_problem()
         with pytest.raises(ValueError):
             prob.crossing_distance((0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("square", [(0.0, 0.0, math.nan), (0.0, 0.0, math.inf),
+                                        (math.nan, 0.0, 0.5), (0.0, -math.inf, 0.5)])
+    def test_non_finite_square_rejected(self, square):
+        with pytest.raises(ValueError, match="degenerate square"):
+            zero_problem().crossing_distance(square)
 
     def test_unreachable_crossing_rejected(self):
         # a wall two columns thick, so no diagonal step crosses it either

@@ -277,12 +277,15 @@ class TestDispatchAndViews:
 
     def test_package_exports(self):
         import lfpp
+        import lfpp.field
         import lfpp.mollify
 
         assert all(hasattr(lfpp, name) for name in lfpp.__all__)
         for gone in ("MollifiedField", "from_values"):
             assert not hasattr(lfpp, gone)
             assert not hasattr(lfpp.mollify, gone)
+        assert not hasattr(lfpp, "rescale_field")
+        assert not hasattr(lfpp.field, "rescale_field")
 
     def test_values_shape_validated(self):
         spec = GridSpec(n=16, spacing=0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfpp.scaling import fit_loglog, hill_estimator
+from lfpp.scaling import ExponentFit, fit_loglog, hill_estimator
 
 
 class TestFits:
@@ -14,9 +15,10 @@ class TestFits:
         fit = fit_loglog(scales, scales**2)
         assert fit.slope == pytest.approx(2.0, abs=1e-12)
         assert fit.stderr == pytest.approx(0.0, abs=1e-12)
-        assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-        assert fit.residual_rms == pytest.approx(0.0, abs=1e-12)
-        assert fit.n_scales == 5
+        assert fit.intercept == pytest.approx(0.0, abs=1e-12)
+
+    def test_fit_holds_slope_intercept_stderr_only(self):
+        assert [f.name for f in dataclasses.fields(ExponentFit)] == ["slope", "intercept", "stderr"]
 
     def test_constant_series_slope_zero(self):
         scales = np.array([1.0, 0.5, 0.25, 0.125])
