@@ -44,6 +44,8 @@ class RunConfig:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not (0 <= self.master_seed < 2**64):
+            raise ValueError(f"master_seed must lie in [0, 2**64), a u64 seed, got {self.master_seed}")
         eps = tuple(float(e) for e in self.eps_list)
         if len(eps) == 0:
             raise ValueError("eps_list must be nonempty")

@@ -12,9 +12,9 @@ a weight convention and a domain mask into a graph:
   the trapezoid rule for the continuum weighted length.
 
 All queries run exact Dijkstra (scipy's C implementation) on the masked
-graph; no heuristics.  Geodesics are reconstructed by walking back from
-the target, choosing at every step the lexicographically smallest
-predecessor among those that reproduce the distance exactly.
+graph; no heuristics.  Geodesics and annulus cycles are read off the swept
+graph by one walk back from the target, stepping to the neighbor of smallest
+row-major id, so lexicographically smallest, that reproduces the distance.
 """
 
 from __future__ import annotations
@@ -215,11 +215,15 @@ class MetricProblem:
     def ids(self) -> np.ndarray:
         return self._lattice[1]
 
-    def _vid(self, v: Tuple[int, int]) -> int:
-        vid = int(self.ids[v[0], v[1]])
-        if vid < 0:
+    def _check_vertex(self, v: Tuple[int, int]) -> None:
+        if not (0 <= v[0] < self.n and 0 <= v[1] < self.n):
+            raise ValueError(f"vertex {v} is outside the grid")
+        if not self.mask[v[0], v[1]]:
             raise ValueError(f"vertex {v} is outside the mask")
-        return vid
+
+    def _vid(self, v: Tuple[int, int]) -> int:
+        self._check_vertex(v)
+        return int(self.ids[v[0], v[1]])
 
     def _grid_distances(self, flat: np.ndarray) -> np.ndarray:
         """Scatter per-mask-vertex distances back onto the grid (inf outside)."""
@@ -234,23 +238,22 @@ class MetricProblem:
         under vertex-sum, nothing under edge-weighted."""
         return float(self.vertex_weight[z]) if self.convention == VERTEX_SUM else 0.0
 
-    def step_weight(self, u: Tuple[int, int], v: Tuple[int, int]) -> float:
-        """Cost of traversing the edge u -> v (directed, per convention)."""
-        di, dj = v[0] - u[0], v[1] - u[1]
-        if max(abs(di), abs(dj)) != 1 or (di == 0 and dj == 0):
-            raise ValueError("vertices are not 8-adjacent")
-        if self.convention == VERTEX_SUM:
-            return float(self.vertex_weight[v])
-        ell = SQRT2 if (di != 0 and dj != 0) else 1.0
-        return float(ell * self.spacing * math.sqrt(self.vertex_weight[u] * self.vertex_weight[v]))
-
     def path_cost(self, path: Sequence[Tuple[int, int]]) -> float:
-        """Recompute a path's cost from the weights (the length-space check)."""
+        """Recompute a path's cost from the weights, folded left to right."""
         if len(path) == 0:
             raise ValueError("empty path")
+        for v in path:
+            self._check_vertex(v)
         total = self._source_charge(path[0])
         for u, v in zip(path[:-1], path[1:]):
-            total += self.step_weight(u, v)
+            di, dj = v[0] - u[0], v[1] - u[1]
+            if max(abs(di), abs(dj)) != 1:
+                raise ValueError("vertices are not 8-adjacent")
+            if self.convention == VERTEX_SUM:
+                total += float(self.vertex_weight[v])
+            else:
+                ell = SQRT2 if (di != 0 and dj != 0) else 1.0
+                total += float(ell * self.spacing * math.sqrt(self.vertex_weight[u] * self.vertex_weight[v]))
         return total
 
     # -- queries ---------------------------------------------------------------
@@ -273,42 +276,18 @@ class MetricProblem:
         wids = [self._vid(w) for w in targets]
         d = _dijkstra(self.graph, zid)
         base = self._source_charge(z)
+        weight = self.vertex_weight[self.mask] if self.convention == VERTEX_SUM else None
+        ai, aj = np.nonzero(self.mask)
         out = []
-        for w, wid in zip(targets, wids):
+        for wid in wids:
             if not np.isfinite(d[wid]):
                 out.append(PathResult(distance=math.inf, path=[], reached=False, costs=[]))
                 continue
-            path = self._reconstruct(d, z, w)
-            pi, pj = np.array(path).T
-            costs = (base + d[self.ids[pi, pj]]).tolist()
+            chain = _walk_back(self.graph, d, zid, wid, weight)
+            costs = (base + d[chain]).tolist()
+            path = list(zip(ai[chain].tolist(), aj[chain].tolist()))
             out.append(PathResult(distance=costs[-1], path=path, reached=True, costs=costs))
         return out
-
-    def _reconstruct(self, d: np.ndarray, z: Tuple[int, int], w: Tuple[int, int]) -> List[Tuple[int, int]]:
-        """Walk back from w choosing the lexicographically smallest predecessor
-        among neighbors u with d[u] + weight(u, v) == d[v] (exact float match)."""
-        path = [w]
-        v = w
-        guard = self.n * self.n + 1
-        while v != z and guard > 0:
-            guard -= 1
-            dv = d[self._vid(v)]
-            best = None
-            for di, dj, _ in OFFSETS:
-                ui, uj = v[0] + di, v[1] + dj
-                if not (0 <= ui < self.n and 0 <= uj < self.n) or not self.mask[ui, uj]:
-                    continue
-                u = (ui, uj)
-                du = d[self._vid(u)]
-                if np.isfinite(du) and du + self.step_weight(u, v) == dv:
-                    if best is None or u < best:
-                        best = u
-            if best is None:
-                raise RuntimeError("geodesic reconstruction failed")
-            path.append(best)
-            v = best
-        path.reverse()
-        return path
 
     def multi_source_distance(self, sources: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Single-pass distances from a vertex set, as an (n, n) grid array.
@@ -408,6 +387,28 @@ class MetricProblem:
         return _annulus_cycle(self, ann, jc, cut_i, z)
 
 
+def _walk_back(graph: csr_matrix, d: np.ndarray, src: int, tgt: int,
+               vertex_weight: Optional[np.ndarray]) -> List[int]:
+    """Ids of a shortest src -> tgt path, read back from tgt off a sweep's
+    distances d from src: each step goes to the smallest id u in v's row with
+    d[u] + cost(u -> v) == d[v] exactly.  The graph is structurally symmetric,
+    so the row lists v's in-neighbors; cost(u -> v) is ``vertex_weight[v]``
+    (vertex-sum) or, given None, the row's entry for u, which equals it in an
+    edge-weighted graph, symmetric bit for bit."""
+    indptr, indices, data = graph.indptr, graph.indices, graph.data
+    path = [tgt]
+    while path[-1] != src:
+        v = path[-1]
+        lo, hi = indptr[v], indptr[v + 1]
+        u = indices[lo:hi]
+        cost = data[lo:hi] if vertex_weight is None else vertex_weight[v]
+        hit = u[d[u] + cost == d[v]]
+        if hit.size == 0 or len(path) == graph.shape[0]:
+            raise RuntimeError("no shortest path back to the source")
+        path.append(int(hit.min()))
+    return path[::-1]
+
+
 def _boundary_vertices(member: np.ndarray) -> List[Tuple[int, int]]:
     """Members with at least one non-member 8-neighbor (grid edge counts)."""
     n = member.shape[0]
@@ -448,27 +449,23 @@ def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, z) -> PathResult:
     cols = np.concatenate([np.where(move, dv, v), dv[both]])
     size = nv + cut_ids.size
     g = _csr((np.concatenate([coo.data, coo.data[both]]), (rows, cols)), (size, size))
+
+    best, best_k, best_d = math.inf, -1, None
+    for k, src in enumerate(cut_ids.tolist()):
+        d = _dijkstra(g, src, limit=best)
+        # edges charge their target, so d[nv + k] sums each distinct cycle
+        # vertex once (vertex-sum) or each cycle edge once (edge-weighted)
+        if d[nv + k] < best:
+            best, best_k, best_d = float(d[nv + k]), k, d
+    if best_d is None:
+        return PathResult(distance=math.inf, path=[], reached=False, costs=[])
     grid_i = np.concatenate([ai, cut_i])
     grid_j = np.concatenate([aj, np.full(cut_i.size, jc)])
-
-    best, best_chain, best_costs = math.inf, None, None
-    for k, src in enumerate(cut_ids.tolist()):
-        tgt = nv + k
-        d, pred = _dijkstra(g, src, return_predecessors=True, limit=best)
-        # directed edges charge their target vertex, so d[tgt] already sums
-        # every distinct cycle vertex exactly once (vertex-sum) or every
-        # cycle edge once (edge-weighted).
-        if d[tgt] < best:
-            chain = [tgt]
-            while chain[-1] != src:
-                chain.append(int(pred[chain[-1]]))
-            chain.reverse()
-            best, best_chain, best_costs = float(d[tgt]), chain, d[chain].tolist()
-    if best_chain is None:
-        return PathResult(distance=math.inf, path=[], reached=False, costs=[])
+    weight = problem.vertex_weight[grid_i, grid_j] if problem.convention == VERTEX_SUM else None
     # closed: the first and last chain vertices are the two copies of a
-    path = list(zip(grid_i[best_chain].tolist(), grid_j[best_chain].tolist()))
-    return PathResult(distance=best, path=path, reached=True, costs=best_costs)
+    chain = _walk_back(g, best_d, int(cut_ids[best_k]), nv + best_k, weight)
+    path = list(zip(grid_i[chain].tolist(), grid_j[chain].tolist()))
+    return PathResult(distance=best, path=path, reached=True, costs=best_d[chain].tolist())
 
 
 def geodesic_tube_areas(

@@ -91,12 +91,14 @@ class TestErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", [2**64, -1])
-    def test_seed_beyond_field_file(self, tmp_path, capsys, seed):
+    def test_seed_beyond_field_file(self, tmp_path, capsys, monkeypatch, seed):
+        # the config refuses the seed before any sampling starts
+        monkeypatch.setattr("lfpp.cli.sample_whole_plane_gff", lambda *a: pytest.fail("sampled"))
         out = tmp_path / "out"
         rc = main(["sample-field", "--config", small_config(tmp_path), "--seed", str(seed),
                    "--out", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: master_seed must lie in [0, 2**64)")
         assert not (out / "field.lfpf").exists()
 
     @pytest.mark.parametrize("square", [("0", "0", "nan"), ("0", "0", "inf"), ("nan", "0", "1.0")])

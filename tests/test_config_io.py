@@ -112,6 +112,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"2\*\*32"):
             parse_config("n = 1099511627776\n")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_beyond_field_file_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+            parse_config(f"master_seed = {seed}\n")
+        assert parse_config(f"master_seed = {2**64 - 1}\n").master_seed == 2**64 - 1
+
     def test_bad_convention_and_mollifier(self):
         with pytest.raises(ValueError):
             parse_config("convention = manhattan\n")

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
+from lfpp import metric
 from lfpp.config import default_config
 from lfpp.field import DETERMINISTIC, GridSpec, LatticeField, sample_whole_plane_gff
 from lfpp.metric import (
@@ -17,6 +18,7 @@ from lfpp.metric import (
     VERTEX_SUM,
     MetricBall,
     MetricProblem,
+    _walk_back,
     build_lattice_graph,
     geodesic_tube_areas,
 )
@@ -103,6 +105,33 @@ def nx_multi_source(g, prob, sources):
         for v, d in nx.single_source_dijkstra_path_length(g, src).items():
             out[v] = min(out.get(v, math.inf), base + d)
     return out
+
+
+def fewest_vertex_paths(mask, src, dst):
+    """Every src -> dst path of the masked 8-neighbor lattice with the fewest
+    vertices, from breadth-first hop counts and full enumeration."""
+    n = mask.shape[0]
+
+    def neighbors(v):
+        return [(v[0] + di, v[1] + dj) for di, dj, _ in OFFSETS
+                if 0 <= v[0] + di < n and 0 <= v[1] + dj < n and mask[v[0] + di, v[1] + dj]]
+
+    hop, frontier = {src: 0}, [src]
+    while frontier:
+        later = []
+        for v in frontier:
+            for u in neighbors(v):
+                if u not in hop:
+                    hop[u] = hop[v] + 1
+                    later.append(u)
+        frontier = later
+
+    def ending_at(v):
+        if v == src:
+            return [[v]]
+        return [p + [v] for u in neighbors(v) if hop.get(u) == hop[v] - 1 for p in ending_at(u)]
+
+    return ending_at(dst)
 
 
 def random_problem(n, seed, convention, spacing=0.1):
@@ -248,6 +277,36 @@ class TestQueries:
             prob.distance((10, 10), (0, 0))
         with pytest.raises(ValueError, match=r"vertex \(10, 10\) is outside the mask"):
             prob.multi_source_distance([(0, 0), (10, 10)])
+
+    def test_path_cost_rejects_vertex_outside_grid(self):
+        prob = random_problem(8, 1, EDGE_WEIGHTED)
+        with pytest.raises(ValueError, match=r"vertex \(-1, 0\) is outside the grid"):
+            prob.path_cost([(0, 0), (-1, 0)])
+        # queries share the check, so an index past the edge no longer wraps
+        with pytest.raises(ValueError, match=r"vertex \(0, -1\) is outside the grid"):
+            prob.distance((0, 0), (0, -1))
+
+    def test_path_cost_rejects_vertex_outside_mask(self):
+        mask = np.ones((8, 8), dtype=bool)
+        mask[1, 1] = False
+        prob = MetricProblem(random_problem(8, 1, VERTEX_SUM).field, PARAMS, VERTEX_SUM, mask=mask)
+        with pytest.raises(ValueError, match=r"vertex \(1, 1\) is outside the mask"):
+            prob.path_cost([(0, 0), (1, 1), (2, 2)])
+
+    @pytest.mark.parametrize("src, dst", [((0, 0), (6, 7)), ((7, 6), (0, 1)), ((5, 0), (1, 7))])
+    def test_ties_break_to_lexicographically_smallest_predecessor(self, src, dst):
+        # on a zero field a vertex-sum path costs its vertex count exactly, so
+        # every fewest-vertex path ties; the hole moves later ids off i*n + j
+        mask = np.ones((8, 8), dtype=bool)
+        mask[2, 2:4] = False
+        mask[4, 4] = False
+        prob = zero_problem(n=8, convention=VERTEX_SUM, mask=mask)
+        assert prob.ids[7, 7] != 7 * 8 + 7
+        paths = fewest_vertex_paths(mask, src, dst)
+        assert len(paths) > 1
+        res = prob.distance(src, dst)
+        assert res.path == min(paths, key=lambda p: p[::-1])
+        assert res.distance == len(res.path)
 
     def test_disconnected_mask_unreachable(self):
         mask = np.ones((16, 16), dtype=bool)
@@ -475,14 +534,15 @@ class TestAnnulusCycle:
         res = prob.distance_around_annulus((0.0, 0.0), 0.3, 0.7)
         assert res.distance == float(len(res.path) - 1)  # each distinct vertex once
 
-    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
-    def test_networkx_oracle(self, convention):
+    @staticmethod
+    def _oracle_cases(convention):
+        """(problem, centre, r1, r2) on random 32^2 fields; the last centre
+        sits between two column-jc vertices, both inside the annulus, so the
+        cut vertex next to z has a neighbour on the ray's column that is not
+        cut."""
         n, s = 32, 0.1
         partial = np.zeros((n, n), dtype=bool)
         partial[4:28, 2:30] = True
-        # (seed, mask, centre, r1, r2); the last centre sits between two
-        # column-jc vertices, both inside the annulus, so the cut vertex next
-        # to z has a neighbour on the ray's column that is not cut
         cases = [
             (11, None, (1.53, 1.58), 0.35, 1.2),
             (12, None, (1.21, 1.74), 0.25, 0.95),
@@ -493,6 +553,12 @@ class TestAnnulusCycle:
             prob = random_problem(n, seed, convention, spacing=s)
             if mask is not None:
                 prob = MetricProblem(prob.field, PARAMS, convention, mask=mask)
+            yield prob, z, r1, r2
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_networkx_oracle(self, convention):
+        for prob, z, r1, r2 in self._oracle_cases(convention):
+            s = prob.spacing
             res = prob.distance_around_annulus(z, r1, r2)
             want, fires_column_rule = _nx_annulus_cycle(prob, z, r1, r2)
             assert res.reached
@@ -509,6 +575,24 @@ class TestAnnulusCycle:
             outer = [tuple(v) for v in np.argwhere((rad > r2) & prob.mask)]
             assert inner and outer
             assert cycle_separates(prob.mask, res.path, inner, outer)
+
+    def test_edge_weighted_cycle_recosts_exactly(self, monkeypatch):
+        walked = []
+
+        def recording_walk(graph, *args):
+            walked.append(graph)
+            return _walk_back(graph, *args)
+
+        monkeypatch.setattr(metric, "_walk_back", recording_walk)
+        for prob, z, r1, r2 in self._oracle_cases(EDGE_WEIGHTED):
+            res = prob.distance_around_annulus(z, r1, r2)
+            assert prob.path_cost(res.path) == res.distance
+            assert res.costs == [prob.path_cost(res.path[: k + 1]) for k in range(len(res.path))]
+            # the walk reads cost(u -> v) off row v: both graphs must equal
+            # their transpose bit for bit
+            assert (prob.graph != prob.graph.T).nnz == 0
+            assert (walked[-1] != walked[-1].T).nnz == 0
+        assert len(walked) == 4
 
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
     def test_hole_below_lattice_step_encloses_z(self, convention):
