@@ -10,6 +10,7 @@ the master seed and the config hash.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -50,13 +51,8 @@ def _load_config(args) -> RunConfig:
             cfg = parse_config(fh.read())
     else:
         cfg = default_config()
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=int(args.seed))
-    if args.workers is not None:
-        cfg = replace(cfg, workers=int(args.workers))
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    return cfg
+    overrides = {"master_seed": args.seed, "workers": args.workers, "output_dir": args.out}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _stamp(cfg: RunConfig) -> str:
@@ -75,21 +71,16 @@ def _stamped_json(cfg: RunConfig, payload: dict) -> dict:
     return payload
 
 
-def _field_problem(cfg: RunConfig, field: LatticeField) -> MetricProblem:
-    """Metric over a saved field's raw values (no further smoothing)."""
-    return MetricProblem(field, cfg.params, cfg.convention)
-
-
 def _nearest_vertex(spec: GridSpec, x: float, y: float):
-    i = int(round((x - spec.origin[0]) / spec.spacing))
-    j = int(round((y - spec.origin[1]) / spec.spacing))
+    # a non-finite coordinate has no nearest vertex: -1 marks it outside
+    i, j = (round(t) if math.isfinite(t) else -1
+            for t in ((x - spec.origin[0]) / spec.spacing, (y - spec.origin[1]) / spec.spacing))
     if not (0 <= i < spec.n and 0 <= j < spec.n):
         raise ValueError(f"point ({x}, {y}) lies outside the grid window")
     return (i, j)
 
 
-def cmd_sample_field(args) -> int:
-    cfg = _load_config(args)
+def cmd_sample_field(args, cfg: RunConfig) -> int:
     spec = cfg.grid
     if args.kind == "zero-boundary":
         field = sample_zero_boundary_gff(spec, cfg.master_seed)
@@ -107,10 +98,9 @@ def cmd_sample_field(args) -> int:
     return EXIT_OK
 
 
-def cmd_distance(args) -> int:
-    cfg = _load_config(args)
+def cmd_distance(args, cfg: RunConfig) -> int:
     field = lio.load_field(args.field)
-    prob = _field_problem(cfg, field)
+    prob = MetricProblem(field, cfg.params, cfg.convention)
     z = _nearest_vertex(field.spec, args.src[0], args.src[1])
     w = _nearest_vertex(field.spec, args.dst[0], args.dst[1])
     res = prob.distance(z, w)
@@ -122,16 +112,12 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
-def cmd_crossing(args) -> int:
-    cfg = _load_config(args)
+def cmd_crossing(args, cfg: RunConfig) -> int:
     if args.field is not None:
         field = lio.load_field(args.field)
-        prob = _field_problem(cfg, field)
     else:
-        field = sample_whole_plane_gff(cfg.grid, cfg.master_seed)
-        eps = cfg.eps_list[-1]
-        mf = mollify(field, eps, cfg.mollifier)
-        prob = MetricProblem(mf, cfg.params, cfg.convention)
+        field = mollify(sample_whole_plane_gff(cfg.grid, cfg.master_seed), cfg.eps_list[-1], cfg.mollifier)
+    prob = MetricProblem(field, cfg.params, cfg.convention)
     if args.square is not None:
         square = tuple(args.square)
     else:
@@ -147,10 +133,9 @@ def cmd_crossing(args) -> int:
     return EXIT_OK
 
 
-def cmd_ball(args) -> int:
-    cfg = _load_config(args)
+def cmd_ball(args, cfg: RunConfig) -> int:
     field = lio.load_field(args.field)
-    prob = _field_problem(cfg, field)
+    prob = MetricProblem(field, cfg.params, cfg.convention)
     center = _nearest_vertex(field.spec, args.center[0], args.center[1])
     ball = prob.metric_ball(center, args.radius)
     mask_values = ball.membership.astype(np.float64)
@@ -169,10 +154,9 @@ def cmd_ball(args) -> int:
     return EXIT_OK
 
 
-def cmd_annulus_cycle(args) -> int:
-    cfg = _load_config(args)
+def cmd_annulus_cycle(args, cfg: RunConfig) -> int:
     field = lio.load_field(args.field)
-    prob = _field_problem(cfg, field)
+    prob = MetricProblem(field, cfg.params, cfg.convention)
     res = prob.distance_around_annulus((args.center[0], args.center[1]), args.r1, args.r2)
     if not res.reached:
         raise ValueError("no separating cycle found in the annulus")
@@ -193,13 +177,12 @@ def _run_and_write(cfg: RunConfig, names: Optional[List[str]]) -> List[Experimen
     return reports
 
 
-def cmd_experiment(args) -> int:
-    (report,) = _run_and_write(_load_config(args), [args.name])
+def cmd_experiment(args, cfg: RunConfig) -> int:
+    (report,) = _run_and_write(cfg, [args.name])
     return EXIT_OK if report.passed else EXIT_EXPERIMENT
 
 
-def cmd_suite(args) -> int:
-    cfg = _load_config(args)
+def cmd_suite(args, cfg: RunConfig) -> int:
     reports = _run_and_write(cfg, args.names if args.names else None)
     lio.write_suite_summary_csv(_artifact(cfg, "suite_summary.csv"), reports, comment=_stamp(cfg))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_EXPERIMENT
@@ -263,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse --help exits 0; usage errors already carry the right code
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        return args.fn(args, _load_config(args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -77,26 +77,41 @@ def default_config() -> RunConfig:
     )
 
 
-_KEYS = (
-    "gamma",
-    "d",
-    "n",
-    "spacing",
-    "origin_x",
-    "origin_y",
-    "eps_list",
-    "replicas",
-    "master_seed",
-    "convention",
-    "mollifier",
-    "output_dir",
-    "workers",
-)
+def _floats(text: str) -> Tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+# The keys in serialization order: how a config writes each (None leaves the
+# key out) and how its text reads back.  Read back in this order, the values
+# are the positional fields of LqgParams, GridSpec and RunConfig.  _SETTINGS
+# are the keys that decide a run's results, which config_hash digests; the
+# _ORIGIN keys, both left out, follow n and spacing (parse_config).
+_ORIGIN = {
+    "origin_x": (lambda c: repr(c.grid.origin[0]), float),
+    "origin_y": (lambda c: repr(c.grid.origin[1]), float),
+}
+_SETTINGS = {
+    "gamma": (lambda c: repr(c.params.gamma), float),
+    "d": (lambda c: repr(c.params.d), float),
+    "n": (lambda c: str(c.grid.n), int),
+    "spacing": (lambda c: repr(c.grid.spacing), float),
+    **_ORIGIN,
+    "eps_list": (lambda c: ",".join(repr(e) for e in c.eps_list), _floats),
+    "replicas": (lambda c: None if c.replicas is None else str(c.replicas), int),
+    "master_seed": (lambda c: str(c.master_seed), int),
+    "convention": (lambda c: c.convention, str),
+    "mollifier": (lambda c: c.mollifier, str),
+}
+_KEYS = {
+    **_SETTINGS,
+    # where the results are written and how many processes compute them
+    "output_dir": (lambda c: c.output_dir, str),
+    "workers": (lambda c: str(c.workers), int),
+}
 
 
 def parse_config(text: str) -> RunConfig:
-    base = default_config()
-    seen: Dict[str, str] = {}
+    given: Dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,69 +120,36 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in given:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        seen[key] = value
+        given[key] = value.strip()
 
-    gamma = float(seen.get("gamma", base.params.gamma))
-    d = float(seen.get("d", base.params.d))
-    params = LqgParams(gamma=gamma, d=d)
-    n = int(seen.get("n", base.grid.n))
-    spacing = float(seen.get("spacing", base.grid.spacing))
-    # grid defaults stay centered unless an origin is given explicitly
-    if "origin_x" in seen or "origin_y" in seen:
-        ox = float(seen.get("origin_x", base.grid.origin[0]))
-        oy = float(seen.get("origin_y", base.grid.origin[1]))
-    else:
-        half = (n - 1) * spacing / 2.0
-        ox, oy = -half, -half
-    grid = GridSpec(n=n, spacing=spacing, origin=(ox, oy))
-    if "eps_list" in seen:
-        eps_list = tuple(float(tok) for tok in seen["eps_list"].split(",") if tok.strip())
-    else:
-        eps_list = base.eps_list
-    return RunConfig(
-        params=params,
-        grid=grid,
-        eps_list=eps_list,
-        replicas=int(seen["replicas"]) if "replicas" in seen else base.replicas,
-        master_seed=int(seen.get("master_seed", base.master_seed)),
-        convention=seen.get("convention", base.convention),
-        mollifier=seen.get("mollifier", base.mollifier),
-        output_dir=seen.get("output_dir", base.output_dir),
-        workers=int(seen.get("workers", base.workers)),
+    texts = {**_texts(default_config(), _KEYS), **given}
+    gamma, d, n, spacing, ox, oy, *rest = (
+        None if texts[key] is None else read(texts[key]) for key, (_, read) in _KEYS.items()
     )
+    if not given.keys() & _ORIGIN:
+        # the grid stays centered unless an origin is given explicitly
+        ox = oy = -((n - 1) * spacing / 2.0)
+    return RunConfig(LqgParams(gamma, d), GridSpec(n, spacing, (ox, oy)), *rest)
+
+
+def _texts(config: RunConfig, keys: Dict[str, tuple]) -> Dict[str, Optional[str]]:
+    return {key: write(config) for key, (write, _) in keys.items()}
+
+
+def _lines(config: RunConfig, keys: Dict[str, tuple]) -> str:
+    return "".join(f"{key} = {text}\n" for key, text in _texts(config, keys).items() if text is not None)
 
 
 def serialize_config(config: RunConfig) -> str:
-    lines = [
-        f"gamma = {config.params.gamma!r}",
-        f"d = {config.params.d!r}",
-        f"n = {config.grid.n}",
-        f"spacing = {config.grid.spacing!r}",
-        f"origin_x = {config.grid.origin[0]!r}",
-        f"origin_y = {config.grid.origin[1]!r}",
-        "eps_list = " + ",".join(repr(e) for e in config.eps_list),
-    ]
-    if config.replicas is not None:
-        lines.append(f"replicas = {config.replicas}")
-    lines += [
-        f"master_seed = {config.master_seed}",
-        f"convention = {config.convention}",
-        f"mollifier = {config.mollifier}",
-        f"output_dir = {config.output_dir}",
-        f"workers = {config.workers}",
-    ]
-    return "\n".join(lines) + "\n"
+    return _lines(config, _KEYS)
 
 
 def config_hash(config: RunConfig) -> str:
     """Digest of the settings that decide a run's results: the serialized
-    config without ``output_dir``, which only says where they are written,
-    and ``workers``, which only says how many processes compute them."""
-    lines = serialize_config(config).splitlines(keepends=True)
-    text = "".join(line for line in lines if not line.startswith(("output_dir = ", "workers = ")))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    config without the keys that say only where the results are written and
+    how many processes compute them."""
+    return hashlib.sha256(_lines(config, _SETTINGS).encode()).hexdigest()[:16]

@@ -106,7 +106,7 @@ class Protocol:
 
     def __call__(self, params: LqgParams, config: RunConfig) -> ExperimentReport:
         """Run the protocol at ``config.replicas``, or at its pinned size."""
-        t0 = time.time()
+        t0 = time.perf_counter()
         size = self.size if config.replicas is None else config.replicas
         replica_fn, tasks, reduce = self.plan(params, config, size)
         settings, metrics, checks = reduce(_pool_map(replica_fn, tasks, config.workers))
@@ -116,7 +116,7 @@ class Protocol:
             metrics={k: float(v) for k, v in metrics.items()},
             checks=checks,
             passed=all(c["passed"] for c in checks),
-            runtime_seconds=time.time() - t0,
+            runtime_seconds=time.perf_counter() - t0,
         )
 
 
@@ -366,7 +366,6 @@ def _locality_replica(args) -> Tuple[int, List[float]]:
     )
     changed = 0
     for a, b in pairs:
-        a, b = tuple(int(x) for x in a), tuple(int(x) for x in b)
         if p1.distance_value(a, b) != p2.distance_value(a, b):
             changed += 1
     g = sample_zero_boundary_gff(spec, replica_seed(master_seed, rep, 2))
@@ -672,8 +671,7 @@ def _holder_replica(args) -> List[float]:
     prob = MetricProblem(mollify_heat(sample_whole_plane_gff(spec, seed), 2 * s),
                          params, EDGE_WEIGHTED)
     exponents = []
-    for ci in sources:
-        u = (int(ci[0]), int(ci[1]))
+    for u in sources:
         d = prob.multi_source_distance([u])
         ux = spec.origin[0] + u[0] * s
         uy = spec.origin[1] + u[1] * s
@@ -808,7 +806,7 @@ def _ball_overlap_replica(args) -> float:
     outside = np.argwhere(~ball.membership & finite)
     rng = np.random.default_rng(replica_seed(master_seed, k, 55))
     pick = rng.choice(len(outside), size=min(targets, len(outside)), replace=False)
-    geodesics = prob.geodesics(center, [tuple(int(x) for x in outside[t]) for t in pick])
+    geodesics = prob.geodesics(center, [outside[t] for t in pick])
     areas = geodesic_tube_areas(s, (n, n), [g.path for g in geodesics], ball.boundary, ladder)
     return fit_loglog(ladder, areas / len(pick)).slope
 
@@ -848,11 +846,10 @@ def _diameter_replica(args) -> float:
     square = (np.abs(xx) <= 0.5) & (np.abs(yy) <= 0.5)
     mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
     prob = MetricProblem(mf, params, convention, mask=square)
-    anchor = tuple(int(x) for x in np.argwhere(square)[0])
-    d0 = prob.multi_source_distance([anchor])
+    d0 = prob.multi_source_distance([np.argwhere(square)[0]])
     d0w = np.where(np.isfinite(d0) & square, d0, -1.0)
     far = np.unravel_index(int(np.argmax(d0w)), d0w.shape)
-    d1 = prob.multi_source_distance([tuple(int(x) for x in far)])
+    d1 = prob.multi_source_distance([far])
     return float(d1[np.isfinite(d1) & square].max())
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -215,15 +216,16 @@ class MetricProblem:
     def ids(self) -> np.ndarray:
         return self._lattice[1]
 
-    def _check_vertex(self, v: Tuple[int, int]) -> None:
-        if not (0 <= v[0] < self.n and 0 <= v[1] < self.n):
-            raise ValueError(f"vertex {v} is outside the grid")
-        if not self.mask[v[0], v[1]]:
-            raise ValueError(f"vertex {v} is outside the mask")
-
-    def _vid(self, v: Tuple[int, int]) -> int:
-        self._check_vertex(v)
-        return int(self.ids[v[0], v[1]])
+    def _check_vertex(self, v: Tuple[int, int]) -> Tuple[int, int]:
+        """Every query's vertex, as a pair of Python ints inside the grid and
+        the mask; a numpy row or integer pair is accepted, a negative index
+        that would wrap to the far edge is not."""
+        i, j = map(operator.index, v)
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise ValueError(f"vertex {(i, j)} is outside the grid")
+        if not self.mask[i, j]:
+            raise ValueError(f"vertex {(i, j)} is outside the mask")
+        return i, j
 
     def _grid_distances(self, flat: np.ndarray) -> np.ndarray:
         """Scatter per-mask-vertex distances back onto the grid (inf outside)."""
@@ -234,16 +236,15 @@ class MetricProblem:
     # -- elementary costs ----------------------------------------------------
 
     def _source_charge(self, z: Tuple[int, int]) -> float:
-        """What every path from z pays before its first step: z's own weight
-        under vertex-sum, nothing under edge-weighted."""
+        """What every path from a checked z pays before its first step: z's
+        own weight under vertex-sum, nothing under edge-weighted."""
         return float(self.vertex_weight[z]) if self.convention == VERTEX_SUM else 0.0
 
     def path_cost(self, path: Sequence[Tuple[int, int]]) -> float:
         """Recompute a path's cost from the weights, folded left to right."""
         if len(path) == 0:
             raise ValueError("empty path")
-        for v in path:
-            self._check_vertex(v)
+        path = [self._check_vertex(v) for v in path]
         total = self._source_charge(path[0])
         for u, v in zip(path[:-1], path[1:]):
             di, dj = v[0] - u[0], v[1] - u[1]
@@ -265,15 +266,16 @@ class MetricProblem:
     def distance_value(self, z: Tuple[int, int], w: Tuple[int, int]) -> float:
         """``distance(z, w).distance`` without reconstructing the geodesic
         (inf when w is unreachable)."""
-        zid, wid = self._vid(z), self._vid(w)
-        d = _dijkstra(self.graph, zid)
-        return float(self._source_charge(z) + d[wid])
+        z, w = self._check_vertex(z), self._check_vertex(w)
+        d = _dijkstra(self.graph, int(self.ids[z]))
+        return float(self._source_charge(z) + d[self.ids[w]])
 
     def geodesics(self, z: Tuple[int, int], targets: Sequence[Tuple[int, int]]) -> List[PathResult]:
         """Distances and realized geodesics from z to each target, all read
         off one Dijkstra sweep from z."""
-        zid = self._vid(z)
-        wids = [self._vid(w) for w in targets]
+        z = self._check_vertex(z)
+        zid = int(self.ids[z])
+        wids = [int(self.ids[self._check_vertex(w)]) for w in targets]
         d = _dijkstra(self.graph, zid)
         base = self._source_charge(z)
         weight = self.vertex_weight[self.mask] if self.convention == VERTEX_SUM else None
@@ -298,7 +300,7 @@ class MetricProblem:
         """
         if len(sources) == 0:
             raise ValueError("sources must be nonempty")
-        si, sj = np.asarray(sources).T
+        si, sj = np.array([self._check_vertex(v) for v in sources]).T
         graph, _ = build_lattice_graph(self.mask, self.vertex_weight, self.spacing,
                                        self.convention, sources=(si, sj))
         nv = graph.shape[0] - 1
@@ -347,12 +349,12 @@ class MetricProblem:
         """All vertices within metric distance s of the center."""
         if not s >= 0:
             raise ValueError("radius must be >= 0")
-        cid = self._vid(center)
+        center = self._check_vertex(center)
         base = self._source_charge(center)
         limit = s - base
         if limit < 0:
             return MetricBall(membership=np.zeros((self.n, self.n), dtype=bool), boundary=[])
-        d = _dijkstra(self.graph, cid, limit=limit)
+        d = _dijkstra(self.graph, int(self.ids[center]), limit=limit)
         member = self._grid_distances(d) + base <= s
         return MetricBall(membership=member, boundary=_boundary_vertices(member))
 

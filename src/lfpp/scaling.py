@@ -31,6 +31,8 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
     lx = np.log(np.asarray(x, dtype=np.float64))
     ly = np.log(np.asarray(y, dtype=np.float64))
     m = lx.size
+    if lx.shape != ly.shape or m < 2:
+        raise ValueError(f"need x and y of one length, at least 2, got {lx.shape} and {ly.shape}")
     mx, my = lx.mean(), ly.mean()
     sxx = float(np.sum((lx - mx) ** 2))
     if sxx == 0.0:

@@ -110,6 +110,16 @@ class TestErrors:
         assert rc == 1
         assert "degenerate square" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coord", ["inf", "nan"])
+    @pytest.mark.parametrize("query", [["distance", "--dst", "0.5", "0.5", "--src"],
+                                       ["ball", "--radius", "0.1", "--center"]], ids=["distance", "ball"])
+    def test_non_finite_point(self, tmp_path, capsys, query, coord):
+        field_path = tmp_path / "flat.lfpf"
+        write_constant_field(field_path, n=64, side=1.0)
+        rc = main([*query, coord, "0", "--field", str(field_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: point ({coord}, 0.0) lies outside the grid window\n"
+
     def test_nan_ball_radius(self, tmp_path, capsys):
         field_path = tmp_path / "flat.lfpf"
         write_constant_field(field_path, n=64, side=1.0)

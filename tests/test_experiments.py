@@ -5,13 +5,16 @@ import inspect
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lfpp import experiments
 from lfpp.config import default_config
 from lfpp.experiments import (
     EXPERIMENTS,
+    Protocol,
     _centered_spec,
     _check,
     _crossing_replica,
@@ -277,6 +280,12 @@ class TestSuitePlumbing:
         with pytest.raises(ValueError, match="unknown experiment 'no-such'; known: "):
             run_suite(PARAMS, config(), ["dufresne-check", "no-such"])
         assert calls == []
+
+    def test_runtime_seconds_reads_the_monotonic_clock(self, monkeypatch):
+        ticks = iter([100.0, 102.5])
+        monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        protocol = Protocol("clock", 1, lambda params, cfg, size: (abs, [], lambda outputs: ({}, {}, [])))
+        assert protocol(PARAMS, config()).runtime_seconds == 2.5
 
     def test_registry_names(self):
         assert set(EXPERIMENTS) == {

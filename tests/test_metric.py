@@ -286,6 +286,32 @@ class TestQueries:
         with pytest.raises(ValueError, match=r"vertex \(0, -1\) is outside the grid"):
             prob.distance((0, 0), (0, -1))
 
+    def test_multi_source_checks_its_sources(self):
+        prob = random_problem(8, 1, EDGE_WEIGHTED)
+        # a negative index must not wrap to a sweep from (7, 0), and an index
+        # past the edge or a float must fail before any graph is built
+        for v in ((-1, 0), (8, 0)):
+            with pytest.raises(ValueError, match=rf"vertex \({v[0]}, 0\) is outside the grid"):
+                prob.multi_source_distance([(0, 0), v])
+        with pytest.raises(TypeError):
+            prob.multi_source_distance([(1.5, 0)])
+        with pytest.raises(TypeError):
+            prob.distance((0, 0), (1.5, 0))
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_numpy_vertices_equal_tuples(self, convention):
+        prob = random_problem(8, 2, convention)
+        z, w = np.array([1, 2]), (np.int64(5), np.int64(6))
+        res = prob.distance((1, 2), (5, 6))
+        assert prob.distance(z, w) == res
+        assert prob.geodesics(z, [w]) == [res]
+        assert prob.distance_value(z, w) == res.distance
+        assert prob.path_cost(np.array(res.path)) == prob.path_cost(res.path)
+        np.testing.assert_array_equal(prob.multi_source_distance(np.array([z])),
+                                      prob.multi_source_distance([(1, 2)]))
+        np.testing.assert_array_equal(prob.metric_ball(z, res.distance).membership,
+                                      prob.metric_ball((1, 2), res.distance).membership)
+
     def test_path_cost_rejects_vertex_outside_mask(self):
         mask = np.ones((8, 8), dtype=bool)
         mask[1, 1] = False

@@ -40,6 +40,12 @@ class TestFits:
         with pytest.raises(ValueError):
             fit_loglog([1.0], [1.0])
 
+    @pytest.mark.parametrize("x, y", [([1.0, 2.0, 3.0], [5.0]), ([1.0, 2.0], [5.0, 6.0, 7.0])])
+    def test_lengths_must_match(self, x, y):
+        # numpy would broadcast [5.0] into a flat line: slope 0, stderr 0
+        with pytest.raises(ValueError, match="one length"):
+            fit_loglog(x, y)
+
     def test_degenerate_abscissa_rejected(self):
         with pytest.raises(ValueError):
             fit_loglog([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
