@@ -10,7 +10,6 @@ the master seed and the config hash.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import io as lio
 from .config import RunConfig, config_hash, default_config, parse_config
-from .experiments import EXPERIMENTS, ExperimentReport, run_suite
+from .experiments import EXPERIMENTS, run_suite
 from .field import (
     DETERMINISTIC,
     GridSpec,
@@ -72,9 +71,10 @@ def _stamped_json(cfg: RunConfig, payload: dict) -> dict:
 
 
 def _nearest_vertex(spec: GridSpec, x: float, y: float):
-    # a non-finite coordinate has no nearest vertex: -1 marks it outside
-    i, j = (round(t) if math.isfinite(t) else -1
-            for t in ((x - spec.origin[0]) / spec.spacing, (y - spec.origin[1]) / spec.spacing))
+    try:
+        i, j = spec.nearest(x, y)
+    except (OverflowError, ValueError):  # an infinite or nan quotient has no nearest vertex
+        i = j = -1
     if not (0 <= i < spec.n and 0 <= j < spec.n):
         raise ValueError(f"point ({x}, {y}) lies outside the grid window")
     return (i, j)
@@ -166,24 +166,14 @@ def cmd_annulus_cycle(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_and_write(cfg: RunConfig, names: Optional[List[str]]) -> List[ExperimentReport]:
-    """Run the named experiments (all when ``names`` is None), writing each
-    report's JSON and a status line as it is returned."""
-    reports = run_suite(cfg.params, cfg, names)
+def cmd_suite(args, cfg: RunConfig) -> int:
+    """Run the named experiments (all when none is named), writing each
+    report's JSON and a status line as it is returned, then the summary."""
+    reports = run_suite(cfg.params, cfg, args.names or None)
     for report in reports:
         lio.write_json(_artifact(cfg, f"{report.name}.json"), _stamped_json(cfg, report.to_dict()))
         status = "pass" if report.passed else "FAIL"
         print(f"{report.name}: {status} ({report.runtime_seconds:.1f}s)", file=sys.stderr)
-    return reports
-
-
-def cmd_experiment(args, cfg: RunConfig) -> int:
-    (report,) = _run_and_write(cfg, [args.name])
-    return EXIT_OK if report.passed else EXIT_EXPERIMENT
-
-
-def cmd_suite(args, cfg: RunConfig) -> int:
-    reports = _run_and_write(cfg, args.names if args.names else None)
     lio.write_suite_summary_csv(_artifact(cfg, "suite_summary.csv"), reports, comment=_stamp(cfg))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_EXPERIMENT
 
@@ -227,12 +217,8 @@ def build_parser() -> _Parser:
     p.add_argument("--r2", type=float, required=True)
     p.set_defaults(fn=cmd_annulus_cycle)
 
-    p = sub.add_parser("experiment", parents=[common], help="run one named experiment")
-    p.add_argument("name", help=f"one of: {', '.join(EXPERIMENTS)}")
-    p.set_defaults(fn=cmd_experiment)
-
     p = sub.add_parser("suite", parents=[common], help="run experiments and summarize")
-    p.add_argument("names", nargs="*", help="experiment names (default: all)")
+    p.add_argument("names", nargs="*", help=f"experiment names (default: all): {', '.join(EXPERIMENTS)}")
     p.set_defaults(fn=cmd_suite)
 
     return parser

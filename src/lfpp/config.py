@@ -44,6 +44,10 @@ class RunConfig:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        out = self.output_dir
+        if "#" in out or out != out.strip() or len(out.splitlines()) > 1:
+            raise ValueError(f"output_dir {out!r} holds a '#', a line break or surrounding blanks, "
+                             "which the config text cannot read back")
         if not (0 <= self.master_seed < 2**64):
             raise ValueError(f"master_seed must lie in [0, 2**64), a u64 seed, got {self.master_seed}")
         eps = tuple(float(e) for e in self.eps_list)
@@ -62,11 +66,9 @@ class RunConfig:
 
 def default_config() -> RunConfig:
     n = 256
-    spacing = 2.05 / (n - 1)
-    half = (n - 1) * spacing / 2.0
     return RunConfig(
         params=LqgParams.pure_gravity(),
-        grid=GridSpec(n=n, spacing=spacing, origin=(-half, -half)),
+        grid=GridSpec.centered(n, 2.05 / (n - 1)),
         eps_list=(2**-3, 2**-4, 2**-5, 2**-6),
         replicas=None,
         master_seed=0,
@@ -130,10 +132,9 @@ def parse_config(text: str) -> RunConfig:
     gamma, d, n, spacing, ox, oy, *rest = (
         None if texts[key] is None else read(texts[key]) for key, (_, read) in _KEYS.items()
     )
-    if not given.keys() & _ORIGIN:
-        # the grid stays centered unless an origin is given explicitly
-        ox = oy = -((n - 1) * spacing / 2.0)
-    return RunConfig(LqgParams(gamma, d), GridSpec(n, spacing, (ox, oy)), *rest)
+    # the grid stays centered unless an origin is given explicitly
+    grid = GridSpec(n, spacing, (ox, oy)) if given.keys() & _ORIGIN else GridSpec.centered(n, spacing)
+    return RunConfig(LqgParams(gamma, d), grid, *rest)
 
 
 def _texts(config: RunConfig, keys: Dict[str, tuple]) -> Dict[str, Optional[str]]:

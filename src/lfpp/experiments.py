@@ -20,7 +20,6 @@ import numpy as np
 
 from .config import RunConfig
 from .field import (
-    COMPOSITE,
     DETERMINISTIC,
     GridSpec,
     LatticeField,
@@ -120,12 +119,6 @@ class Protocol:
         )
 
 
-def _centered_spec(n: int, side: float) -> GridSpec:
-    s = side / (n - 1)
-    half = (n - 1) * s / 2.0
-    return GridSpec(n=n, spacing=s, origin=(-half, -half))
-
-
 def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
     """Deterministic map over replica argument tuples, optionally parallel."""
     if workers <= 1 or len(args) <= 1:
@@ -170,7 +163,7 @@ def _plan_crossing_exponent(params: LqgParams, config: RunConfig, replicas: int)
     eps_list = tuple(2 * (2 ** m) * s for m in ms)
     # (convention, lattice stride at each scale)
     ladders = ((VERTEX_SUM, [2 ** m for m in ms]), (EDGE_WEIGHTED, [1] * len(eps_list)))
-    spec = _centered_spec(n, side)
+    spec = GridSpec.centered(n, s)
     tasks = [(params, spec, replica_seed(config.master_seed, k), eps_list, ladders, square)
              for k in range(replicas)]
     settings = {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed}
@@ -219,7 +212,7 @@ def _plan_scale_ratio(params: LqgParams, config: RunConfig, replicas: int) -> Pl
     log median against log r estimates xi*Q.
     """
     n, side = 512, 4.1
-    spec = _centered_spec(n, side)
+    spec = GridSpec.centered(n, side / (n - 1))
     eps = 2 * spec.spacing
     r_values = (1.0, 0.5, 0.25, 0.125)
     tolerance = 0.10
@@ -301,7 +294,7 @@ def _plan_weyl_check(params: LqgParams, config: RunConfig, replicas: int) -> Pla
     perturbed distance stays below the reweighted unperturbed geodesic."""
     n, side = 128, 2.05
     per_query = 5
-    spec = _centered_spec(n, side)
+    spec = GridSpec.centered(n, side / (n - 1))
     f = default_test_function(spec)
     f_lo, f_hi = math.exp(params.xi * f.min()), math.exp(params.xi * f.max())
     osc = float(f.max() - f.min())
@@ -449,11 +442,11 @@ def scaling_relation_gaps(field: LatticeField, mf: LatticeField, params: LqgPara
     sub = subsample(mf, r)
     ox, oy = field.spec.origin
     coarse = GridSpec(n=sub.spec.n, spacing=field.spec.spacing, origin=(ox / r, oy / r))
-    c = circle_average(LatticeField(spec=coarse, values=field.values[::r, ::r], kind=COMPOSITE),
+    c = circle_average(LatticeField(spec=coarse, values=field.values[::r, ::r], kind=field.kind),
                        (0.0, 0.0), 1.0)
     lhs_values = sub.values - c
     lhs_values.setflags(write=False)
-    lhs_prob = MetricProblem(LatticeField(spec=coarse, values=lhs_values, kind=COMPOSITE, seed=field.seed),
+    lhs_prob = MetricProblem(LatticeField(spec=coarse, values=lhs_values, kind=sub.kind, seed=sub.seed),
                              params, convention)
     if convention == VERTEX_SUM:
         rhs_prob = MetricProblem(sub, params, convention)
@@ -497,7 +490,7 @@ def _plan_scaling_relation(params: LqgParams, config: RunConfig, replicas: int) 
     n, side = 512, 4.1
     pairs = 50
     band = 0.03
-    spec = _centered_spec(n, side)
+    spec = GridSpec.centered(n, side / (n - 1))
     eps = 2 ** -4
     r = 2
 
@@ -560,7 +553,7 @@ def _plan_circle_average_bm(params: LqgParams, config: RunConfig, replicas: int)
     if replicas < 2:
         raise ValueError("circle-average-bm needs at least 2 replicas for its increment variances")
     n, side = 512, 4.1
-    spec = _centered_spec(n, side)
+    spec = GridSpec.centered(n, side / (n - 1))
     radii = [1.0, 0.5, 0.25, 0.125, 0.0625]
     tasks = [(spec, replica_seed(config.master_seed, k), radii) for k in range(replicas)]
     settings = {"n": n, "side": side, "replicas": replicas, "radii": radii,
@@ -667,26 +660,21 @@ def _plan_dufresne_check(params: LqgParams, config: RunConfig, n_samples: int) -
 def _holder_replica(args) -> List[float]:
     """Local exponents of one field, from each source along each direction."""
     params, spec, seed, sources, directions, seps = args
-    n, s = spec.n, spec.spacing
-    prob = MetricProblem(mollify_heat(sample_whole_plane_gff(spec, seed), 2 * s),
+    n = spec.n
+    prob = MetricProblem(mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing),
                          params, EDGE_WEIGHTED)
     exponents = []
     for u in sources:
         d = prob.multi_source_distance([u])
-        ux = spec.origin[0] + u[0] * s
-        uy = spec.origin[1] + u[1] * s
+        ux, uy = spec.point(*u)
         for th in np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False):
             pts = []
             for sep in seps:
-                vx = ux + sep * math.cos(th)
-                vy = uy + sep * math.sin(th)
-                vi = (int(round((vx - spec.origin[0]) / s)),
-                      int(round((vy - spec.origin[1]) / s)))
+                vi = spec.nearest(ux + sep * math.cos(th), uy + sep * math.sin(th))
                 if not (0 <= vi[0] < n and 0 <= vi[1] < n):
                     break
-                sep_actual = math.hypot(spec.origin[0] + vi[0] * s - ux,
-                                        spec.origin[1] + vi[1] * s - uy)
-                pts.append((sep_actual, float(d[vi])))
+                vx, vy = spec.point(*vi)
+                pts.append((math.hypot(vx - ux, vy - uy), float(d[vi])))
             else:
                 (r0, d0) = pts[0]
                 for (r1, d1) in pts[1:]:
@@ -704,7 +692,7 @@ def _plan_holder_scan(params: LqgParams, config: RunConfig, fields: int) -> Plan
     xi, q = params.xi, params.q
     n, side = 512, 2.05
     sources_per_field, directions = 2, 28
-    spec = _centered_spec(n, side)
+    spec = GridSpec.centered(n, side / (n - 1))
     eps = 2 * spec.spacing
     seps = (1.0, 2 ** -3, 2 ** -4)
     lo_edge = xi * (q - 2.0) - 0.05
@@ -754,14 +742,12 @@ def _plan_tube_distance(params: LqgParams, config: RunConfig, replicas: int) -> 
     n, side = 256, 2.05
     widths = [2 ** -3, 2 ** -4, 2 ** -5, 2 ** -6]  # widest first, all above the spacing
     min_fraction = 0.9
-    spec = _centered_spec(n, side)
-    s = spec.spacing
-    eps = 2 * s
+    spec = GridSpec.centered(n, side / (n - 1))
+    eps = 2 * spec.spacing
     xx, yy = spec.mesh()
     seg_dist = np.where(np.abs(xx) <= 0.5, np.abs(yy),
                         np.hypot(np.abs(xx) - 0.5, yy))
-    u = (int(round((-0.5 - spec.origin[0]) / s)), int(round((0.0 - spec.origin[1]) / s)))
-    v = (int(round((0.5 - spec.origin[0]) / s)), int(round((0.0 - spec.origin[1]) / s)))
+    u, v = spec.nearest(-0.5, 0.0), spec.nearest(0.5, 0.0)
     tasks = [(params, spec, replica_seed(config.master_seed, k), config.convention, u, v,
               seg_dist, widths) for k in range(replicas)]
     settings = {"n": n, "side": side, "eps": eps, "widths": list(widths),
@@ -816,7 +802,7 @@ def _plan_geodesic_ball_overlap(params: LqgParams, config: RunConfig, replicas: 
     super-linearly in the neighborhood width."""
     n, side = 256, 2.05
     targets = 20
-    spec = _centered_spec(n, side)
+    spec = GridSpec.centered(n, side / (n - 1))
     ladder = [2 ** -2, 2 ** -3, 2 ** -4, 2 ** -5]
     tasks = [(params, spec, config.master_seed, k, config.convention, targets, ladder)
              for k in range(replicas)]
@@ -864,7 +850,7 @@ def _plan_diameter_tail(params: LqgParams, config: RunConfig, replicas: int) -> 
     n, side = 256, 2.05
     if replicas < 3:
         raise ValueError("diameter-tail needs at least 3 replicas for its Hill estimate")
-    spec = _centered_spec(n, side)
+    spec = GridSpec.centered(n, side / (n - 1))
     target = 4.0 * params.d / params.gamma ** 2
     settings = {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed,
                 "convention": config.convention}

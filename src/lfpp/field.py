@@ -38,9 +38,8 @@ import numpy as np
 ZERO_BOUNDARY = "zero-boundary-gff"
 WHOLE_PLANE = "whole-plane-gff-normalized"
 DETERMINISTIC = "deterministic"
-COMPOSITE = "composite"
 
-FIELD_KINDS = (ZERO_BOUNDARY, WHOLE_PLANE, DETERMINISTIC, COMPOSITE)
+FIELD_KINDS = (ZERO_BOUNDARY, WHOLE_PLANE, DETERMINISTIC)
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,8 @@ class GridSpec:
 
     ``origin`` is the physical coordinate of the vertex with index (0, 0);
     vertex (i, j) sits at ``origin + (i*spacing, j*spacing)``.  The first
-    array axis is x, the second is y.
+    array axis is x, the second is y.  The map between vertices and points
+    of the plane lives here alone: ``point``, ``nearest`` and ``axes``.
     """
 
     n: int
@@ -68,6 +68,28 @@ class GridSpec:
             raise ValueError(f"origin must be finite, got {origin}")
         object.__setattr__(self, "origin", origin)
 
+    @classmethod
+    def centered(cls, n: int, spacing: float) -> "GridSpec":
+        """The grid whose center is the plane's origin."""
+        half = (n - 1) * spacing / 2.0
+        return cls(n=n, spacing=spacing, origin=(-half, -half))
+
+    def point(self, i, j) -> Tuple[float, float]:
+        """The physical point of vertex (i, j)."""
+        return (self.origin[0] + self.spacing * i, self.origin[1] + self.spacing * j)
+
+    def nearest(self, x: float, y: float) -> Tuple[int, int]:
+        """The indices of the vertex nearest the point (x, y), as Python ints,
+        unchecked: they lie outside the grid when the point does.  A
+        non-finite quotient raises as ``round`` does."""
+        return (int(round((x - self.origin[0]) / self.spacing)),
+                int(round((y - self.origin[1]) / self.spacing)))
+
+    def axes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The vertices' x and y coordinates, one array per axis."""
+        steps = np.arange(self.n)
+        return self.origin[0] + self.spacing * steps, self.origin[1] + self.spacing * steps
+
     @property
     def side(self) -> float:
         return (self.n - 1) * self.spacing
@@ -77,9 +99,7 @@ class GridSpec:
         return (self.origin[0] + 0.5 * self.side, self.origin[1] + 0.5 * self.side)
 
     def mesh(self) -> Tuple[np.ndarray, np.ndarray]:
-        x = self.origin[0] + self.spacing * np.arange(self.n)
-        y = self.origin[1] + self.spacing * np.arange(self.n)
-        return np.meshgrid(x, y, indexing="ij")
+        return np.meshgrid(*self.axes(), indexing="ij")
 
     def contains_disk(self, z: Tuple[float, float], r: float) -> bool:
         x0, y0 = self.origin
@@ -213,7 +233,7 @@ def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
         window[r : r + _BLOCK] = np.fft.irfft(F[rows], n=big, axis=1)[:, off : off + n]
     del F
     window.setflags(write=False)
-    raw = LatticeField(spec=spec, values=window, kind=COMPOSITE, seed=int(seed))
+    raw = LatticeField(spec=spec, values=window, kind=WHOLE_PLANE, seed=int(seed))
     values = window - circle_average(raw, spec.center, 1.0)
     values.setflags(write=False)
     return LatticeField(spec=spec, values=values, kind=WHOLE_PLANE, seed=int(seed))

@@ -3,6 +3,8 @@
 The binary field format is fixed and versioned:
 magic "LFPF", version u16, n u32, spacing f64, origin 2 x f64, kind u8,
 seed u64, followed by n*n little-endian f64 values in row-major order.
+The kind codes are 0 zero-boundary GFF, 1 whole-plane GFF and
+2 deterministic; code 3, a retired "composite" kind, no longer loads.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import COMPOSITE, DETERMINISTIC, WHOLE_PLANE, ZERO_BOUNDARY, GridSpec, LatticeField
+from .field import DETERMINISTIC, WHOLE_PLANE, ZERO_BOUNDARY, GridSpec, LatticeField
 
 if TYPE_CHECKING:
     from .experiments import ExperimentReport
@@ -29,7 +31,6 @@ _KIND_CODES = {
     ZERO_BOUNDARY: 0,
     WHOLE_PLANE: 1,
     DETERMINISTIC: 2,
-    COMPOSITE: 3,
 }
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
@@ -92,8 +93,7 @@ def write_geodesic_csv(path: str, spec: GridSpec, geodesic: Sequence[Tuple[int, 
         w = csv.writer(fh)
         w.writerow(["step", "x", "y", "cumulative_cost"])
         for k, ((i, j), c) in enumerate(zip(geodesic, costs)):
-            x = spec.origin[0] + spec.spacing * i
-            y = spec.origin[1] + spec.spacing * j
+            x, y = spec.point(i, j)
             w.writerow([k, repr(x), repr(y), repr(float(c))])
 
 

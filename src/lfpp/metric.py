@@ -334,12 +334,9 @@ class MetricProblem:
         """Grid slices of the vertices within the square, its rows trimmed to
         the first and last holding a mask vertex (the left and right sides)."""
         tol = 1e-9 * self.spacing
-        spans = []
-        for o, lo in zip(self.field.spec.origin, (x0, y0)):
-            axis = o + self.spacing * np.arange(self.n)  # increasing, so each span is one slice
-            spans.append(slice(np.searchsorted(axis, lo - tol),
-                               np.searchsorted(axis, lo + side + tol, "right")))
-        sx, sy = spans
+        # each axis is increasing, so each span is one slice
+        sx, sy = (slice(np.searchsorted(axis, lo - tol), np.searchsorted(axis, lo + side + tol, "right"))
+                  for axis, lo in zip(self.field.spec.axes(), (x0, y0)))
         filled = np.nonzero(self.mask[sx, sy].any(axis=1))[0]
         if filled.size == 0:
             raise ValueError("square misses the mask")
@@ -375,18 +372,19 @@ class MetricProblem:
         if (r2 - r1) / self.spacing < 3.0:
             raise ValueError("annulus too thin to contain a lattice cycle")
         spec = self.field.spec
-        xx, yy = spec.mesh()
-        rad = np.hypot(xx - z[0], yy - z[1])
+        xs, ys = spec.axes()
+        rad = np.hypot(xs[:, None] - z[0], ys - z[1])
         ann = (rad >= r1) & (rad <= r2) & self.mask
         if not ann.any():
             raise ValueError("annulus misses the mask")
-        jc = int(round((z[1] - spec.origin[1]) / self.spacing))
-        jc = min(max(jc, 0), self.n - 1)
-        xs = spec.origin[0] + self.spacing * np.arange(self.n)
+        try:
+            jc = min(max(spec.nearest(z[0], z[1])[1], 0), self.n - 1)
+        except OverflowError:  # a grid index beyond float range: no column to cut along
+            raise ValueError(f"annulus center {tuple(z)} lies too far from the grid") from None
         cut_i = np.nonzero(ann[:, jc] & (xs > z[0]))[0]
         if cut_i.size == 0:
             raise ValueError("cut ray misses the annulus")
-        return _annulus_cycle(self, ann, jc, cut_i, z)
+        return _annulus_cycle(self, ann, jc, cut_i, bool(ys[jc] < z[1]))
 
 
 def _walk_back(graph: csr_matrix, d: np.ndarray, src: int, tgt: int,
@@ -422,7 +420,7 @@ def _boundary_vertices(member: np.ndarray) -> List[Tuple[int, int]]:
     return [tuple(v) for v in np.argwhere(bnd)]
 
 
-def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, z) -> PathResult:
+def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, column_below: bool) -> PathResult:
     """Vertex-duplication reduction: shortest a+ -> a- path over cut vertices a.
 
     The cut vertices (cut_i, jc) keep their lattice ids as the upper copies
@@ -430,8 +428,8 @@ def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, z) -> PathResult:
     with one end a on the cut stays on a+ when its other end lies above the
     ray (j > jc) and moves to a- when below; an edge along the cut runs on
     both copies.  An edge to a non-cut vertex on the ray's column passes
-    beside z, so it goes to a- when that column lies below z and to a+
-    otherwise.
+    beside z, so it goes to a- when that column lies below z
+    (``column_below``) and to a+ otherwise.
     """
     g, ids = build_lattice_graph(ann, problem.vertex_weight, problem.spacing, problem.convention)
     ai, aj = np.nonzero(ann)
@@ -444,7 +442,6 @@ def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, z) -> PathResult:
     u_cut, v_cut = dup[u] >= 0, dup[v] >= 0
     side = aj[np.where(u_cut, v, u)] - jc  # of the far end; 0 when both ends are cut
     both = u_cut & v_cut
-    column_below = problem.field.spec.origin[1] + jc * problem.spacing < z[1]
     move = (u_cut | v_cut) & ~both & ((side < 0) | ((side == 0) & column_below))
     du, dv = np.where(u_cut, dup[u], u), np.where(v_cut, dup[v], v)
     rows = np.concatenate([np.where(move, du, u), du[both]])

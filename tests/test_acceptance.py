@@ -2,29 +2,22 @@
 
 Each test exercises one documented target of the metric family at full
 protocol size and prints a single PASS/FAIL line with the measured value.
-Master seeds are pinned so every run is bit-reproducible; expensive
-protocols run once per module through session fixtures.
+Master seeds are pinned (``pinned.REPORTS``) so every run is
+bit-reproducible, and each report runs once per session, shared by its
+tests and by its comparison with ``pinned_reports.json``.
 """
 
-import math
-import os
-from dataclasses import replace
+import functools
+import json
+import warnings
 
 import numpy as np
 import pytest
 
-from lfpp.config import default_config
-from lfpp.experiments import EXPERIMENTS
-from lfpp.params import LqgParams
-
+import pinned
 from oracle_paths import compile_paths, enumerate_simple_paths, lattice_distance, min_path_cost
 
-PARAMS = LqgParams.pure_gravity()
-
-
-def config(**overrides):
-    # worker count never changes a report (test_workers_do_not_change_reports)
-    return replace(default_config(), workers=min(2, os.cpu_count() or 1), **overrides)
+run = functools.cache(pinned.run_report)
 
 
 def emit(num, desc, value, target, tolerance, passed):
@@ -41,68 +34,59 @@ def check_of(report, metric):
     raise KeyError(metric)
 
 
-@pytest.fixture(scope="module")
-def crossing_report():
-    return EXPERIMENTS["crossing-exponent"](PARAMS, config(replicas=100, master_seed=12345))
-
-
-@pytest.fixture(scope="module")
-def weyl_report():
-    return EXPERIMENTS["weyl-check"](PARAMS, config(master_seed=12))
-
-
-@pytest.fixture(scope="module")
-def locality_report():
-    return EXPERIMENTS["locality-check"](PARAMS, config(master_seed=1000))
-
-
-def test_crossing_exponent_vertex_sum(crossing_report):
-    c = check_of(crossing_report, "slope_vertex_sum")
+def test_crossing_exponent_vertex_sum():
+    report = run("crossing-exponent")
+    c = check_of(report, "slope_vertex_sum")
     emit(1, "vertex-sum crossing exponent", c["value"], c["target"], c["tolerance"], c["passed"])
     assert c["passed"]
 
 
-def test_crossing_exponent_edge_weighted(crossing_report):
-    c = check_of(crossing_report, "slope_edge_weighted")
+def test_crossing_exponent_edge_weighted():
+    report = run("crossing-exponent")
+    c = check_of(report, "slope_edge_weighted")
     emit(2, "edge-weighted crossing exponent", c["value"], c["target"], c["tolerance"], c["passed"])
     assert c["passed"]
 
 
 def test_scale_ratio_exponent():
-    report = EXPERIMENTS["scale-ratio"](PARAMS, config(replicas=100, master_seed=2024))
+    report = run("scale-ratio")
     c = check_of(report, "slope")
     emit(3, "normalized crossing scale exponent", c["value"], c["target"], c["tolerance"],
          c["passed"])
     assert c["passed"]
 
 
-def test_weyl_constant_shift(weyl_report):
-    c = check_of(weyl_report, "constant_shift_rel_error")
+def test_weyl_constant_shift():
+    report = run("weyl-check")
+    c = check_of(report, "constant_shift_rel_error")
     emit(4, "constant-shift relative error", c["value"], c["target"], c["tolerance"], c["passed"])
     assert c["passed"]
 
 
-def test_weyl_sandwich(weyl_report):
-    c = check_of(weyl_report, "sandwich_violations")
+def test_weyl_sandwich():
+    report = run("weyl-check")
+    c = check_of(report, "sandwich_violations")
     emit(5, "smooth-shift sandwich violations", c["value"], 0.0, 0.0, c["passed"])
     assert c["passed"]
 
 
-def test_locality(locality_report):
-    c = check_of(locality_report, "changed_internal_distances")
+def test_locality():
+    report = run("locality-check")
+    c = check_of(report, "changed_internal_distances")
     emit(6, "internal distances changed by far-field edits", c["value"], 0.0, 0.0, c["passed"])
     assert c["passed"]
 
 
-def test_mollifier_gap_monotone(locality_report):
-    c = check_of(locality_report, "gap_monotone_replicas")
+def test_mollifier_gap_monotone():
+    report = run("locality-check")
+    c = check_of(report, "gap_monotone_replicas")
     emit(7, "replicas with strictly shrinking mollifier gap", c["value"], c["target"], 0.0,
          c["passed"])
     assert c["passed"]
 
 
 def test_scaling_relation():
-    report = EXPERIMENTS["scaling-relation"](PARAMS, config(master_seed=50))
+    report = run("scaling-relation")
     for c in report.checks:
         emit(8, f"rescaling identity: {c['metric']}", c["value"], c["target"], c["tolerance"],
              c["passed"])
@@ -110,7 +94,7 @@ def test_scaling_relation():
 
 
 def test_circle_average_brownian_motion():
-    report = EXPERIMENTS["circle-average-bm"](PARAMS, config(master_seed=303))
+    report = run("circle-average-bm")
     for c in report.checks:
         emit(9, f"circle-average walk: {c['metric']}", c["value"], c["target"], c["tolerance"],
              c["passed"])
@@ -118,7 +102,7 @@ def test_circle_average_brownian_motion():
 
 
 def test_dufresne_identity():
-    report = EXPERIMENTS["dufresne-check"](PARAMS, config(master_seed=99))
+    report = run("dufresne-check")
     for c in report.checks:
         emit(10, f"exponential-BM integral law: {c['metric']}", c["value"], c["target"],
              c["tolerance"], c["passed"])
@@ -126,7 +110,7 @@ def test_dufresne_identity():
 
 
 def test_holder_bracket():
-    report = EXPERIMENTS["holder-scan"](PARAMS, config(master_seed=500))
+    report = run("holder-scan")
     for c in report.checks:
         emit(11, f"local distance exponents: {c['metric']}", c["value"], c["target"],
              c["tolerance"], c["passed"])
@@ -134,7 +118,7 @@ def test_holder_bracket():
 
 
 def test_diameter_tail():
-    report = EXPERIMENTS["diameter-tail"](PARAMS, config(master_seed=600))
+    report = run("diameter-tail")
     for c in report.checks:
         emit(12, f"diameter upper tail: {c['metric']}", c["value"], c["target"],
              c["tolerance"], c["passed"])
@@ -165,14 +149,29 @@ def test_oracle_equivalence():
 
 
 def test_tube_distance_monotone():
-    report = EXPERIMENTS["tube-distance"](PARAMS, config(master_seed=700))
+    report = run("tube-distance")
     c = check_of(report, "strictly_increasing_fraction")
     emit("14a", "tube-confined ratio strictly increasing", c["value"], 0.9, None, c["passed"])
     assert report.passed
 
 
 def test_geodesic_ball_overlap_superlinear():
-    report = EXPERIMENTS["geodesic-ball-overlap"](PARAMS, config(master_seed=800))
+    report = run("geodesic-ball-overlap")
     c = check_of(report, "median_area_exponent")
     emit("14b", "geodesic / ball-boundary overlap exponent", c["value"], 1.0, None, c["passed"])
     assert report.passed
+
+
+PINNED = json.loads(pinned.REPORTS_FILE.read_text())
+
+
+@pytest.mark.parametrize("name", list(pinned.REPORTS))
+def test_report_matches_pinned(name):
+    """Each fresh report equals its committed entry bit for bit, types
+    included; under other library versions, only its portable part."""
+    got, want = pinned.report_entry(run(name)), PINNED["reports"][name]
+    if pinned.versions() != PINNED["versions"]:
+        warnings.warn(f"pinned under {PINNED['versions']}, running {pinned.versions()}: "
+                      "comparing pass flags, property rows and 1e-12 rows only")
+        got, want = pinned.portable(got), pinned.portable(want)
+    assert pinned.mismatch(got, want) is None, pinned.mismatch(got, want)

@@ -3,12 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lfpp.cli import main
+import pinned
+from lfpp.cli import build_parser, main
 from lfpp.experiments import ExperimentReport
 from lfpp.field import DETERMINISTIC, GridSpec, LatticeField
 from lfpp.io import load_field, save_field
@@ -55,7 +57,7 @@ class TestErrors:
         assert main(["distance", "--src", "0", "0", "--dst", "1", "1"]) == 1
 
     def test_unknown_experiment_name(self, tmp_path, capsys):
-        rc = main(["experiment", "no-such-thing", "--out", str(tmp_path / "out")])
+        rc = main(["suite", "no-such-thing", "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "unknown experiment" in capsys.readouterr().err
 
@@ -119,6 +121,21 @@ class TestErrors:
         rc = main([*query, coord, "0", "--field", str(field_path), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: point ({coord}, 0.0) lies outside the grid window\n"
+
+    def test_out_the_config_cannot_hold(self, tmp_path, capsys):
+        out = str(tmp_path / "runs#1")
+        assert main(["suite", "weyl-check", "--out", out]) == 1
+        assert "holds a '#'" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_point_beyond_float_range(self, tmp_path, capsys):
+        # finite, but its grid index overflows to inf
+        field_path = tmp_path / "flat.lfpf"
+        write_constant_field(field_path, n=64, side=1.0)
+        rc = main(["distance", "--src", "1e308", "0", "--dst", "0.5", "0.5", "--field", str(field_path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: point (1e+308, 0.0) lies outside the grid window\n"
 
     def test_nan_ball_radius(self, tmp_path, capsys):
         field_path = tmp_path / "flat.lfpf"
@@ -255,7 +272,7 @@ class TestExperimentAndSuite:
         import lfpp.cli as cli_mod
 
         monkeypatch.setitem(cli_mod.EXPERIMENTS, "stub", lambda p, c: stub_report(False))
-        rc = main(["experiment", "stub", "--out", str(tmp_path / "out")])
+        rc = main(["suite", "stub", "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().err
         payload = json.loads((tmp_path / "out" / "stub.json").read_text())
@@ -265,7 +282,7 @@ class TestExperimentAndSuite:
         import lfpp.cli as cli_mod
 
         monkeypatch.setitem(cli_mod.EXPERIMENTS, "stub", lambda p, c: stub_report(True))
-        rc = main(["experiment", "stub", "--out", str(tmp_path / "out")])
+        rc = main(["suite", "stub", "--out", str(tmp_path / "out")])
         assert rc == 0
 
     def test_suite_summary(self, tmp_path, capsys, monkeypatch):
@@ -280,6 +297,28 @@ class TestExperimentAndSuite:
         assert lines[0].startswith("# master_seed=0 config_hash=")
         assert lines[1] == "experiment,metric,value,target,tolerance,kind,pass,seconds"
         assert len(lines) == 4
+
+
+class TestBenchCommands:
+    """The benchmark's ``cli`` workload (bench/workloads.py) runs five commands."""
+
+    def test_every_command_parses(self, tmp_path):
+        # a renamed command or option would first show as a failed benchmark run
+        parser = build_parser()
+        for name, argv in pinned.load_workloads().Cli(3, str(tmp_path)).commands:
+            assert callable(parser.parse_args(argv).fn), name
+
+    def test_outputs_match_pinned(self, tmp_path):
+        # seed pinned.CLI_SEED; the geodesic, cycle and ball files must not move by a bit
+        pin = json.loads(pinned.CLI_FILE.read_text())
+        got = pinned.cli_outputs(str(tmp_path))
+        want = {k: pin[k] for k in got}
+        if pinned.versions() != pin["versions"]:
+            warnings.warn(f"pinned under {pin['versions']}, running {pinned.versions()}: "
+                          "comparing exit codes and artifact names only")
+            got, want = ({"exits": {k: c["exit"] for k, c in o["commands"].items()},
+                          "artifacts": sorted(o["artifacts"])} for o in (got, want))
+        assert pinned.mismatch(got, want) is None, pinned.mismatch(got, want)
 
 
 # Run in a fresh interpreter: the test process itself has long since imported

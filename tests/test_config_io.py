@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -132,6 +133,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config("eps_list = \n")  # empty
 
+    @pytest.mark.parametrize("out", ["runs#1", " out", "runs\n1"], ids=["hash", "blank", "newline"])
+    def test_output_dir_the_text_cannot_hold_rejected(self, out):
+        # each read back as another config: "runs", "out", or no config at all
+        with pytest.raises(ValueError, match="output_dir .* cannot read back"):
+            dataclasses.replace(default_config(), output_dir=out)
+
+    @pytest.mark.parametrize("out", ["runs 1", "a=b", "x/y_z", "out"])
+    def test_output_dir_round_trips(self, out):
+        c = dataclasses.replace(default_config(), output_dir=out)
+        assert parse_config(serialize_config(c)) == c
+
     def test_default_origin_recenters_with_grid(self):
         c = parse_config("n = 64\nspacing = 0.1\n")
         assert c.grid.origin[0] == pytest.approx(-63 * 0.1 / 2.0)
@@ -175,6 +187,17 @@ class TestFieldFiles:
         path = tmp_path / "junk.lfpf"
         path.write_bytes(b"NOPE" + bytes(100))
         with pytest.raises(ValueError, match="magic"):
+            load_field(str(path))
+
+    def test_retired_kind_code_rejected(self, tmp_path):
+        # code 3 was the "composite" kind, which no saved field carried
+        spec = GridSpec(n=8, spacing=0.1)
+        path = tmp_path / "f.lfpf"
+        save_field(str(path), LatticeField(spec=spec, values=np.zeros((8, 8)), kind=DETERMINISTIC))
+        raw = bytearray(path.read_bytes())
+        raw[34] = 3  # the u8 kind field, after magic, version, n, spacing and origin
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unknown field kind code 3"):
             load_field(str(path))
 
     def test_bad_version_rejected(self, tmp_path):

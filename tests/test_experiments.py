@@ -15,7 +15,6 @@ from lfpp.config import default_config
 from lfpp.experiments import (
     EXPERIMENTS,
     Protocol,
-    _centered_spec,
     _check,
     _crossing_replica,
     _pool_map,
@@ -53,7 +52,7 @@ def weyl_ratio_ladder(params, config, eps_list=(2 ** -4, 2 ** -5, 2 ** -6),
     shrinks with eps for smooth f, and the ratio deviation must follow.
     """
     xi = params.xi
-    spec = _centered_spec(n, side)
+    spec = GridSpec.centered(n, side / (n - 1))
     f = default_test_function(spec)
     base = LatticeField(spec=spec, values=f, kind=DETERMINISTIC)
     gaps = np.array([
@@ -101,7 +100,7 @@ class TestWeyl:
 
     def test_zero_perturbation_is_identity(self):
         n = 128
-        spec = _centered_spec(n, 2.05)
+        spec = GridSpec.centered(n, 2.05 / (n - 1))
         # six query pairs per convention, drawn as the protocol draws them
         points = np.random.default_rng(replica_seed(5, 999)).integers(0, n, size=(2, 6, 2, 2))
         # f = 0: the min/max factors e^(xi*f) are 1 and the oscillation is 0
@@ -156,7 +155,7 @@ class TestCrossing:
     def replicas(self, params, ladders, master_seed=11, workers=1):
         """Three crossing replicas at two scales: (replica, convention, scale)."""
         s = self.side / (self.n - 1)
-        spec = _centered_spec(self.n, self.side)
+        spec = GridSpec.centered(self.n, s)
         args = [(params, spec, replica_seed(master_seed, k), (4 * s, 2 * s), ladders, self.square)
                 for k in range(3)]
         return np.array(_pool_map(_crossing_replica, args, workers))

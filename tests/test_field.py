@@ -25,9 +25,15 @@ PARAMS = LqgParams.pure_gravity()
 
 
 def centered_spec(n, side):
-    s = side / (n - 1)
-    half = (n - 1) * s / 2.0
-    return GridSpec(n=n, spacing=s, origin=(-half, -half))
+    return GridSpec.centered(n, side / (n - 1))
+
+
+def random_specs(count, seed=21):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        origin = tuple(rng.normal(0.0, 10.0, 2) * 10.0 ** rng.integers(-3, 3))
+        yield GridSpec(n=int(rng.choice([8, 16, 32, 64])), spacing=float(10.0 ** rng.uniform(-4, 1)),
+                       origin=origin)
 
 
 class TestGridSpec:
@@ -47,6 +53,40 @@ class TestGridSpec:
         xx, yy = spec.mesh()
         assert xx[3, 0] == pytest.approx(1.0 + 3 * 0.5)
         assert yy[0, 3] == pytest.approx(-2.0 + 3 * 0.5)
+
+    def test_nearest_inverts_point(self):
+        for spec in random_specs(24):
+            for i in range(spec.n):
+                for j in range(spec.n):
+                    v = spec.nearest(*spec.point(i, j))
+                    assert v == (i, j) and type(v[0]) is type(v[1]) is int
+
+    def test_nearest_is_unchecked(self):
+        spec = GridSpec(n=8, spacing=0.5, origin=(1.0, 1.0))
+        assert spec.nearest(-0.3, 9.0) == (-3, 16)
+        with pytest.raises(OverflowError):
+            spec.nearest(float("inf"), 0.0)
+
+    def test_axes_and_mesh_hold_the_points(self):
+        for spec in random_specs(8):
+            xs, ys = spec.axes()
+            xx, yy = spec.mesh()
+            for i in range(spec.n):
+                x, y = spec.point(i, i)
+                assert xs[i] == x and ys[i] == y
+                assert np.all(xx[i] == x) and np.all(yy[:, i] == y)
+
+    @pytest.mark.parametrize("n", [8, 64, 256, 512, 1024])
+    def test_centered_keeps_the_old_expressions(self, n):
+        # the expressions the protocols and the config used before centering
+        # moved here; every origin must come out bit for bit the same
+        for side in (1.0, 2.02, 2.05, 2.5, 4.1, *np.random.default_rng(n).uniform(0.01, 100.0, 20)):
+            s = side / (n - 1)
+            half = (n - 1) * s / 2.0
+            spec = GridSpec.centered(n, side / (n - 1))
+            assert spec == GridSpec(n=n, spacing=s, origin=(-half, -half))
+            assert spec.origin == (-((n - 1) * s / 2.0),) * 2
+            assert spec.center == (0.0, 0.0)
 
     def test_containment(self):
         spec = GridSpec(n=16, spacing=0.1, origin=(0.0, 0.0))

@@ -645,6 +645,14 @@ class TestAnnulusCycle:
         with pytest.raises(ValueError):
             prob.distance_around_annulus((0.0, 0.0), 0.7, 0.3)
 
+    @pytest.mark.parametrize("z", [(0.0, 1e308), (1e308, 0.0)])
+    def test_center_beyond_float_range_rejected(self, z):
+        # an unbounded annulus reaches the grid from any center, but the
+        # center's grid index overflows: a clear error, not an OverflowError
+        prob = self._setup(EDGE_WEIGHTED)
+        with pytest.raises(ValueError, match="too far from the grid"):
+            prob.distance_around_annulus(z, 0.2, math.inf)
+
 
 def _nx_annulus_cycle(prob, z, r1, r2):
     """Cheapest separating cycle by brute force over the cut vertices, on a
