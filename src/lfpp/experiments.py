@@ -659,10 +659,9 @@ def _plan_dufresne_check(params: LqgParams, config: RunConfig, n_samples: int) -
 
 def _holder_replica(args) -> List[float]:
     """Local exponents of one field, from each source along each direction."""
-    params, spec, seed, sources, directions, seps = args
+    params, spec, seed, eps, sources, directions, seps = args
     n = spec.n
-    prob = MetricProblem(mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing),
-                         params, EDGE_WEIGHTED)
+    prob = MetricProblem(mollify_heat(sample_whole_plane_gff(spec, seed), eps), params, EDGE_WEIGHTED)
     exponents = []
     for u in sources:
         d = prob.multi_source_distance([u])
@@ -700,7 +699,7 @@ def _plan_holder_scan(params: LqgParams, config: RunConfig, fields: int) -> Plan
     # (field, source, axis): field-independent draws, batched in order
     rng = np.random.default_rng(replica_seed(config.master_seed, 123))
     sources = rng.integers(n // 2 - 20, n // 2 + 20, size=(fields, sources_per_field, 2))
-    tasks = [(params, spec, replica_seed(config.master_seed, k), sources[k], directions, seps)
+    tasks = [(params, spec, replica_seed(config.master_seed, k), eps, sources[k], directions, seps)
              for k in range(fields)]
 
     def reduce(outputs):
@@ -727,8 +726,8 @@ def _plan_holder_scan(params: LqgParams, config: RunConfig, fields: int) -> Plan
 
 def _tube_replica(args) -> np.ndarray:
     """Ratios (tube-internal distance / ambient distance), one per width."""
-    params, spec, seed, convention, u, v, seg_dist, widths = args
-    mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
+    params, spec, seed, eps, convention, u, v, seg_dist, widths = args
+    mf = mollify_heat(sample_whole_plane_gff(spec, seed), eps)
     ambient = MetricProblem(mf, params, convention).distance_value(u, v)
     return np.array([
         MetricProblem(mf, params, convention, mask=seg_dist <= w).distance_value(u, v) / ambient
@@ -748,7 +747,7 @@ def _plan_tube_distance(params: LqgParams, config: RunConfig, replicas: int) -> 
     seg_dist = np.where(np.abs(xx) <= 0.5, np.abs(yy),
                         np.hypot(np.abs(xx) - 0.5, yy))
     u, v = spec.nearest(-0.5, 0.0), spec.nearest(0.5, 0.0)
-    tasks = [(params, spec, replica_seed(config.master_seed, k), config.convention, u, v,
+    tasks = [(params, spec, replica_seed(config.master_seed, k), eps, config.convention, u, v,
               seg_dist, widths) for k in range(replicas)]
     settings = {"n": n, "side": side, "eps": eps, "widths": list(widths),
                 "replicas": replicas, "master_seed": config.master_seed,
@@ -780,9 +779,9 @@ def _ball_overlap_replica(args) -> float:
     the neighborhood width, averaged over targets outside the half-radius
     ball.  The targets are drawn from the field, so each replica owns its
     generator."""
-    params, spec, master_seed, k, convention, targets, ladder = args
+    params, spec, master_seed, k, eps, convention, targets, ladder = args
     n, s = spec.n, spec.spacing
-    mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), 2 * s)
+    mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), eps)
     prob = MetricProblem(mf, params, convention)
     center = (n // 2, n // 2)
     dall = prob.multi_source_distance([center])
@@ -803,10 +802,11 @@ def _plan_geodesic_ball_overlap(params: LqgParams, config: RunConfig, replicas: 
     n, side = 256, 2.05
     targets = 20
     spec = GridSpec.centered(n, side / (n - 1))
+    eps = 2 * spec.spacing
     ladder = [2 ** -2, 2 ** -3, 2 ** -4, 2 ** -5]
-    tasks = [(params, spec, config.master_seed, k, config.convention, targets, ladder)
+    tasks = [(params, spec, config.master_seed, k, eps, config.convention, targets, ladder)
              for k in range(replicas)]
-    settings = {"n": n, "side": side, "eps": 2 * spec.spacing, "replicas": replicas, "targets": targets,
+    settings = {"n": n, "side": side, "eps": eps, "replicas": replicas, "targets": targets,
                 "ladder": ladder, "master_seed": config.master_seed,
                 "convention": config.convention}
 

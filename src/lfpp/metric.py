@@ -15,6 +15,8 @@ All queries run exact Dijkstra (scipy's C implementation) on the masked
 graph; no heuristics.  Geodesics and annulus cycles are read off the swept
 graph by one walk back from the target, stepping to the neighbor of smallest
 row-major id, so lexicographically smallest, that reproduces the distance.
+``path_cost`` folds a path's step costs, read off the same graph, as a sweep
+from its first vertex does, so a geodesic recosts to its distance exactly.
 """
 
 from __future__ import annotations
@@ -241,21 +243,18 @@ class MetricProblem:
         return float(self.vertex_weight[z]) if self.convention == VERTEX_SUM else 0.0
 
     def path_cost(self, path: Sequence[Tuple[int, int]]) -> float:
-        """Recompute a path's cost from the weights, folded left to right."""
+        """A path's cost as a sweep from its first vertex folds it: the graph's
+        step costs added in order from 0, then that vertex's charge."""
         if len(path) == 0:
             raise ValueError("empty path")
         path = [self._check_vertex(v) for v in path]
-        total = self._source_charge(path[0])
-        for u, v in zip(path[:-1], path[1:]):
-            di, dj = v[0] - u[0], v[1] - u[1]
-            if max(abs(di), abs(dj)) != 1:
-                raise ValueError("vertices are not 8-adjacent")
-            if self.convention == VERTEX_SUM:
-                total += float(self.vertex_weight[v])
-            else:
-                ell = SQRT2 if (di != 0 and dj != 0) else 1.0
-                total += float(ell * self.spacing * math.sqrt(self.vertex_weight[u] * self.vertex_weight[v]))
-        return total
+        at = np.array(path)
+        if np.any(np.abs(np.diff(at, axis=0)).max(axis=1) != 1):
+            raise ValueError("vertices are not 8-adjacent")
+        ids = self.ids[at[:, 0], at[:, 1]]
+        # cumsum adds in order, as a sweep does; np.sum would add pairwise
+        steps = np.asarray(self.graph[ids[:-1], ids[1:]]).ravel() if len(path) > 1 else np.zeros(1)
+        return float(np.cumsum(steps)[-1]) + self._source_charge(path[0])
 
     # -- queries ---------------------------------------------------------------
 
@@ -343,16 +342,14 @@ class MetricProblem:
         return slice(sx.start + filled[0], sx.start + filled[-1] + 1), sy
 
     def metric_ball(self, center: Tuple[int, int], s: float) -> MetricBall:
-        """All vertices within metric distance s of the center."""
+        """All vertices within metric distance s of the center: those whose
+        ``distance_value`` from it is at most s."""
         if not s >= 0:
             raise ValueError("radius must be >= 0")
         center = self._check_vertex(center)
-        base = self._source_charge(center)
-        limit = s - base
-        if limit < 0:
-            return MetricBall(membership=np.zeros((self.n, self.n), dtype=bool), boundary=[])
-        d = _dijkstra(self.graph, int(self.ids[center]), limit=limit)
-        member = self._grid_distances(d) + base <= s
+        # a limit of s less the charge could round below a member's d
+        d = _dijkstra(self.graph, int(self.ids[center]), limit=s)
+        member = self._grid_distances(d) + self._source_charge(center) <= s
         return MetricBall(membership=member, boundary=_boundary_vertices(member))
 
     # -- annulus cycle -----------------------------------------------------------

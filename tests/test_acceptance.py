@@ -14,6 +14,8 @@ import warnings
 import numpy as np
 import pytest
 
+from lfpp.experiments import EXPERIMENTS
+
 import pinned
 from oracle_paths import compile_paths, enumerate_simple_paths, lattice_distance, min_path_cost
 
@@ -163,6 +165,10 @@ def test_geodesic_ball_overlap_superlinear():
 
 
 PINNED = json.loads(pinned.REPORTS_FILE.read_text())
+
+
+def test_every_protocol_is_pinned():
+    assert set(EXPERIMENTS) == set(pinned.REPORTS) == set(PINNED["reports"])
 
 
 @pytest.mark.parametrize("name", list(pinned.REPORTS))

@@ -1,4 +1,5 @@
-"""Every name a package module imports is referenced in that module."""
+"""Every name a package module imports is referenced in that module, and
+every name it defines is read somewhere in the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,54 @@ def test_scan_finds_unused_names():
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_names(tree):
+    """(name, statement) for each function, class and assigned name at a
+    module's top level."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                yield from ((n.id, stmt) for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def names_read(stmt):
+    """Names a statement reads: loaded names, attributes, and names it
+    imports from a module."""
+    read = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def unread_names(package, others):
+    """``module.name`` for each top-level name of a ``package`` module that
+    no other statement of ``package`` or ``others`` reads, sorted; both map
+    module names to sources, and dunders are exempt."""
+    trees = {key: ast.parse(source) for key, source in {**others, **package}.items()}
+    reads = [(stmt, names_read(stmt)) for tree in trees.values() for stmt in tree.body]
+    return sorted(f"{module}.{name}" for module in package
+                  for name, defn in top_level_names(trees[module])
+                  if not (name.startswith("__") and name.endswith("__"))
+                  and not any(name in read for stmt, read in reads if stmt is not defn))
+
+
+def test_scan_finds_unread_names():
+    package = {"a": "def f():\n    return f()\nX, Y = 1, 2\ndef g():\n    return X\n__all__ = []\n"}
+    others = {"b": "import a\nfrom a import Y\na.g()\n"}
+    assert unread_names(package, others) == ["a.f"]
+
+
+def test_every_top_level_name_is_read():
+    # the package and the benchmark are the callers; tests do not count
+    package = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    bench = {f"bench/{p.stem}": p.read_text() for p in (SRC.parents[1] / "bench").glob("*.py")}
+    assert unread_names(package, bench) == []

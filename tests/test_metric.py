@@ -199,6 +199,13 @@ class TestChamferOracle:
         with pytest.raises(ValueError, match="radius must be >= 0"):
             zero_problem(n=16).metric_ball((3, 3), radius)
 
+    def test_metric_ball_holds_each_vertex_at_its_distance(self):
+        # vertex-sum charges the center: a sweep limit of the radius less that
+        # charge rounded 20 of these 256 vertices out of their own ball
+        prob = random_problem(16, 0, VERTEX_SUM)
+        for v in np.ndindex(16, 16):
+            assert prob.metric_ball((3, 4), prob.distance_value((3, 4), v)).membership[v]
+
     def test_metric_ball_infinite_radius_holds_everything(self):
         ball = zero_problem(n=16).metric_ball((3, 3), math.inf)
         assert ball.membership.all()
@@ -213,10 +220,10 @@ class TestQueries:
         assert res.path[0] == (1, 2) and res.path[-1] == (20, 17)
         for u, v in zip(res.path[:-1], res.path[1:]):
             assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) == 1
-        assert prob.path_cost(res.path) == pytest.approx(res.distance, rel=1e-12)
+        assert prob.path_cost(res.path) == res.distance
         assert res.costs[-1] == res.distance
         prefixes = [prob.path_cost(res.path[: k + 1]) for k in range(len(res.path))]
-        assert res.costs == pytest.approx(prefixes, rel=1e-15)
+        assert res.costs == prefixes
 
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
     def test_geodesics_equal_single_queries(self, convention):
@@ -363,6 +370,120 @@ class TestQueries:
         amb = prob.distance((0, 0), (7, 23)).distance
         internal = MetricProblem(prob.field, PARAMS, EDGE_WEIGHTED, mask=sub).distance((0, 0), (7, 23)).distance
         assert internal >= amb - 1e-15
+
+
+@st.composite
+def masked_grids(draw, sizes=(8, 16, 32)):
+    """A random field on a grid with holes, under either convention, and
+    three mask vertices drawn with replacement."""
+    n = draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n, n)) >= draw(st.floats(0.0, 0.4))
+    assume(mask.any())
+    mf = LatticeField(spec=GridSpec(n=n, spacing=0.1), values=rng.normal(0.0, 1.0, (n, n)),
+                      kind=DETERMINISTIC)
+    convention = draw(st.sampled_from([VERTEX_SUM, EDGE_WEIGHTED]))
+    vertices = np.argwhere(mask)[rng.integers(0, np.count_nonzero(mask), 3)]
+    return MetricProblem(mf, PARAMS, convention, mask=mask), [tuple(map(int, v)) for v in vertices]
+
+
+def moved(prob, values, mask):
+    """The problem's metric on a mapped field and mask, spacing kept."""
+    spec = GridSpec(n=values.shape[0], spacing=prob.spacing)
+    return MetricProblem(LatticeField(spec=spec, values=values, kind=DETERMINISTIC), PARAMS,
+                         prob.convention, mask=mask)
+
+
+class TestMetricAxioms:
+    """The weak-LQG axioms and the lattice's symmetries on random masked
+    grids.  Symmetries compare distances only, never paths: ties between
+    paths follow vertex ids, which a symmetry reorders."""
+
+    @given(case=masked_grids())
+    @settings(max_examples=40, deadline=None)
+    def test_distances_equal_under_square_symmetries(self, case):
+        prob, (x, _, _) = case
+        d = prob.multi_source_distance([x])
+        source = np.zeros(prob.mask.shape, dtype=bool)
+        source[x] = True
+        for k in range(4):
+            for flip in (False, True):
+                def sym(a):
+                    return np.rot90(a.T if flip else a, k)
+                image = moved(prob, sym(prob.field.values), sym(prob.mask))
+                np.testing.assert_array_equal(image.multi_source_distance(np.argwhere(sym(source))),
+                                              sym(d))
+
+    @given(case=masked_grids(), data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_distances_equal_under_embedding(self, case, data):
+        prob, (x, _, _) = case
+        n = prob.n
+        di, dj = data.draw(st.integers(0, n)), data.draw(st.integers(0, n))
+        values, mask = np.zeros((2 * n, 2 * n)), np.zeros((2 * n, 2 * n), dtype=bool)
+        values[di : di + n, dj : dj + n] = prob.field.values
+        mask[di : di + n, dj : dj + n] = prob.mask
+        got = moved(prob, values, mask).multi_source_distance([(x[0] + di, x[1] + dj)])
+        np.testing.assert_array_equal(got[di : di + n, dj : dj + n], prob.multi_source_distance([x]))
+
+    @given(case=masked_grids())
+    @settings(max_examples=60, deadline=None)
+    def test_triangle_inequality(self, case):
+        # a path x -> y -> z exists at the cost d(x, y) + d(y, z), less the
+        # weight of y under vertex-sum, which both legs pay; 1e-12 relative
+        # covers the roundoff of adding the legs' totals
+        prob, (x, y, _) = case
+        dx, dy = prob.multi_source_distance([x]), prob.multi_source_distance([y])
+        overlap = prob.vertex_weight[y] if prob.convention == VERTEX_SUM else 0.0
+        assert np.all(dx <= (dx[y] + dy - overlap) * (1 + 1e-12))
+
+    @given(case=masked_grids())
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric_to_roundoff(self, case):
+        prob, (x, y, _) = case
+        assert prob.distance_value(x, y) == pytest.approx(prob.distance_value(y, x), rel=1e-12)
+
+    @given(case=masked_grids(), c=st.floats(-3.0, 3.0))
+    @settings(max_examples=50, deadline=None)
+    def test_constant_shift_rescales_distances(self, case, c):
+        prob, (x, _, _) = case
+        shifted = moved(prob, prob.field.values + c, prob.mask)
+        d, ds = prob.multi_source_distance([x]), shifted.multi_source_distance([x])
+        reached = np.isfinite(d)
+        np.testing.assert_array_equal(np.isfinite(ds), reached)
+        factor = math.exp(PARAMS.xi * c)
+        np.testing.assert_allclose(ds[reached], factor * d[reached], rtol=1e-12, atol=0.0)
+
+    @given(case=masked_grids(sizes=(8, 16)), scale=st.sampled_from([None, 0.0, 0.5, 1.0]))
+    @settings(max_examples=50, deadline=None)
+    def test_metric_ball_thresholds_distance_values(self, case, scale):
+        # a radius that is some vertex's distance (None) puts that vertex on
+        # the ball's edge; the others are fractions of the farthest distance
+        prob, (c, v, _) = case
+        values = np.full((prob.n, prob.n), np.inf)
+        for w in np.argwhere(prob.mask):
+            values[tuple(w)] = prob.distance_value(c, tuple(w))
+        s = values[v] if scale is None else scale * values[np.isfinite(values)].max()
+        np.testing.assert_array_equal(prob.metric_ball(c, s).membership, values <= s)
+
+    @given(case=masked_grids(), seed=st.integers(0, 2**32 - 1), holes=st.floats(0.0, 0.5))
+    @settings(max_examples=40, deadline=None)
+    def test_shrinking_the_mask_never_shortens(self, case, seed, holes):
+        prob, (x, y, _) = case
+        submask = prob.mask & (np.random.default_rng(seed).random(prob.mask.shape) >= holes)
+        submask[x] = submask[y] = True
+        inner = MetricProblem(prob.field, PARAMS, prob.convention, mask=submask)
+        assert np.all(inner.multi_source_distance([x]) >= prob.multi_source_distance([x]))
+        assert inner.distance_value(x, y) >= prob.distance_value(x, y)
+
+    @given(case=masked_grids())
+    @settings(max_examples=40, deadline=None)
+    def test_geodesics_recost_to_their_costs(self, case):
+        prob, (x, y, z) = case
+        for res in prob.geodesics(x, [y, z]):
+            if res.reached:
+                assert prob.path_cost(res.path) == res.distance
+                assert res.costs == [prob.path_cost(res.path[: k + 1]) for k in range(len(res.path))]
 
 
 class TestCrossing:
