@@ -113,7 +113,7 @@ _KEYS = {
 
 
 def parse_config(text: str) -> RunConfig:
-    given: Dict[str, str] = {}
+    given: Dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,12 +126,15 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in given:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        given[key] = value.strip()
+        try:
+            given[key] = _KEYS[key][1](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad value for key {key!r}: {exc}") from None
 
-    texts = {**_texts(default_config(), _KEYS), **given}
-    gamma, d, n, spacing, ox, oy, *rest = (
-        None if texts[key] is None else read(texts[key]) for key, (_, read) in _KEYS.items()
-    )
+    defaults = {key: None if text is None else _KEYS[key][1](text)
+                for key, text in _texts(default_config(), _KEYS).items()}
+    # the given values replace the defaults in place, so the order is _KEYS'
+    gamma, d, n, spacing, ox, oy, *rest = {**defaults, **given}.values()
     # the grid stays centered unless an origin is given explicitly
     grid = GridSpec(n, spacing, (ox, oy)) if given.keys() & _ORIGIN else GridSpec.centered(n, spacing)
     return RunConfig(LqgParams(gamma, d), grid, *rest)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -85,7 +86,7 @@ def _check(metric: str, value: float, target: Optional[float], tolerance: Option
     return row
 
 
-Plan = Tuple[Callable, list, Callable[[list], Tuple[dict, dict, List[dict]]]]
+Plan = Tuple[Callable[[int], object], int, Callable[[list], Tuple[dict, dict, List[dict]]]]
 
 
 @dataclass(frozen=True)
@@ -93,10 +94,14 @@ class Protocol:
     """One protocol as data: its name, its pinned size and its plan.
 
     ``plan(params, config, size)`` computes the protocol's geometry and its
-    field-independent draws once, and returns ``(replica_fn, tasks,
-    reduce)``.  ``replica_fn`` is a module-level function, so the tasks can
-    be mapped over worker processes; ``reduce`` is a pure function of the
-    ordered replica outputs, so it can be rerun on any of them.
+    field-independent draws once, and returns ``(replica, count, reduce)``.
+    ``replica`` is a ``functools.partial`` of a module-level function over
+    that shared data and the master seed, so it can be mapped over worker
+    processes; ``replica(k)`` is replica k's output for k in
+    ``range(count)``, a function of its index alone, which derives its own
+    seeds from ``replica_seed(master_seed, k, ...)``.  ``reduce`` is a pure
+    function of the ordered replica outputs, so it can be rerun on any of
+    them.
     """
 
     name: str
@@ -107,8 +112,8 @@ class Protocol:
         """Run the protocol at ``config.replicas``, or at its pinned size."""
         t0 = time.perf_counter()
         size = self.size if config.replicas is None else config.replicas
-        replica_fn, tasks, reduce = self.plan(params, config, size)
-        settings, metrics, checks = reduce(_pool_map(replica_fn, tasks, config.workers))
+        replica, count, reduce = self.plan(params, config, size)
+        settings, metrics, checks = reduce(_pool_map(replica, range(count), config.workers))
         return ExperimentReport(
             name=self.name,
             settings=settings,
@@ -119,27 +124,28 @@ class Protocol:
         )
 
 
-def _pool_map(fn: Callable, args: Sequence, workers: int) -> list:
-    """Deterministic map over replica argument tuples, optionally parallel."""
-    if workers <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
+def _pool_map(fn: Callable, indices: Sequence, workers: int) -> list:
+    """Deterministic map of a replica over its indices, optionally parallel:
+    the outputs come back in the order of ``indices``."""
+    if workers <= 1 or len(indices) <= 1:
+        return [fn(k) for k in indices]
     from concurrent.futures import ProcessPoolExecutor  # loaded on first use: serial runs skip it
 
-    # the pool starts all its workers at the first submit, so no more than there are tasks
-    with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-        return list(pool.map(fn, args))
+    # the pool starts all its workers at the first submit, so no more than there are replicas
+    with ProcessPoolExecutor(max_workers=min(workers, len(indices))) as pool:
+        return list(pool.map(fn, indices))
 
 
 # -- crossing exponent ---------------------------------------------------------
 
 
-def _crossing_replica(args) -> np.ndarray:
-    params, spec, seed, eps_list, ladders, square = args
+def _crossing_replica(k: int, params, spec, master_seed, eps_list, ladders, square) -> np.ndarray:
     out = np.empty((len(ladders), len(eps_list)))
     # one field at a time: no name holds the sample, which the ladder drops
     # after its transform; it yields one scale at a time, and no problem
     # outlives its crossing
-    for a, mf in enumerate(mollify_heat_ladder(sample_whole_plane_gff(spec, seed), eps_list)):
+    for a, mf in enumerate(mollify_heat_ladder(sample_whole_plane_gff(spec, replica_seed(master_seed, k)),
+                                                    eps_list)):
         for c, (convention, strides) in enumerate(ladders):
             out[c, a] = MetricProblem(subsample(mf, strides[a]), params, convention).crossing_distance(square)
     return out
@@ -164,8 +170,6 @@ def _plan_crossing_exponent(params: LqgParams, config: RunConfig, replicas: int)
     # (convention, lattice stride at each scale)
     ladders = ((VERTEX_SUM, [2 ** m for m in ms]), (EDGE_WEIGHTED, [1] * len(eps_list)))
     spec = GridSpec.centered(n, s)
-    tasks = [(params, spec, replica_seed(config.master_seed, k), eps_list, ladders, square)
-             for k in range(replicas)]
     settings = {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed}
 
     def reduce(outputs):
@@ -187,15 +191,15 @@ def _plan_crossing_exponent(params: LqgParams, config: RunConfig, replicas: int)
         }
         return settings, metrics, checks
 
-    return _crossing_replica, tasks, reduce
+    return partial(_crossing_replica, params=params, spec=spec, master_seed=config.master_seed,
+                   eps_list=eps_list, ladders=ladders, square=square), replicas, reduce
 
 
 # -- window-scale ratio ------------------------------------------------------------
 
 
-def _scale_ratio_replica(args) -> np.ndarray:
-    params, spec, seed, eps, r_values = args
-    f = sample_whole_plane_gff(spec, seed)
+def _scale_ratio_replica(k: int, params, spec, master_seed, eps, r_values) -> np.ndarray:
+    f = sample_whole_plane_gff(spec, replica_seed(master_seed, k))
     prob = MetricProblem(mollify_heat(f, eps), params, EDGE_WEIGHTED)
     return np.array([
         math.exp(-params.xi * circle_average(f, (0.0, 0.0), r)) * prob.crossing_distance((0.0, 0.0, r))
@@ -216,8 +220,6 @@ def _plan_scale_ratio(params: LqgParams, config: RunConfig, replicas: int) -> Pl
     eps = 2 * spec.spacing
     r_values = (1.0, 0.5, 0.25, 0.125)
     tolerance = 0.10
-    tasks = [(params, spec, replica_seed(config.master_seed, k), eps, r_values)
-             for k in range(replicas)]
     settings = {"n": n, "side": side, "eps": eps, "r_values": list(r_values),
                 "replicas": replicas, "master_seed": config.master_seed}
 
@@ -232,7 +234,8 @@ def _plan_scale_ratio(params: LqgParams, config: RunConfig, replicas: int) -> Pl
         ]
         return settings, metrics, checks
 
-    return _scale_ratio_replica, tasks, reduce
+    return partial(_scale_ratio_replica, params=params, spec=spec, master_seed=config.master_seed,
+                   eps=eps, r_values=r_values), replicas, reduce
 
 
 # -- Weyl scaling --------------------------------------------------------------
@@ -249,20 +252,20 @@ def default_test_function(spec: GridSpec) -> np.ndarray:
     return np.cos(2.0 * math.pi * xx) * np.cos(2.0 * math.pi * yy)
 
 
-def _weyl_replica(args) -> Tuple[float, int, float, float, int]:
+def _weyl_replica(k: int, params, spec, master_seed, f, f_lo, f_hi, osc, c_shift,
+                  points) -> Tuple[float, int, float, float, int]:
     """One field's constant-shift error, sandwich violations, reweight-ratio
-    range and lower-bound violations; ``points[c]`` holds the query pairs
+    range and lower-bound violations; ``points[k, c]`` holds the query pairs
     for the c-th convention; ``f_lo`` and ``f_hi`` are the min/max factors
     exp(xi*f) and ``osc`` the oscillation of ``f``."""
-    params, spec, seed, f, f_lo, f_hi, osc, c_shift, points = args
     xi = params.xi
-    mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
+    mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), 2 * spec.spacing)
     max_shift_err = 0.0
     sandwich_violations = 0
     min_ratio = math.inf
     max_ratio = -math.inf
     lower_bound_violations = 0
-    for conv, pairs in zip((VERTEX_SUM, EDGE_WEIGHTED), points):
+    for conv, pairs in zip((VERTEX_SUM, EDGE_WEIGHTED), points[k]):
         base_prob = MetricProblem(mf, params, conv)
         shift_prob = MetricProblem(_shifted(mf, np.full((spec.n, spec.n), c_shift)), params, conv)
         pert_prob = MetricProblem(_shifted(mf, f), params, conv)
@@ -303,9 +306,6 @@ def _plan_weyl_check(params: LqgParams, config: RunConfig, replicas: int) -> Pla
     # on the fields, so one batch keeps the sequential order
     rng = np.random.default_rng(replica_seed(config.master_seed, 999))
     points = rng.integers(0, n, size=(replicas, 2, per_query, 2, 2))
-    tasks = [(params, spec, replica_seed(config.master_seed, rep), f, f_lo, f_hi, osc, c_shift,
-              points[rep])
-             for rep in range(replicas)]
     settings = {"n": n, "side": side, "queries": per_query * replicas, "replicas": replicas,
                 "master_seed": config.master_seed, "constant_shift": c_shift}
 
@@ -328,13 +328,15 @@ def _plan_weyl_check(params: LqgParams, config: RunConfig, replicas: int) -> Pla
                    "f_oscillation": osc}
         return settings, metrics, checks
 
-    return _weyl_replica, tasks, reduce
+    return partial(_weyl_replica, params=params, spec=spec, master_seed=config.master_seed, f=f,
+                   f_lo=f_lo, f_hi=f_hi, osc=osc, c_shift=c_shift, points=points), replicas, reduce
 
 
 # -- locality and mollifier gap -------------------------------------------------
 
 
-def _locality_replica(args) -> Tuple[int, List[float]]:
+def _locality_replica(k: int, params, spec, master_seed, eps, convention, domain, outside_buffer,
+                      pairs, gap_eps) -> Tuple[int, List[float]]:
     """One replica's two measurements.
 
     First, the query pairs whose internal distance moved when the base
@@ -343,12 +345,11 @@ def _locality_replica(args) -> Tuple[int, List[float]]:
     Second, on a third field, the sup-gap between the full and truncated
     mollifications at each scale of ``gap_eps``.
     """
-    params, spec, master_seed, rep, eps, convention, domain, outside_buffer, pairs, gap_eps = args
-    base = sample_zero_boundary_gff(spec, replica_seed(master_seed, rep)).values
-    if rep % 2 == 0:
+    base = sample_zero_boundary_gff(spec, replica_seed(master_seed, k)).values
+    if k % 2 == 0:
         repl_values = np.zeros_like(base)
     else:
-        repl_values = sample_zero_boundary_gff(spec, replica_seed(master_seed, rep, 1)).values
+        repl_values = sample_zero_boundary_gff(spec, replica_seed(master_seed, k, 1)).values
     perturbed_vals = base.copy()
     perturbed_vals[outside_buffer] = repl_values[outside_buffer]
     perturbed_vals.setflags(write=False)
@@ -357,11 +358,8 @@ def _locality_replica(args) -> Tuple[int, List[float]]:
                       params, convention, mask=domain)
         for v in (base, perturbed_vals)
     )
-    changed = 0
-    for a, b in pairs:
-        if p1.distance_value(a, b) != p2.distance_value(a, b):
-            changed += 1
-    g = sample_zero_boundary_gff(spec, replica_seed(master_seed, rep, 2))
+    changed = sum(p1.distance_value(a, b) != p2.distance_value(a, b) for a, b in pairs[k])
+    g = sample_zero_boundary_gff(spec, replica_seed(master_seed, k, 2))
     gaps = [
         float(np.abs(mollify_heat(g, e).values - mollify_truncated(g, e).values).max())
         for e in gap_eps
@@ -392,8 +390,6 @@ def _plan_locality_check(params: LqgParams, config: RunConfig, replicas: int) ->
     # (replica, query, endpoint): field-independent draws, batched in order
     rng = np.random.default_rng(replica_seed(config.master_seed, 777))
     pairs = domain_vertices[rng.integers(len(domain_vertices), size=(replicas, queries, 2))]
-    tasks = [(params, spec, config.master_seed, rep, eps, config.convention, domain,
-              outside_buffer, pairs[rep], gap_eps) for rep in range(replicas)]
     settings = {"n": n, "eps": eps, "replicas": replicas, "queries": queries,
                 "gap_replicas": replicas, "master_seed": config.master_seed,
                 "convention": config.convention}
@@ -415,7 +411,9 @@ def _plan_locality_check(params: LqgParams, config: RunConfig, replicas: int) ->
             metrics[f"median_gap_eps_{e:g}"] = float(np.median(gap_rows[:, j]))
         return settings, metrics, checks
 
-    return _locality_replica, tasks, reduce
+    return partial(_locality_replica, params=params, spec=spec, master_seed=config.master_seed,
+                   eps=eps, convention=config.convention, domain=domain,
+                   outside_buffer=outside_buffer, pairs=pairs, gap_eps=gap_eps), replicas, reduce
 
 
 # -- scaling relation ------------------------------------------------------------
@@ -471,14 +469,14 @@ def scaling_relation_gaps(field: LatticeField, mf: LatticeField, params: LqgPara
     return np.array(gaps)
 
 
-def _scaling_relation_replica(args) -> Tuple[np.ndarray, np.ndarray]:
+def _scaling_relation_replica(k: int, params, spec, master_seed, eps, pairs,
+                              r) -> Tuple[np.ndarray, np.ndarray]:
     """One field's vertex-sum and edge-weighted relative gaps."""
-    params, spec, master_seed, rep, eps, pairs, r = args
-    field = sample_whole_plane_gff(spec, replica_seed(master_seed, rep))
+    field = sample_whole_plane_gff(spec, replica_seed(master_seed, k))
     mf = mollify_heat(field, eps)
     return tuple(
         scaling_relation_gaps(field, mf, params, conv, pairs,
-                              np.random.default_rng(replica_seed(master_seed, rep, key)), r)
+                              np.random.default_rng(replica_seed(master_seed, k, key)), r)
         for conv, key in ((VERTEX_SUM, 3), (EDGE_WEIGHTED, 4))
     )
 
@@ -513,7 +511,6 @@ def _plan_scaling_relation(params: LqgParams, config: RunConfig, replicas: int) 
                               np.random.default_rng(1), r)
     ).max())
 
-    tasks = [(params, spec, config.master_seed, rep, eps, pairs, r) for rep in range(replicas)]
     settings = {"n": n, "side": side, "eps": eps, "r": r, "replicas": replicas, "pairs": pairs,
                 "master_seed": config.master_seed}
 
@@ -534,15 +531,15 @@ def _plan_scaling_relation(params: LqgParams, config: RunConfig, replicas: int) 
         }
         return settings, metrics, checks
 
-    return _scaling_relation_replica, tasks, reduce
+    return partial(_scaling_relation_replica, params=params, spec=spec, master_seed=config.master_seed,
+                   eps=eps, pairs=pairs, r=r), replicas, reduce
 
 
 # -- circle-average Brownian motion ----------------------------------------------
 
 
-def _circle_average_replica(args) -> List[float]:
-    spec, seed, radii = args
-    h = sample_whole_plane_gff(spec, seed)
+def _circle_average_replica(k: int, spec, master_seed, radii) -> List[float]:
+    h = sample_whole_plane_gff(spec, replica_seed(master_seed, k))
     return [circle_average(h, (0.0, 0.0), rr) for rr in radii]
 
 
@@ -555,7 +552,6 @@ def _plan_circle_average_bm(params: LqgParams, config: RunConfig, replicas: int)
     n, side = 512, 4.1
     spec = GridSpec.centered(n, side / (n - 1))
     radii = [1.0, 0.5, 0.25, 0.125, 0.0625]
-    tasks = [(spec, replica_seed(config.master_seed, k), radii) for k in range(replicas)]
     settings = {"n": n, "side": side, "replicas": replicas, "radii": radii,
                 "master_seed": config.master_seed}
 
@@ -575,7 +571,8 @@ def _plan_circle_average_bm(params: LqgParams, config: RunConfig, replicas: int)
             metrics[f"variance_ratio_{j}"] = float(ratios[j])
         return settings, metrics, checks
 
-    return _circle_average_replica, tasks, reduce
+    return partial(_circle_average_replica, spec=spec, master_seed=config.master_seed,
+                   radii=radii), replicas, reduce
 
 
 # -- exponential Brownian integral -----------------------------------------------
@@ -620,25 +617,23 @@ def bm_integral_cdf(x: np.ndarray, shape: float) -> np.ndarray:
     return stats.gamma.sf(2.0 / np.asarray(x, dtype=np.float64), shape)
 
 
-def _dufresne_task(args) -> float:
-    """KS distance of one drift's Euler samples from the closed-form law."""
+def _dufresne_task(k: int, drifts, n_samples, master_seed) -> float:
+    """KS distance of the k-th drift's Euler samples from the closed-form law."""
     from scipy import stats
 
-    drift, n_samples, seed = args
-    x = simulate_bm_integral(drift, n_samples, seed)
-    return float(stats.kstest(x, lambda v: bm_integral_cdf(v, 2.0 * drift)).statistic)
+    x = simulate_bm_integral(drifts[k], n_samples, replica_seed(master_seed, k))
+    return float(stats.kstest(x, lambda v: bm_integral_cdf(v, 2.0 * drifts[k])).statistic)
 
 
 def _plan_dufresne_check(params: LqgParams, config: RunConfig, n_samples: int) -> Plan:
     """Exponential-BM integral distribution against its closed-form law, at
-    the drifts (q - alpha)/xi for alpha in (0, gamma); ``config.replicas``
-    is the sample count per drift, and the drifts are the tasks."""
+    the drifts (q - alpha)/xi for alpha in (0, gamma).  ``config.replicas``
+    is the sample count per drift, and the drifts are the replicas: the
+    plan's count is ``len(drifts)``, and replica k samples drift k."""
     if params.xi == 0.0:
         raise ValueError("dufresne-check: the drift (q - alpha)/xi is undefined at xi = 0")
     alphas = (0.0, params.gamma)
     drifts = [(params.q - alpha) / params.xi for alpha in alphas]
-    tasks = [(drift, n_samples, replica_seed(config.master_seed, idx))
-             for idx, drift in enumerate(drifts)]
     settings = {"alphas": list(alphas), "n_samples": n_samples, "dt": _BM_DT,
                 "master_seed": config.master_seed}
 
@@ -651,19 +646,20 @@ def _plan_dufresne_check(params: LqgParams, config: RunConfig, n_samples: int) -
             checks.append(_check(f"ks_alpha_{idx}", ks, 0.0, 0.05, kind="strict-upper"))
         return settings, metrics, checks
 
-    return _dufresne_task, tasks, reduce
+    return (partial(_dufresne_task, drifts=drifts, n_samples=n_samples, master_seed=config.master_seed),
+            len(drifts), reduce)
 
 
 # -- Hoelder scan -----------------------------------------------------------------
 
 
-def _holder_replica(args) -> List[float]:
-    """Local exponents of one field, from each source along each direction."""
-    params, spec, seed, eps, sources, directions, seps = args
+def _holder_replica(k: int, params, spec, master_seed, eps, sources, directions, seps) -> List[float]:
+    """Local exponents of field k, from each of its sources along each direction."""
     n = spec.n
-    prob = MetricProblem(mollify_heat(sample_whole_plane_gff(spec, seed), eps), params, EDGE_WEIGHTED)
+    mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), eps)
+    prob = MetricProblem(mf, params, EDGE_WEIGHTED)
     exponents = []
-    for u in sources:
+    for u in sources[k]:
         d = prob.multi_source_distance([u])
         ux, uy = spec.point(*u)
         for th in np.linspace(0.0, 2.0 * math.pi, directions, endpoint=False):
@@ -699,8 +695,6 @@ def _plan_holder_scan(params: LqgParams, config: RunConfig, fields: int) -> Plan
     # (field, source, axis): field-independent draws, batched in order
     rng = np.random.default_rng(replica_seed(config.master_seed, 123))
     sources = rng.integers(n // 2 - 20, n // 2 + 20, size=(fields, sources_per_field, 2))
-    tasks = [(params, spec, replica_seed(config.master_seed, k), eps, sources[k], directions, seps)
-             for k in range(fields)]
 
     def reduce(outputs):
         exponents = np.concatenate(outputs)
@@ -718,16 +712,16 @@ def _plan_holder_scan(params: LqgParams, config: RunConfig, fields: int) -> Plan
                    "max_local_exponent": hi, "pairs": exponents.size}
         return settings, metrics, checks
 
-    return _holder_replica, tasks, reduce
+    return partial(_holder_replica, params=params, spec=spec, master_seed=config.master_seed, eps=eps,
+                   sources=sources, directions=directions, seps=seps), fields, reduce
 
 
 # -- tube-confined distances -------------------------------------------------------
 
 
-def _tube_replica(args) -> np.ndarray:
+def _tube_replica(k: int, params, spec, master_seed, eps, convention, u, v, seg_dist, widths) -> np.ndarray:
     """Ratios (tube-internal distance / ambient distance), one per width."""
-    params, spec, seed, eps, convention, u, v, seg_dist, widths = args
-    mf = mollify_heat(sample_whole_plane_gff(spec, seed), eps)
+    mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), eps)
     ambient = MetricProblem(mf, params, convention).distance_value(u, v)
     return np.array([
         MetricProblem(mf, params, convention, mask=seg_dist <= w).distance_value(u, v) / ambient
@@ -744,11 +738,8 @@ def _plan_tube_distance(params: LqgParams, config: RunConfig, replicas: int) -> 
     spec = GridSpec.centered(n, side / (n - 1))
     eps = 2 * spec.spacing
     xx, yy = spec.mesh()
-    seg_dist = np.where(np.abs(xx) <= 0.5, np.abs(yy),
-                        np.hypot(np.abs(xx) - 0.5, yy))
+    seg_dist = np.where(np.abs(xx) <= 0.5, np.abs(yy), np.hypot(np.abs(xx) - 0.5, yy))
     u, v = spec.nearest(-0.5, 0.0), spec.nearest(0.5, 0.0)
-    tasks = [(params, spec, replica_seed(config.master_seed, k), eps, config.convention, u, v,
-              seg_dist, widths) for k in range(replicas)]
     settings = {"n": n, "side": side, "eps": eps, "widths": list(widths),
                 "replicas": replicas, "master_seed": config.master_seed,
                 "convention": config.convention}
@@ -768,18 +759,18 @@ def _plan_tube_distance(params: LqgParams, config: RunConfig, replicas: int) -> 
             metrics[f"median_ratio_width_{w:g}"] = float(median_ratios[j])
         return settings, metrics, checks
 
-    return _tube_replica, tasks, reduce
+    return partial(_tube_replica, params=params, spec=spec, master_seed=config.master_seed, eps=eps,
+                   convention=config.convention, u=u, v=v, seg_dist=seg_dist, widths=widths), replicas, reduce
 
 
 # -- geodesic / ball-boundary overlap ------------------------------------------------
 
 
-def _ball_overlap_replica(args) -> float:
+def _ball_overlap_replica(k: int, params, spec, master_seed, eps, convention, targets, ladder) -> float:
     """Fitted exponent of the geodesic / ball-boundary overlap area against
     the neighborhood width, averaged over targets outside the half-radius
     ball.  The targets are drawn from the field, so each replica owns its
     generator."""
-    params, spec, master_seed, k, eps, convention, targets, ladder = args
     n, s = spec.n, spec.spacing
     mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), eps)
     prob = MetricProblem(mf, params, convention)
@@ -804,8 +795,6 @@ def _plan_geodesic_ball_overlap(params: LqgParams, config: RunConfig, replicas: 
     spec = GridSpec.centered(n, side / (n - 1))
     eps = 2 * spec.spacing
     ladder = [2 ** -2, 2 ** -3, 2 ** -4, 2 ** -5]
-    tasks = [(params, spec, config.master_seed, k, eps, config.convention, targets, ladder)
-             for k in range(replicas)]
     settings = {"n": n, "side": side, "eps": eps, "replicas": replicas, "targets": targets,
                 "ladder": ladder, "master_seed": config.master_seed,
                 "convention": config.convention}
@@ -820,17 +809,17 @@ def _plan_geodesic_ball_overlap(params: LqgParams, config: RunConfig, replicas: 
                    "max_area_exponent": float(exponents.max())}
         return settings, metrics, checks
 
-    return _ball_overlap_replica, tasks, reduce
+    return partial(_ball_overlap_replica, params=params, spec=spec, master_seed=config.master_seed,
+                   eps=eps, convention=config.convention, targets=targets, ladder=ladder), replicas, reduce
 
 
 # -- diameter tail ----------------------------------------------------------------
 
 
-def _diameter_replica(args) -> float:
-    params, spec, seed, convention = args
+def _diameter_replica(k: int, params, spec, master_seed, convention) -> float:
     xx, yy = spec.mesh()
     square = (np.abs(xx) <= 0.5) & (np.abs(yy) <= 0.5)
-    mf = mollify_heat(sample_whole_plane_gff(spec, seed), 2 * spec.spacing)
+    mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), 2 * spec.spacing)
     prob = MetricProblem(mf, params, convention, mask=square)
     d0 = prob.multi_source_distance([np.argwhere(square)[0]])
     d0w = np.where(np.isfinite(d0) & square, d0, -1.0)
@@ -854,12 +843,12 @@ def _plan_diameter_tail(params: LqgParams, config: RunConfig, replicas: int) -> 
     target = 4.0 * params.d / params.gamma ** 2
     settings = {"n": n, "side": side, "replicas": replicas, "master_seed": config.master_seed,
                 "convention": config.convention}
+    replica = partial(_diameter_replica, params=params, spec=spec, master_seed=config.master_seed,
+                      convention=config.convention)
     if params.xi == 0.0:
         # unit weights: the diameter is deterministic, so no upper tail exists
         checks = [_check("degenerate_deterministic_diameter", math.inf, None, None, kind="not-applicable")]
-        return _diameter_replica, [], lambda outputs: (settings, {"degenerate": 1.0}, checks)
-    tasks = [(params, spec, replica_seed(config.master_seed, k), config.convention)
-             for k in range(replicas)]
+        return replica, 0, lambda outputs: (settings, {"degenerate": 1.0}, checks)
     # estimator self-check on a synthetic heavy-tail sample of known index
     rng = np.random.default_rng(replica_seed(config.master_seed, 31337))
     hill_synthetic = hill_estimator(rng.pareto(target, 20_000) + 1.0)
@@ -875,7 +864,7 @@ def _plan_diameter_tail(params: LqgParams, config: RunConfig, replicas: int) -> 
                    "diameter_median": 1.0}
         return settings, metrics, checks
 
-    return _diameter_replica, tasks, reduce
+    return replica, replicas, reduce
 
 
 # -- suite ------------------------------------------------------------------------
@@ -899,9 +888,11 @@ EXPERIMENTS: Dict[str, Protocol] = {p.name: p for p in (
 def run_suite(params: LqgParams, config: RunConfig,
               names: Optional[Sequence[str]] = None) -> List[ExperimentReport]:
     chosen = list(EXPERIMENTS) if names is None else list(names)
-    for name in chosen:  # every name, before the first protocol runs
+    for i, name in enumerate(chosen):  # every name, before the first protocol runs
         if name not in EXPERIMENTS:
             known = ", ".join(sorted(EXPERIMENTS))
             raise ValueError(f"unknown experiment {name!r}; known: {known}")
+        if name in chosen[:i]:
+            raise ValueError(f"experiment {name!r} is named twice")
     return [EXPERIMENTS[name](params, config) for name in chosen]
 

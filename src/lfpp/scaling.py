@@ -26,10 +26,13 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
 
     ``stderr`` is the slope's standard error from the fit's own residuals:
     it says how far the points sit off a line, not how much they vary from
-    one replica set to the next.
+    one replica set to the next.  Every x and y must be positive and finite.
     """
-    lx = np.log(np.asarray(x, dtype=np.float64))
-    ly = np.log(np.asarray(y, dtype=np.float64))
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    for name, v in (("x", x), ("y", y)):
+        if not np.all((v > 0.0) & (v < math.inf)):
+            raise ValueError(f"log-log fit needs positive finite {name}")
+    lx, ly = np.log(x), np.log(y)
     m = lx.size
     if lx.shape != ly.shape or m < 2:
         raise ValueError(f"need x and y of one length, at least 2, got {lx.shape} and {ly.shape}")
@@ -51,11 +54,13 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
 def hill_estimator(sample: np.ndarray, k: Optional[int] = None) -> float:
     """Hill tail-index estimate from the top k order statistics.
 
-    Defaults to the top 10% of the sample; k must lie in [1, n).  Returns
-    math.inf for samples whose upper order statistics are all equal (no
-    tail to estimate).
+    Defaults to the top 10% of the sample; k must lie in [1, n), and every
+    entry must be finite.  Returns math.inf for samples whose upper order
+    statistics are all equal (no tail to estimate).
     """
     x = np.sort(np.asarray(sample, dtype=np.float64))[::-1]
+    if not np.all(np.isfinite(x)):
+        raise ValueError("Hill estimator needs a finite sample")
     n = x.size
     if k is None:
         k = max(2, n // 10)

@@ -80,6 +80,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="duplicate"):
             parse_config("replicas = 7\nreplicas = 8\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("n = 8.0\n", "line 1: bad value for key 'n'"),
+        ("gamma = abc\n", "line 1: bad value for key 'gamma'"),
+        ("# workers\n\nworkers = 2.5\n", "line 3: bad value for key 'workers'"),
+    ])
+    def test_unreadable_value_names_its_key_and_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config(text)
+
     def test_malformed_line_fatal(self):
         with pytest.raises(ValueError, match="key = value"):
             parse_config("replicas 7\n")

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,11 +102,12 @@ class TestWeyl:
     def test_zero_perturbation_is_identity(self):
         n = 128
         spec = GridSpec.centered(n, 2.05 / (n - 1))
-        # six query pairs per convention, drawn as the protocol draws them
-        points = np.random.default_rng(replica_seed(5, 999)).integers(0, n, size=(2, 6, 2, 2))
+        # one replica, six query pairs per convention, drawn as the protocol draws them
+        points = np.random.default_rng(replica_seed(5, 999)).integers(0, n, size=(1, 2, 6, 2, 2))
         # f = 0: the min/max factors e^(xi*f) are 1 and the oscillation is 0
         shift_err, sandwich, min_ratio, max_ratio, lower = _weyl_replica(
-            (PARAMS, spec, replica_seed(5, 0), np.zeros((n, n)), 1.0, 1.0, 0.0, 1.5, points))
+            0, params=PARAMS, spec=spec, master_seed=5, f=np.zeros((n, n)), f_lo=1.0, f_hi=1.0,
+            osc=0.0, c_shift=1.5, points=points)
         assert shift_err <= 1e-12
         assert sandwich == 0 and lower == 0
         # the perturbed metric is the base metric, and a geodesic recosts
@@ -156,9 +158,9 @@ class TestCrossing:
         """Three crossing replicas at two scales: (replica, convention, scale)."""
         s = self.side / (self.n - 1)
         spec = GridSpec.centered(self.n, s)
-        args = [(params, spec, replica_seed(master_seed, k), (4 * s, 2 * s), ladders, self.square)
-                for k in range(3)]
-        return np.array(_pool_map(_crossing_replica, args, workers))
+        replica = partial(_crossing_replica, params=params, spec=spec, master_seed=master_seed,
+                          eps_list=(4 * s, 2 * s), ladders=ladders, square=self.square)
+        return np.array(_pool_map(replica, range(3), workers))
 
     def lattice_width(self, stride):
         """Columns of the stride-coarsened centered lattice inside the square,
@@ -280,10 +282,17 @@ class TestSuitePlumbing:
             run_suite(PARAMS, config(), ["dufresne-check", "no-such"])
         assert calls == []
 
+    def test_repeated_name_rejected_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(EXPERIMENTS, "weyl-check", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="experiment 'weyl-check' is named twice"):
+            run_suite(PARAMS, config(), ["weyl-check", "dufresne-check", "weyl-check"])
+        assert calls == []
+
     def test_runtime_seconds_reads_the_monotonic_clock(self, monkeypatch):
         ticks = iter([100.0, 102.5])
         monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
-        protocol = Protocol("clock", 1, lambda params, cfg, size: (abs, [], lambda outputs: ({}, {}, [])))
+        protocol = Protocol("clock", 1, lambda params, cfg, size: (abs, 0, lambda outputs: ({}, {}, [])))
         assert protocol(PARAMS, config()).runtime_seconds == 2.5
 
     def test_registry_names(self):
@@ -373,11 +382,13 @@ def same(a, b) -> bool:
 def test_reduce_is_pure(small_reports):
     """A protocol's reducer depends on the ordered replica outputs alone:
     rerun on the same outputs it returns the same report body and leaves
-    the outputs as they were."""
+    the outputs as they were.  A replica depends on its index alone: the
+    last one, run by itself, returns what the runner's map returned."""
     report = small_reports[0]
     cfg = config(master_seed=9, replicas=REPLICAS)
-    replica_fn, tasks, reduce = EXPERIMENTS[report.name].plan(PARAMS, cfg, REPLICAS)
-    outputs = _pool_map(replica_fn, tasks, 2)
+    replica, count, reduce = EXPERIMENTS[report.name].plan(PARAMS, cfg, REPLICAS)
+    outputs = _pool_map(replica, range(count), 2)
+    assert same(replica(count - 1), outputs[-1])
     kept = copy.deepcopy(outputs)
     first, second = reduce(outputs), reduce(outputs)
     assert same(first, second)

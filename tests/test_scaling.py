@@ -50,6 +50,18 @@ class TestFits:
         with pytest.raises(ValueError):
             fit_loglog([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("x, y, name", [
+        ([1.0, 2.0], [1.0, 0.0], "y"),
+        ([0.0, 2.0], [1.0, 3.0], "x"),
+        ([1.0, 2.0], [-1.0, 3.0], "y"),
+        ([1.0, math.inf], [1.0, 3.0], "x"),
+        ([1.0, 2.0], [math.nan, 3.0], "y"),
+    ])
+    def test_non_positive_or_non_finite_rejected(self, x, y, name):
+        # the log of such a value is not finite, so no slope could be fitted
+        with pytest.raises(ValueError, match=f"positive finite {name}"):
+            fit_loglog(x, y)
+
 
 class TestHillEstimator:
     def test_pareto_tail_index_recovered(self):
@@ -73,6 +85,13 @@ class TestHillEstimator:
     def test_nonpositive_order_statistics_rejected(self):
         with pytest.raises(ValueError):
             hill_estimator(np.zeros(100))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_sample_rejected(self, bad):
+        sample = np.arange(1.0, 101.0)
+        sample[7] = bad
+        with pytest.raises(ValueError, match="finite sample"):
+            hill_estimator(sample)
 
     @given(scale=st.floats(min_value=1e-6, max_value=1e6), seed=st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
