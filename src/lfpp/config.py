@@ -86,8 +86,8 @@ def _floats(text: str) -> Tuple[float, ...]:
 # The keys in serialization order: how a config writes each (None leaves the
 # key out) and how its text reads back.  Read back in this order, the values
 # are the positional fields of LqgParams, GridSpec and RunConfig.  _SETTINGS
-# are the keys that decide a run's results, which config_hash digests; the
-# _ORIGIN keys, both left out, follow n and spacing (parse_config).
+# are the keys that decide a run's results, which config_hash digests; an
+# _ORIGIN key left out follows n and spacing (parse_config).
 _ORIGIN = {
     "origin_x": (lambda c: repr(c.grid.origin[0]), float),
     "origin_y": (lambda c: repr(c.grid.origin[1]), float),
@@ -133,11 +133,12 @@ def parse_config(text: str) -> RunConfig:
 
     defaults = {key: None if text is None else _KEYS[key][1](text)
                 for key, text in _texts(default_config(), _KEYS).items()}
+    # an origin coordinate left out centers the config's own grid on its axis
+    n, spacing = (given.get(key, defaults[key]) for key in ("n", "spacing"))
+    centered = dict(zip(_ORIGIN, GridSpec.centered(n, spacing).origin))
     # the given values replace the defaults in place, so the order is _KEYS'
-    gamma, d, n, spacing, ox, oy, *rest = {**defaults, **given}.values()
-    # the grid stays centered unless an origin is given explicitly
-    grid = GridSpec(n, spacing, (ox, oy)) if given.keys() & _ORIGIN else GridSpec.centered(n, spacing)
-    return RunConfig(LqgParams(gamma, d), grid, *rest)
+    gamma, d, n, spacing, ox, oy, *rest = {**defaults, **centered, **given}.values()
+    return RunConfig(LqgParams(gamma, d), GridSpec(n, spacing, (ox, oy)), *rest)
 
 
 def _texts(config: RunConfig, keys: Dict[str, tuple]) -> Dict[str, Optional[str]]:

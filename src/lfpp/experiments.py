@@ -855,13 +855,14 @@ def _plan_diameter_tail(params: LqgParams, config: RunConfig, replicas: int) -> 
 
     def reduce(outputs):
         vals = np.array(outputs)
-        hill = hill_estimator(vals / np.median(vals))
+        median = float(np.median(vals))
+        hill = hill_estimator(vals / median)
         checks = [
             _check("hill_index", hill, target, 0.4 * target),
             _check("hill_synthetic", hill_synthetic, target, 0.5),
         ]
         metrics = {"hill_index": hill, "hill_synthetic": hill_synthetic,
-                   "diameter_median": 1.0}
+                   "diameter_median": median}
         return settings, metrics, checks
 
     return replica, replicas, reduce

@@ -148,10 +148,6 @@ def read_only(values) -> np.ndarray:
 _BLOCK = 64
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
-
-
 def sample_zero_boundary_gff(spec: GridSpec, seed: int) -> LatticeField:
     """Dirichlet GFF on the grid: exact zeros on the boundary ring.
 
@@ -169,7 +165,7 @@ def sample_zero_boundary_gff(spec: GridSpec, seed: int) -> LatticeField:
     lam1 = (4.0 / s**2) * np.sin(np.pi * j / (2.0 * (m + 1))) ** 2
     lam = lam1[:, None] + lam1[None, :]
     amp = np.sqrt(2.0 * np.pi / (lam * s**2))
-    coeff = _rng(seed).standard_normal((m, m)) * amp / (2.0 * (m + 1))
+    coeff = np.random.default_rng(seed).standard_normal((m, m)) * amp / (2.0 * (m + 1))
     interior = sfft.dstn(coeff, type=1)
     values = np.zeros((spec.n, spec.n))
     values[1:-1, 1:-1] = interior
@@ -216,7 +212,7 @@ def sample_whole_plane_gff(spec: GridSpec, seed: int) -> LatticeField:
     # one half-spectrum buffer; every 1-D transform is independent of the
     # others, so the buffer holds the same bits as the whole-array passes
     F = np.empty((big, n + 1), dtype=complex)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for r in range(0, big, _BLOCK):  # the stream is sequential: one (big, big) draw
         F[r : r + _BLOCK] = np.fft.rfft(rng.standard_normal((min(_BLOCK, big - r), big)), axis=1)
     for c in range(0, n + 1, _BLOCK):

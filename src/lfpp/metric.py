@@ -229,18 +229,20 @@ class MetricProblem:
             raise ValueError(f"vertex {(i, j)} is outside the mask")
         return i, j
 
-    def _grid_distances(self, flat: np.ndarray) -> np.ndarray:
-        """Scatter per-mask-vertex distances back onto the grid (inf outside)."""
-        out = np.full((self.n, self.n), np.inf)
-        out[self.mask] = flat
-        return out
-
     # -- elementary costs ----------------------------------------------------
 
     def _source_charge(self, z: Tuple[int, int]) -> float:
         """What every path from a checked z pays before its first step: z's
         own weight under vertex-sum, nothing under edge-weighted."""
         return float(self.vertex_weight[z]) if self.convention == VERTEX_SUM else 0.0
+
+    def _reach(self, z: Tuple[int, int], limit: float = math.inf) -> np.ndarray:
+        """Distances from a checked z as an (n, n) grid, inf outside the mask
+        and beyond the limit: one sweep of the cached graph, z's charge added
+        last.  Every distance query from a vertex reads this one rule."""
+        out = np.full((self.n, self.n), np.inf)
+        out[self.mask] = _dijkstra(self.graph, int(self.ids[z]), limit=limit)
+        return out + self._source_charge(z)
 
     def path_cost(self, path: Sequence[Tuple[int, int]]) -> float:
         """A path's cost as a sweep from its first vertex folds it: the graph's
@@ -266,8 +268,7 @@ class MetricProblem:
         """``distance(z, w).distance`` without reconstructing the geodesic
         (inf when w is unreachable)."""
         z, w = self._check_vertex(z), self._check_vertex(w)
-        d = _dijkstra(self.graph, int(self.ids[z]))
-        return float(self._source_charge(z) + d[self.ids[w]])
+        return float(self._reach(z)[w])
 
     def geodesics(self, z: Tuple[int, int], targets: Sequence[Tuple[int, int]]) -> List[PathResult]:
         """Distances and realized geodesics from z to each target, all read
@@ -291,19 +292,12 @@ class MetricProblem:
         return out
 
     def multi_source_distance(self, sources: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Single-pass distances from a vertex set, as an (n, n) grid array.
-
-        One sweep from the builder's virtual source joined to the sources:
-        vertex-sum charges each source's own weight once, edge-weighted
-        virtual edges are free.  The graph is built for this query only.
-        """
+        """Distances from a vertex set, as an (n, n) grid array: at each
+        vertex, the nearest source's ``distance_value``, bit for bit."""
         if len(sources) == 0:
             raise ValueError("sources must be nonempty")
-        si, sj = np.array([self._check_vertex(v) for v in sources]).T
-        graph, _ = build_lattice_graph(self.mask, self.vertex_weight, self.spacing,
-                                       self.convention, sources=(si, sj))
-        nv = graph.shape[0] - 1
-        return self._grid_distances(_dijkstra(graph, nv)[:nv])
+        sources = [self._check_vertex(v) for v in sources]
+        return functools.reduce(np.minimum, map(self._reach, sources))
 
     def crossing_distance(self, square: Tuple[float, float, float]) -> float:
         """Left-to-right crossing distance of a square, paths inside the square.
@@ -346,10 +340,8 @@ class MetricProblem:
         ``distance_value`` from it is at most s."""
         if not s >= 0:
             raise ValueError("radius must be >= 0")
-        center = self._check_vertex(center)
         # a limit of s less the charge could round below a member's d
-        d = _dijkstra(self.graph, int(self.ids[center]), limit=s)
-        member = self._grid_distances(d) + self._source_charge(center) <= s
+        member = self._reach(self._check_vertex(center), limit=s) <= s
         return MetricBall(membership=member, boundary=_boundary_vertices(member))
 
     # -- annulus cycle -----------------------------------------------------------

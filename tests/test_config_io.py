@@ -161,6 +161,16 @@ class TestConfig:
         c = parse_config("origin_x = 1.5\n")
         assert c.grid.origin[0] == 1.5
 
+    @pytest.mark.parametrize("key, axis", [("origin_x", 0), ("origin_y", 1)])
+    def test_one_origin_coordinate_centers_the_other_on_its_own_grid(self, key, axis):
+        # the coordinate left out comes from this config's centered grid,
+        # -2.555 here, not from the default 256^2 grid's -1.025
+        c = parse_config(f"n = 512\nspacing = 0.01\n{key} = 0.0\n")
+        centered = GridSpec.centered(512, 0.01).origin
+        assert c.grid.origin[axis] == 0.0
+        assert c.grid.origin[1 - axis] == centered[1 - axis] == -2.555
+        assert parse_config(serialize_config(c)) == c
+
     def test_hash_stable_and_sensitive(self):
         a = default_config()
         assert config_hash(a) == config_hash(default_config())

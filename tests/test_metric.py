@@ -18,6 +18,7 @@ from lfpp.metric import (
     VERTEX_SUM,
     MetricBall,
     MetricProblem,
+    _dijkstra,
     _walk_back,
     build_lattice_graph,
     geodesic_tube_areas,
@@ -234,9 +235,8 @@ class TestQueries:
         d = prob.multi_source_distance([(20, 5)])
         for got, w in zip(prob.geodesics((20, 5), targets), targets):
             assert got == prob.distance((20, 5), w)
-            assert got.distance == pytest.approx(d[w], rel=1e-12)
             # bit for bit, the unreachable and zero-length queries included
-            assert prob.distance_value((20, 5), w) == got.distance
+            assert prob.distance_value((20, 5), w) == got.distance == d[w]
         assert not prob.geodesics((20, 5), [(3, 3)])[0].reached
         assert prob.distance_value((20, 5), (3, 3)) == math.inf
         with pytest.raises(ValueError, match="outside the mask"):
@@ -466,6 +466,22 @@ class TestMetricAxioms:
         s = values[v] if scale is None else scale * values[np.isfinite(values)].max()
         np.testing.assert_array_equal(prob.metric_ball(c, s).membership, values <= s)
 
+    @given(case=masked_grids(), scale=st.sampled_from([None, 0.0, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_grid_point_and_ball_queries_agree(self, case, scale):
+        # one distance from a vertex, whichever query reads it: bit for bit,
+        # under vertex-sum too, where the source's charge is a separate term
+        prob, (x, y, z) = case
+        d = {v: prob.multi_source_distance([v]) for v in (x, y, z)}
+        for w in (x, y, z):
+            assert d[x][w] == prob.distance_value(x, w)
+            assert d[y][w] == prob.distance_value(y, w)
+        finite = d[x][np.isfinite(d[x])]
+        s = d[x][y] if scale is None else scale * finite.max()
+        np.testing.assert_array_equal(prob.metric_ball(x, s).membership, d[x] <= s)
+        np.testing.assert_array_equal(prob.multi_source_distance([x, y, z]),
+                                      np.minimum.reduce(list(d.values())))
+
     @given(case=masked_grids(), seed=st.integers(0, 2**32 - 1), holes=st.floats(0.0, 0.5))
     @settings(max_examples=40, deadline=None)
     def test_shrinking_the_mask_never_shortens(self, case, seed, holes):
@@ -572,8 +588,9 @@ class TestCrossingProperties:
     @given(case=masked_squares())
     @settings(max_examples=80, deadline=None)
     def test_equals_restricted_multi_source(self, case):
-        # the window-first sweep against the whole-grid one: the restricted
-        # problem's multi-source distances from the left side, read on the right
+        # the window-first sweep against the whole-grid one: a sweep of the
+        # square's vertices on the whole grid from a virtual source joined to
+        # the left side, read on the right
         prob, square = case
         sub = square_vertices(prob, square)
         if not sub.any():
@@ -581,9 +598,11 @@ class TestCrossingProperties:
                 prob.crossing_distance(square)
             return
         cols = np.nonzero(sub.any(axis=1))[0]
-        left = [(int(cols[0]), int(j)) for j in np.nonzero(sub[cols[0]])[0]]
-        d = MetricProblem(prob.field, PARAMS, prob.convention, mask=sub).multi_source_distance(left)
-        want = float(d[cols[-1]][sub[cols[-1]]].min())
+        sj = np.nonzero(sub[cols[0]])[0]
+        graph, ids = build_lattice_graph(sub, prob.vertex_weight, prob.spacing, prob.convention,
+                                         sources=(np.full_like(sj, cols[0]), sj))
+        d = _dijkstra(graph, graph.shape[0] - 1)
+        want = float(d[ids[cols[-1]][sub[cols[-1]]]].min())
         assert crossing_or_inf(prob, square) == want
 
     @given(case=masked_squares(), seed=st.integers(0, 2**32 - 1), holes=st.floats(0.0, 0.5))
