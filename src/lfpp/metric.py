@@ -72,7 +72,6 @@ def _dijkstra(graph: csr_matrix, source: int, **kwargs):
 
 def build_lattice_graph(
     mask: np.ndarray, vertex_weight: np.ndarray, spacing: float, convention: str,
-    sources: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Tuple[csr_matrix, np.ndarray]:
     """Directed CSR graph of the masked 8-neighbor lattice.
 
@@ -83,12 +82,6 @@ def build_lattice_graph(
     ``OFFSETS`` order, which is ascending neighbor id.  Returns the graph
     and the vertex-id grid, -1 outside the mask.  Accepts any rectangular
     shape; grid validation lives upstream.
-
-    ``sources=(si, sj)`` appends a virtual source, vertex nv, whose row
-    holds an edge to each mask vertex (si[k], sj[k]), in that order: a
-    sweep from it is a multi-source sweep.  Under vertex-sum each of these
-    edges carries its vertex's weight, so a source's own weight is charged
-    once; under edge-weighted they are free.
     """
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
@@ -97,20 +90,12 @@ def build_lattice_graph(
     ids = np.full(mask.shape, -1, dtype=np.int64)
     nv = int(np.count_nonzero(mask))
     ids[mask] = np.arange(nv)  # boolean assignment runs row-major
-    nsrc = 0
-    if sources is not None:
-        si, sj = sources
-        sid = ids[si, sj]
-        if np.any(sid < 0):
-            k = int(np.argmax(sid < 0))
-            raise ValueError(f"vertex {(int(si[k]), int(sj[k]))} is outside the mask")
-        nsrc = sid.size
     # Only the mask's bounding box is scanned.  Framing it with one ring of
     # id -1 makes every offset's neighbor block a plain slice.
     rows, cols = np.nonzero(mask.any(axis=1))[0], np.nonzero(mask.any(axis=0))[0]
     i0, i1, j0, j1 = (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1) if nv else (0, 0, 0, 0)
     h, wd = i1 - i0, j1 - j0
-    itype = np.int32 if 8 * nv + nsrc < 2**31 else np.int64
+    itype = np.int32 if 8 * nv < 2**31 else np.int64
     fid = np.full((h + 2, wd + 2), -1, dtype=itype)
     fid[1:-1, 1:-1] = ids[i0:i1, j0:j1]
     fw = np.ones((h + 2, wd + 2))
@@ -119,12 +104,12 @@ def build_lattice_graph(
     degree = np.zeros((h, wd), dtype=itype)
     for di, dj, _ in OFFSETS:
         degree += fid[1 + di : 1 + di + h, 1 + dj : 1 + dj + wd] >= 0
-    indptr = np.zeros(nv + 1 + (sources is not None), dtype=itype)
-    np.cumsum(degree[inside], out=indptr[1 : nv + 1])
+    indptr = np.zeros(nv + 1, dtype=itype)
+    np.cumsum(degree[inside], out=indptr[1:])
     del degree
     nnz = int(indptr[nv])
-    data = np.empty(nnz + nsrc)
-    indices = np.empty(nnz + nsrc, dtype=itype)
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=itype)
     # Each block of rows gathers its valid entries straight into its slice
     # of the CSR arrays, so no (h, wd, 8) array is ever held whole.
     at = 0
@@ -143,11 +128,6 @@ def build_lattice_graph(
         data[at:end] = wgt[valid]
         indices[at:end] = nbr[valid]
         at = end
-    if sources is not None:
-        data[nnz:] = vertex_weight[si, sj] if convention == VERTEX_SUM else 0.0
-        indices[nnz:] = sid
-        indptr[-1] = nnz + nsrc
-        nv += 1
     return _csr((data, indices, indptr), (nv, nv)), ids
 
 
@@ -197,8 +177,8 @@ class MetricProblem:
         if not (lo > 0.0 and hi < np.inf):
             raise ValueError("vertex weights must be positive and finite")
 
-    def _weight(self, values: np.ndarray) -> np.ndarray:
-        return np.exp(self.params.xi * values)
+    def _weight(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.exp(np.multiply(self.params.xi, values, out=out), out=out)
 
     @functools.cached_property
     def vertex_weight(self) -> np.ndarray:
@@ -306,18 +286,22 @@ class MetricProblem:
         leftmost column of the square's vertex set, targets the rightmost.
         Raises ValueError when the square misses the mask or no target is
         reachable inside it.  Only the square's window of the grid is built,
-        with the builder's virtual source joined to the window's first row,
-        and swept once from that source.
+        padded above its first row by an all-mask entry row of weight 0, and
+        swept once from that row: walking it is free and entering the left
+        side at s costs what a sweep from s charges, s's weight under
+        vertex-sum and nothing under edge-weighted.
         """
         x0, y0, side = square
         if not (math.isfinite(x0) and math.isfinite(y0) and 0 < side < math.inf):
             raise ValueError("degenerate square")
         rows, cols = self._square_window(x0, y0, side)
         sub = self.mask[rows, cols]
-        sj = np.nonzero(sub[0])[0]
-        graph, ids = build_lattice_graph(sub, self._weight(self.field.values[rows, cols]), self.spacing,
-                                         self.convention, sources=(np.zeros_like(sj), sj))
-        d = _dijkstra(graph, graph.shape[0] - 1)
+        weight = np.zeros((sub.shape[0] + 1, sub.shape[1]))
+        self._weight(self.field.values[rows, cols], out=weight[1:])
+        graph, ids = build_lattice_graph(np.pad(sub, ((1, 0), (0, 0)), constant_values=True), weight,
+                                         self.spacing, self.convention)
+        del weight  # the sweep reads only the graph; a live window of weights raised peak RSS
+        d = _dijkstra(graph, int(ids[0, 0]))
         val = float(np.min(d[ids[-1, sub[-1]]]))
         if not math.isfinite(val):
             raise ValueError(f"square {square} has no left-to-right crossing inside the mask")
@@ -337,11 +321,12 @@ class MetricProblem:
 
     def metric_ball(self, center: Tuple[int, int], s: float) -> MetricBall:
         """All vertices within metric distance s of the center: those whose
-        ``distance_value`` from it is at most s."""
+        ``distance_value`` from it is finite and at most s."""
         if not s >= 0:
             raise ValueError("radius must be >= 0")
         # a limit of s less the charge could round below a member's d
-        member = self._reach(self._check_vertex(center), limit=s) <= s
+        d = self._reach(self._check_vertex(center), limit=s)
+        member = np.isfinite(d) & (d <= s)
         return MetricBall(membership=member, boundary=_boundary_vertices(member))
 
     # -- annulus cycle -----------------------------------------------------------

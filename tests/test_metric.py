@@ -454,17 +454,23 @@ class TestMetricAxioms:
         factor = math.exp(PARAMS.xi * c)
         np.testing.assert_allclose(ds[reached], factor * d[reached], rtol=1e-12, atol=0.0)
 
-    @given(case=masked_grids(sizes=(8, 16)), scale=st.sampled_from([None, 0.0, 0.5, 1.0]))
+    @given(case=masked_grids(sizes=(8, 16)), scale=st.sampled_from([None, 0.0, 0.5, 1.0, math.inf]))
     @settings(max_examples=50, deadline=None)
     def test_metric_ball_thresholds_distance_values(self, case, scale):
         # a radius that is some vertex's distance (None) puts that vertex on
-        # the ball's edge; the others are fractions of the farthest distance
+        # the ball's edge; the others are fractions of the farthest distance,
+        # or inf, whose ball is every reachable vertex and no other
         prob, (c, v, _) = case
         values = np.full((prob.n, prob.n), np.inf)
         for w in np.argwhere(prob.mask):
             values[tuple(w)] = prob.distance_value(c, tuple(w))
-        s = values[v] if scale is None else scale * values[np.isfinite(values)].max()
-        np.testing.assert_array_equal(prob.metric_ball(c, s).membership, values <= s)
+        if scale is None:
+            s = values[v]
+        elif scale == math.inf:
+            s = scale
+        else:
+            s = scale * values[np.isfinite(values)].max()
+        np.testing.assert_array_equal(prob.metric_ball(c, s).membership, np.isfinite(values) & (values <= s))
 
     @given(case=masked_grids(), scale=st.sampled_from([None, 0.0, 0.5, 1.0]))
     @settings(max_examples=60, deadline=None)
@@ -588,9 +594,9 @@ class TestCrossingProperties:
     @given(case=masked_squares())
     @settings(max_examples=80, deadline=None)
     def test_equals_restricted_multi_source(self, case):
-        # the window-first sweep against the whole-grid one: a sweep of the
-        # square's vertices on the whole grid from a virtual source joined to
-        # the left side, read on the right
+        # the window-first sweep against the whole-grid one: the whole grid's
+        # square vertices, with a zero-weight all-mask row inserted just
+        # above the left side, swept from that row and read on the right
         prob, square = case
         sub = square_vertices(prob, square)
         if not sub.any():
@@ -598,11 +604,11 @@ class TestCrossingProperties:
                 prob.crossing_distance(square)
             return
         cols = np.nonzero(sub.any(axis=1))[0]
-        sj = np.nonzero(sub[cols[0]])[0]
-        graph, ids = build_lattice_graph(sub, prob.vertex_weight, prob.spacing, prob.convention,
-                                         sources=(np.full_like(sj, cols[0]), sj))
-        d = _dijkstra(graph, graph.shape[0] - 1)
-        want = float(d[ids[cols[-1]][sub[cols[-1]]]].min())
+        mask = np.insert(sub, cols[0], True, axis=0)
+        weight = np.insert(prob.vertex_weight, cols[0], 0.0, axis=0)
+        graph, ids = build_lattice_graph(mask, weight, prob.spacing, prob.convention)
+        d = _dijkstra(graph, int(ids[cols[0], 0]))
+        want = float(d[ids[cols[-1] + 1][sub[cols[-1]]]].min())
         assert crossing_or_inf(prob, square) == want
 
     @given(case=masked_squares(), seed=st.integers(0, 2**32 - 1), holes=st.floats(0.0, 0.5))
@@ -622,8 +628,8 @@ class TestCrossingProperties:
 
 class TestNetworkxOracle:
     """Sweeps against networkx on random masked grids whose mask's bounding
-    box sits off-centre, so the builder's crop and the virtual-source row
-    are both exercised."""
+    box sits off-centre, so the builder's crop and the crossing's
+    zero-weight entry row are both exercised."""
 
     @staticmethod
     def _cases(convention):
@@ -910,41 +916,29 @@ class TestGraphConstruction:
             np.testing.assert_array_equal(ids, ref_ids)
 
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
-    def test_sources_row_equals_appended_row(self, convention):
-        # the virtual source's row, appended to a plain build by hand: edges
-        # to the sources in the order given, repeats kept, carrying the
-        # source weights or 0.0
-        rng = np.random.default_rng(23)
-        masks = [np.ones((1, 9), dtype=bool), np.ones((12, 12), dtype=bool)]
-        for _ in range(20):
-            nr, nc = (int(v) for v in rng.integers(1, 25, 2))
-            masks.append(rng.random((nr, nc)) < rng.uniform(0.3, 1.0))  # holes
-        for mask in masks:
-            if not mask.any():
-                continue
-            w = np.exp(rng.normal(0.0, 1.0, mask.shape))
-            act = np.argwhere(mask)
-            si, sj = act[rng.integers(0, len(act), int(rng.integers(1, 6)))].T
-            g, ids = build_lattice_graph(mask, w, 0.07, convention, sources=(si, sj))
-            plain, plain_ids = build_lattice_graph(mask, w, 0.07, convention)
-            nv, sid = plain.shape[0], plain_ids[si, sj]
-            wgt = w[si, sj] if convention == VERTEX_SUM else np.zeros(sid.size)
-            ref = csr_matrix((np.concatenate([plain.data, wgt]),
-                              np.concatenate([plain.indices, sid.astype(plain.indices.dtype)]),
-                              np.append(plain.indptr, plain.nnz + sid.size).astype(plain.indptr.dtype)),
-                             shape=(nv + 1, nv + 1))
-            assert g.shape == ref.shape
-            for name in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(g, name), getattr(ref, name))
-            np.testing.assert_array_equal(ids, plain_ids)
-
-    def test_source_outside_mask_rejected(self):
-        mask = np.ones((6, 6), dtype=bool)
-        mask[2, 3] = False
-        for convention in (VERTEX_SUM, EDGE_WEIGHTED):
-            with pytest.raises(ValueError, match=r"vertex \(2, 3\) is outside the mask"):
-                build_lattice_graph(mask, np.ones((6, 6)), 0.1, convention,
-                                    sources=(np.array([0, 2]), np.array([0, 3])))
+    def test_zero_weight_row_keeps_its_edges(self, convention):
+        # crossing_distance enters a square through a row of weight 0: its
+        # steps stay explicit 0.0 entries, and scipy sweeps them as edges
+        w = np.exp(np.random.default_rng(5).normal(0.0, 1.0, (3, 6)))
+        zero = w.copy()
+        zero[0] = 0.0
+        mask = np.ones(w.shape, dtype=bool)
+        g, ids = build_lattice_graph(mask, zero, 0.1, convention)
+        ref, _ = build_lattice_graph(mask, w, 0.1, convention)
+        assert g.nnz == ref.nnz
+        np.testing.assert_array_equal(g.indptr, ref.indptr)
+        np.testing.assert_array_equal(g.indices, ref.indices)
+        u = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+        top = ids[0]
+        along = np.isin(u, top) & np.isin(g.indices, top)
+        out = np.isin(u, top) & ~along
+        assert along.sum() == 10 and out.sum() == 16
+        assert np.all(g.data[along] == 0.0)
+        want_out = w[1][g.indices[out] - top.size] if convention == VERTEX_SUM else 0.0
+        np.testing.assert_array_equal(g.data[out], want_out)
+        d = _dijkstra(g, int(ids[0, 0]))
+        np.testing.assert_array_equal(d[top], 0.0)
+        np.testing.assert_array_equal(d[ids[1]], w[1] if convention == VERTEX_SUM else 0.0)
 
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
     def test_traced_peak_below_two_csr(self, convention):
