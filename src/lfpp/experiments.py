@@ -68,7 +68,6 @@ CHECK_RULES: Dict[str, Callable[[float, Optional[float], float], bool]] = {
     "strict-upper": lambda v, t, tol: v < t + tol,
     "strict-lower": lambda v, t, tol: v > t - tol,
     "property": lambda v, t, tol: v == t,
-    "not-applicable": lambda v, t, tol: True,
 }
 
 
@@ -175,14 +174,10 @@ def _plan_crossing_exponent(params: LqgParams, config: RunConfig, replicas: int)
     def reduce(outputs):
         # one row of medians per convention, across the scales
         fit_vs, fit_ew = (fit_loglog(eps_list, medians) for medians in np.median(outputs, axis=0))
-        # unit weights: crossing cost counts lattice columns, one per step
-        target_vs = -1.0 if params.xi == 0.0 else -params.xi_q
         checks = [
-            _check("slope_vertex_sum", fit_vs.slope, target_vs, tolerance),
+            _check("slope_vertex_sum", fit_vs.slope, -params.xi_q, tolerance),
+            _check("slope_edge_weighted", fit_ew.slope, 1.0 - params.xi_q, tolerance),
         ]
-        if params.xi != 0.0:
-            target_ew = 1.0 - params.xi_q
-            checks.append(_check("slope_edge_weighted", fit_ew.slope, target_ew, tolerance))
         metrics = {
             "slope_vertex_sum": fit_vs.slope,
             "stderr_vertex_sum": fit_vs.stderr,
@@ -483,8 +478,8 @@ def _scaling_relation_replica(k: int, params, spec, master_seed, eps, pairs,
 
 def _plan_scaling_relation(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
     """The grid-rescaling identity: exact for a constant field and, under
-    vertex-sum, for every field; within a band for edge-weighted fields and
-    a deterministic linear field."""
+    vertex-sum, for every field; within a band under edge-weighted, for the
+    sampled fields and for a deterministic linear field."""
     n, side = 512, 4.1
     pairs = 50
     band = 0.03
@@ -502,12 +497,13 @@ def _plan_scaling_relation(params: LqgParams, config: RunConfig, replicas: int) 
         g = scaling_relation_gaps(const, const_mf, params, conv, 10, np.random.default_rng(0), r)
         const_gap = max(const_gap, float(np.abs(g).max()))
 
-    # deterministic linear field pins a reference band
+    # deterministic linear field pins a reference band, edge-weighted: under
+    # vertex-sum the identity is exact for every field, so the band could not fail
     xx, _ = spec.mesh()
     xx.setflags(write=False)
     linear = LatticeField(spec=spec, values=xx, kind=DETERMINISTIC)
     lin_gap = float(np.abs(
-        scaling_relation_gaps(linear, mollify_heat(linear, eps), params, config.convention, 20,
+        scaling_relation_gaps(linear, mollify_heat(linear, eps), params, EDGE_WEIGHTED, 20,
                               np.random.default_rng(1), r)
     ).max())
 
@@ -630,8 +626,6 @@ def _plan_dufresne_check(params: LqgParams, config: RunConfig, n_samples: int) -
     the drifts (q - alpha)/xi for alpha in (0, gamma).  ``config.replicas``
     is the sample count per drift, and the drifts are the replicas: the
     plan's count is ``len(drifts)``, and replica k samples drift k."""
-    if params.xi == 0.0:
-        raise ValueError("dufresne-check: the drift (q - alpha)/xi is undefined at xi = 0")
     alphas = (0.0, params.gamma)
     drifts = [(params.q - alpha) / params.xi for alpha in alphas]
     settings = {"alphas": list(alphas), "n_samples": n_samples, "dt": _BM_DT,
@@ -845,10 +839,6 @@ def _plan_diameter_tail(params: LqgParams, config: RunConfig, replicas: int) -> 
                 "convention": config.convention}
     replica = partial(_diameter_replica, params=params, spec=spec, master_seed=config.master_seed,
                       convention=config.convention)
-    if params.xi == 0.0:
-        # unit weights: the diameter is deterministic, so no upper tail exists
-        checks = [_check("degenerate_deterministic_diameter", math.inf, None, None, kind="not-applicable")]
-        return replica, 0, lambda outputs: (settings, {"degenerate": 1.0}, checks)
     # estimator self-check on a synthetic heavy-tail sample of known index
     rng = np.random.default_rng(replica_seed(config.master_seed, 31337))
     hill_synthetic = hill_estimator(rng.pareto(target, 20_000) + 1.0)

@@ -171,7 +171,7 @@ class MetricProblem:
             raise ValueError("mask shape does not match the field grid")
         self.mask = mask.copy()
         self.mask.setflags(write=False)
-        # xi >= 0 makes the weight monotone in the value, so the extremes
+        # xi > 0 makes the weight monotone in the value, so the extremes
         # bound every weight; exp overflow or underflow of finite values fails
         lo, hi = self._weight(np.array([field.values.min(), field.values.max()]))
         if not (lo > 0.0 and hi < np.inf):

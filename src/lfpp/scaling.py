@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,21 +51,19 @@ def fit_loglog(x: Sequence[float], y: Sequence[float]) -> ExponentFit:
     return ExponentFit(slope=slope, intercept=intercept, stderr=stderr)
 
 
-def hill_estimator(sample: np.ndarray, k: Optional[int] = None) -> float:
-    """Hill tail-index estimate from the top k order statistics.
+def hill_estimator(sample: np.ndarray) -> float:
+    """Hill tail-index estimate from the top k = max(2, n // 10) order
+    statistics of a sample of size n.
 
-    Defaults to the top 10% of the sample; k must lie in [1, n), and every
-    entry must be finite.  Returns math.inf for samples whose upper order
-    statistics are all equal (no tail to estimate).
+    k must be smaller than n, so n is at least 3, and every entry must be
+    finite.  Returns math.inf for samples whose upper order statistics are
+    all equal (no tail to estimate).
     """
     x = np.sort(np.asarray(sample, dtype=np.float64))[::-1]
     if not np.all(np.isfinite(x)):
         raise ValueError("Hill estimator needs a finite sample")
     n = x.size
-    if k is None:
-        k = max(2, n // 10)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k = max(2, n // 10)
     if k >= n:
         raise ValueError("k must be smaller than the sample size")
     if x[k] <= 0.0:

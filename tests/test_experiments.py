@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from lfpp import experiments
 from lfpp.config import default_config
 from lfpp.experiments import (
+    CHECK_RULES,
     EXPERIMENTS,
     Protocol,
     _check,
@@ -26,7 +28,7 @@ from lfpp.experiments import (
     simulate_bm_integral,
     bm_integral_cdf,
 )
-from lfpp.field import DETERMINISTIC, GridSpec, LatticeField, sample_whole_plane_gff
+from lfpp.field import DETERMINISTIC, WHOLE_PLANE, GridSpec, LatticeField, sample_whole_plane_gff
 from lfpp.io import write_suite_summary_csv
 from lfpp.metric import EDGE_WEIGHTED, VERTEX_SUM, MetricProblem
 from lfpp.mollify import mollify_heat
@@ -39,6 +41,16 @@ PARAMS = LqgParams.pure_gravity()
 
 def config(**overrides):
     return replace(default_config(), **overrides)
+
+
+@pytest.fixture
+def flat(monkeypatch):
+    """The protocols sample the zero field: every weight exp(xi * 0.0) is
+    exactly 1, so the metric is the unit-weight lattice metric."""
+    def zero_field(spec, seed):
+        return LatticeField(spec=spec, values=np.zeros((spec.n, spec.n)), kind=WHOLE_PLANE, seed=seed)
+
+    monkeypatch.setattr(experiments, "sample_whole_plane_gff", zero_field)
 
 
 def weyl_ratio_ladder(params, config, eps_list=(2 ** -4, 2 ** -5, 2 ** -6),
@@ -149,6 +161,14 @@ class TestScalingRelation:
         assert rep.metrics["vertex_sum_max_abs_gap"] <= 1e-12
         assert rep.metrics["edge_weighted_min_gap"] >= -0.03
 
+    def test_linear_field_band_ignores_config_convention(self):
+        # under vertex-sum the identity is exact for every field, so the
+        # linear field's band is checked edge-weighted whatever the config says
+        default, vertex_sum = (EXPERIMENTS["scaling-relation"](PARAMS, config(replicas=1, convention=conv))
+                               for conv in (EDGE_WEIGHTED, VERTEX_SUM))
+        assert vertex_sum.metrics["linear_field_max_gap"] == default.metrics["linear_field_max_gap"]
+        assert default.metrics["linear_field_max_gap"] > 1e-9
+
 
 class TestCrossing:
     n, side = 64, 2.2
@@ -171,15 +191,15 @@ class TestCrossing:
         cols = np.nonzero((xs >= x0) & (xs <= x0 + a))[0]
         return cols.size, (cols[-1] - cols[0]) * step
 
-    def test_unit_weights_give_lattice_width(self):
-        out = self.replicas(LqgParams.degenerate(), ((EDGE_WEIGHTED, [1, 1]), (VERTEX_SUM, [1, 1])))
+    def test_unit_weights_give_lattice_width(self, flat):
+        out = self.replicas(PARAMS, ((EDGE_WEIGHTED, [1, 1]), (VERTEX_SUM, [1, 1])))
         columns, width = self.lattice_width(1)
         assert out.shape == (3, 2, 2)
         np.testing.assert_allclose(out[:, 0], width, rtol=1e-12)
         np.testing.assert_array_equal(out[:, 1], float(columns))
 
-    def test_stride_coarsens_lattice(self):
-        out = self.replicas(LqgParams.degenerate(), ((EDGE_WEIGHTED, [2, 1]),))
+    def test_stride_coarsens_lattice(self, flat):
+        out = self.replicas(PARAMS, ((EDGE_WEIGHTED, [2, 1]),))
         assert out.shape == (3, 1, 2)
         (_, coarse), (_, fine) = self.lattice_width(2), self.lattice_width(1)
         assert coarse < fine
@@ -201,8 +221,8 @@ class TestCrossing:
 
 
 class TestScaleRatio:
-    def test_unit_weights_give_lattice_widths(self):
-        rep = EXPERIMENTS["scale-ratio"](LqgParams.degenerate(), config(replicas=2))
+    def test_unit_weights_give_lattice_widths(self, flat):
+        rep = EXPERIMENTS["scale-ratio"](PARAMS, config(replicas=2))
         s = rep.settings["side"] / (rep.settings["n"] - 1)
         # unit weights: the statistic is the crossing width of the snapped
         # square, floor(r/s - 1/2) lattice steps
@@ -213,11 +233,6 @@ class TestScaleRatio:
 
 
 class TestDufresne:
-    def test_flat_field_rejected(self):
-        # the drifts (q - alpha)/xi do not exist at xi = 0
-        with pytest.raises(ValueError, match="dufresne-check.*xi = 0"):
-            EXPERIMENTS["dufresne-check"](LqgParams.degenerate(), config(replicas=10))
-
     def test_nonpositive_drift_rejected(self):
         with pytest.raises(ValueError, match="drift"):
             simulate_bm_integral(0.0, 4, 0)
@@ -230,10 +245,11 @@ class TestDufresne:
 
 
 class TestDegenerateOracles:
-    def test_diameter_tail_flags_constant_field(self):
-        rep = EXPERIMENTS["diameter-tail"](LqgParams.degenerate(), config(master_seed=2, replicas=3))
-        assert rep.passed
-        assert rep.checks[0]["kind"] == "not-applicable"
+    def test_diameter_tail_flags_constant_field(self, flat):
+        rep = EXPERIMENTS["diameter-tail"](PARAMS, config(master_seed=2, replicas=3))
+        # every diameter is the same, so the sample has no upper tail
+        assert rep.metrics["hill_index"] == math.inf
+        assert not rep.passed
 
     @pytest.mark.parametrize("replicas", [1, 2])
     def test_diameter_tail_rejects_too_few_replicas(self, replicas):
@@ -247,8 +263,8 @@ class TestDegenerateOracles:
         with pytest.raises(ValueError, match="circle-average-bm"):
             EXPERIMENTS["circle-average-bm"](PARAMS, config(replicas=1))
 
-    def test_tube_ratios_exactly_one_on_flat_field(self):
-        rep = EXPERIMENTS["tube-distance"](LqgParams.degenerate(), config(master_seed=3, replicas=2))
+    def test_tube_ratios_exactly_one_on_flat_field(self, flat):
+        rep = EXPERIMENTS["tube-distance"](PARAMS, config(master_seed=3, replicas=2))
         for k, v in rep.metrics.items():
             if k.startswith("median_ratio_width_"):
                 # the straight segment is the geodesic inside every tube
@@ -257,15 +273,15 @@ class TestDegenerateOracles:
         assert rep.metrics["strictly_increasing_fraction"] == 0.0
         assert not rep.passed
 
-    def test_holder_exponents_near_one_on_flat_field(self):
-        rep = EXPERIMENTS["holder-scan"](LqgParams.degenerate(), config(master_seed=4, replicas=1))
+    def test_holder_exponents_near_one_on_flat_field(self, flat):
+        rep = EXPERIMENTS["holder-scan"](PARAMS, config(master_seed=4, replicas=1))
         # unit weights: distances are chamfer, exponent 1 up to lattice rounding
         assert rep.metrics["median_local_exponent"] == pytest.approx(1.0, abs=0.05)
         assert rep.metrics["min_local_exponent"] > 0.9
         assert rep.metrics["max_local_exponent"] < 1.1
 
-    def test_ball_overlap_flat_field_superlinear(self):
-        rep = EXPERIMENTS["geodesic-ball-overlap"](LqgParams.degenerate(), config(master_seed=5, replicas=1))
+    def test_ball_overlap_flat_field_superlinear(self, flat):
+        rep = EXPERIMENTS["geodesic-ball-overlap"](PARAMS, config(master_seed=5, replicas=1))
         assert rep.passed
         assert rep.metrics["median_area_exponent"] > 1.0
 
@@ -364,7 +380,6 @@ def test_workers_do_not_change_reports(small_reports):
     reports = [rep.to_dict() for rep in small_reports]
     for rep in reports:
         del rep["runtime_seconds"]
-    assert "degenerate" not in reports[0]["metrics"]
     assert reports[0] == reports[1]
 
 
@@ -412,7 +427,7 @@ def test_replicas_size_every_protocol(small_reports):
         assert settings["gap_replicas"] == REPLICAS
 
 
-# The seven check kinds, restated here so the tests do not read the rule
+# The six check kinds, restated here so the tests do not read the rule
 # table they check: v is the value, t the target, tol the tolerance (0 when
 # the row records none).
 KIND_RULES = {
@@ -422,8 +437,18 @@ KIND_RULES = {
     "strict-upper": lambda v, t, tol: v < t + tol,
     "strict-lower": lambda v, t, tol: v > t - tol,
     "property": lambda v, t, tol: v == t,
-    "not-applicable": lambda v, t, tol: True,
 }
+
+
+def test_readme_kind_table_lists_every_check_kind():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| `kind` | passes when |") + 2
+    kinds = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        kinds.append(line.split("|")[1].strip().strip("`"))
+    assert sorted(kinds) == sorted(CHECK_RULES)
 
 
 @pytest.mark.parametrize("kind, target, tolerance, edge, at, above, below", [
@@ -436,7 +461,6 @@ KIND_RULES = {
     ("one-sided-upper", 1.0, None, 1.0, True, False, True),
     ("strict-lower", 1.0, None, 1.0, False, True, False),
     ("property", 3.0, 0.0, 3.0, True, False, False),
-    ("not-applicable", None, None, math.inf, True, True, True),
 ])
 def test_check_rule_at_threshold(kind, target, tolerance, edge, at, above, below):
     """Non-strict kinds pass at their threshold and strict kinds fail there;
