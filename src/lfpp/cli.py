@@ -80,6 +80,15 @@ def _nearest_vertex(spec: GridSpec, x: float, y: float):
     return (i, j)
 
 
+def _print_path(cfg: RunConfig, name: str, spec: GridSpec, res, missing: str) -> int:
+    """Write a path result to the named CSV and print its distance; ``missing`` if empty."""
+    if not res.path:
+        raise ValueError(missing)
+    lio.write_geodesic_csv(_artifact(cfg, name), spec, res.path, res.costs, comment=_stamp(cfg))
+    print(repr(res.distance))
+    return EXIT_OK
+
+
 def cmd_sample_field(args, cfg: RunConfig) -> int:
     spec = cfg.grid
     if args.kind == "zero-boundary":
@@ -104,12 +113,7 @@ def cmd_distance(args, cfg: RunConfig) -> int:
     z = _nearest_vertex(field.spec, args.src[0], args.src[1])
     w = _nearest_vertex(field.spec, args.dst[0], args.dst[1])
     res = prob.distance(z, w)
-    if not res.reached:
-        raise ValueError("target not reachable from source")
-    lio.write_geodesic_csv(_artifact(cfg, "geodesic.csv"), field.spec, res.path, res.costs,
-                           comment=_stamp(cfg))
-    print(repr(res.distance))
-    return EXIT_OK
+    return _print_path(cfg, "geodesic.csv", field.spec, res, "target not reachable from source")
 
 
 def cmd_crossing(args, cfg: RunConfig) -> int:
@@ -158,22 +162,18 @@ def cmd_annulus_cycle(args, cfg: RunConfig) -> int:
     field = lio.load_field(args.field)
     prob = MetricProblem(field, cfg.params, cfg.convention)
     res = prob.distance_around_annulus((args.center[0], args.center[1]), args.r1, args.r2)
-    if not res.reached:
-        raise ValueError("no separating cycle found in the annulus")
-    lio.write_geodesic_csv(_artifact(cfg, "annulus_cycle.csv"), field.spec, res.path, res.costs,
-                           comment=_stamp(cfg))
-    print(repr(res.distance))
-    return EXIT_OK
+    return _print_path(cfg, "annulus_cycle.csv", field.spec, res, "no separating cycle found in the annulus")
 
 
 def cmd_suite(args, cfg: RunConfig) -> int:
     """Run the named experiments (all when none is named), writing each
     report's JSON and a status line as it is returned, then the summary."""
-    reports = run_suite(cfg.params, cfg, args.names or None)
-    for report in reports:
+    reports = []
+    for report in run_suite(cfg.params, cfg, args.names or None):
         lio.write_json(_artifact(cfg, f"{report.name}.json"), _stamped_json(cfg, report.to_dict()))
         status = "pass" if report.passed else "FAIL"
         print(f"{report.name}: {status} ({report.runtime_seconds:.1f}s)", file=sys.stderr)
+        reports.append(report)
     lio.write_suite_summary_csv(_artifact(cfg, "suite_summary.csv"), reports, comment=_stamp(cfg))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_EXPERIMENT
 

@@ -15,7 +15,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -877,7 +877,9 @@ EXPERIMENTS: Dict[str, Protocol] = {p.name: p for p in (
 
 
 def run_suite(params: LqgParams, config: RunConfig,
-              names: Optional[Sequence[str]] = None) -> List[ExperimentReport]:
+              names: Optional[Sequence[str]] = None) -> Iterator[ExperimentReport]:
+    """Each named protocol's report (all protocols when none is named), in
+    order, each as its protocol returns; every name is checked first."""
     chosen = list(EXPERIMENTS) if names is None else list(names)
     for i, name in enumerate(chosen):  # every name, before the first protocol runs
         if name not in EXPERIMENTS:
@@ -885,5 +887,5 @@ def run_suite(params: LqgParams, config: RunConfig,
             raise ValueError(f"unknown experiment {name!r}; known: {known}")
         if name in chosen[:i]:
             raise ValueError(f"experiment {name!r} is named twice")
-    return [EXPERIMENTS[name](params, config) for name in chosen]
+    return (EXPERIMENTS[name](params, config) for name in chosen)
 

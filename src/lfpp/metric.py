@@ -133,14 +133,16 @@ def build_lattice_graph(
 
 @dataclass(frozen=True)
 class PathResult:
-    """A query's distance and path.  ``costs[k]`` is the cumulative cost at
-    ``path[k]``, read off the Dijkstra distances, so ``costs[-1]`` is
-    ``distance``; empty when the target is unreachable."""
+    """A query's path and cumulative costs: ``costs[k]`` is the cost at
+    ``path[k]``, read off the Dijkstra distances.  Both are empty when the
+    target is unreachable."""
 
-    distance: float
     path: List[Tuple[int, int]]
-    reached: bool
     costs: List[float]
+
+    @property
+    def distance(self) -> float:
+        return self.costs[-1] if self.costs else math.inf
 
 
 @dataclass(frozen=True)
@@ -257,19 +259,8 @@ class MetricProblem:
         zid = int(self.ids[z])
         wids = [int(self.ids[self._check_vertex(w)]) for w in targets]
         d = _dijkstra(self.graph, zid)
-        base = self._source_charge(z)
-        weight = self.vertex_weight[self.mask] if self.convention == VERTEX_SUM else None
-        ai, aj = np.nonzero(self.mask)
-        out = []
-        for wid in wids:
-            if not np.isfinite(d[wid]):
-                out.append(PathResult(distance=math.inf, path=[], reached=False, costs=[]))
-                continue
-            chain = _walk_back(self.graph, d, zid, wid, weight)
-            costs = (base + d[chain]).tolist()
-            path = list(zip(ai[chain].tolist(), aj[chain].tolist()))
-            out.append(PathResult(distance=costs[-1], path=path, reached=True, costs=costs))
-        return out
+        grid, base = np.nonzero(self.mask), self._source_charge(z)
+        return [_read_path(self, self.graph, d, zid, wid, grid, base) for wid in wids]
 
     def multi_source_distance(self, sources: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Distances from a vertex set, as an (n, n) grid array: at each
@@ -341,6 +332,8 @@ class MetricProblem:
         the cheapest shortest path joining the two copies of the same vertex.
         The returned path is the closed cycle (first vertex repeated last).
         """
+        if not (math.isfinite(z[0]) and math.isfinite(z[1])):
+            raise ValueError(f"annulus center {tuple(z)} is not finite")
         if not (0.0 < r1 < r2):
             raise ValueError("need 0 < r1 < r2")
         if (r2 - r1) / self.spacing < 3.0:
@@ -361,12 +354,24 @@ class MetricProblem:
         return _annulus_cycle(self, ann, jc, cut_i, bool(ys[jc] < z[1]))
 
 
+def _read_path(problem: MetricProblem, graph: csr_matrix, d: np.ndarray, src: int, tgt: int,
+               grid: Tuple[np.ndarray, np.ndarray], base: float) -> PathResult:
+    """The walked src -> tgt path of a sweep's distances d from src: id k is grid
+    vertex (grid[0][k], grid[1][k]) at cost base + d[k]; empty if tgt is unreachable."""
+    if not np.isfinite(d[tgt]):
+        return PathResult(path=[], costs=[])
+    weight = problem.vertex_weight if problem.convention == VERTEX_SUM else None
+    chain = _walk_back(graph, d, src, tgt, grid, weight)
+    return PathResult(path=list(zip(grid[0][chain].tolist(), grid[1][chain].tolist())),
+                      costs=(base + d[chain]).tolist())
+
+
 def _walk_back(graph: csr_matrix, d: np.ndarray, src: int, tgt: int,
-               vertex_weight: Optional[np.ndarray]) -> List[int]:
+               grid: Tuple[np.ndarray, np.ndarray], vertex_weight: Optional[np.ndarray]) -> List[int]:
     """Ids of a shortest src -> tgt path, read back from tgt off a sweep's
     distances d from src: each step goes to the smallest id u in v's row with
     d[u] + cost(u -> v) == d[v] exactly.  The graph is structurally symmetric,
-    so the row lists v's in-neighbors; cost(u -> v) is ``vertex_weight[v]``
+    so the row lists v's in-neighbors; cost(u -> v) is v's grid vertex weight
     (vertex-sum) or, given None, the row's entry for u, which equals it in an
     edge-weighted graph, symmetric bit for bit."""
     indptr, indices, data = graph.indptr, graph.indices, graph.data
@@ -375,7 +380,7 @@ def _walk_back(graph: csr_matrix, d: np.ndarray, src: int, tgt: int,
         v = path[-1]
         lo, hi = indptr[v], indptr[v + 1]
         u = indices[lo:hi]
-        cost = data[lo:hi] if vertex_weight is None else vertex_weight[v]
+        cost = data[lo:hi] if vertex_weight is None else vertex_weight[grid[0][v], grid[1][v]]
         hit = u[d[u] + cost == d[v]]
         if hit.size == 0 or len(path) == graph.shape[0]:
             raise RuntimeError("no shortest path back to the source")
@@ -423,22 +428,16 @@ def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, column_below: bool) -
     size = nv + cut_ids.size
     g = _csr((np.concatenate([coo.data, coo.data[both]]), (rows, cols)), (size, size))
 
-    best, best_k, best_d = math.inf, -1, None
+    best, best_k, best_d = math.inf, 0, np.full(size, np.inf)
     for k, src in enumerate(cut_ids.tolist()):
         d = _dijkstra(g, src, limit=best)
         # edges charge their target, so d[nv + k] sums each distinct cycle
         # vertex once (vertex-sum) or each cycle edge once (edge-weighted)
         if d[nv + k] < best:
             best, best_k, best_d = float(d[nv + k]), k, d
-    if best_d is None:
-        return PathResult(distance=math.inf, path=[], reached=False, costs=[])
-    grid_i = np.concatenate([ai, cut_i])
-    grid_j = np.concatenate([aj, np.full(cut_i.size, jc)])
-    weight = problem.vertex_weight[grid_i, grid_j] if problem.convention == VERTEX_SUM else None
+    grid = (np.concatenate([ai, cut_i]), np.concatenate([aj, np.full(cut_i.size, jc)]))
     # closed: the first and last chain vertices are the two copies of a
-    chain = _walk_back(g, best_d, int(cut_ids[best_k]), nv + best_k, weight)
-    path = list(zip(grid_i[chain].tolist(), grid_j[chain].tolist()))
-    return PathResult(distance=best, path=path, reached=True, costs=best_d[chain].tolist())
+    return _read_path(problem, g, best_d, int(cut_ids[best_k]), nv + best_k, grid, 0.0)
 
 
 def geodesic_tube_areas(

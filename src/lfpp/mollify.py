@@ -61,13 +61,13 @@ def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float]) -> Iterat
 
     Every scale is validated here, before anything is computed; the fields
     are then yielded one at a time, so a caller that consumes each before
-    asking for the next holds one scale at a time.  The field is transformed
-    once and each scale only multiplies by its kernel's spectrum.
-    Reflective padding extends the field by min(n - 1, ceil(6.5 eps / s))
-    samples, so the padded field is re-transformed only when that width
-    changes along the ladder.  The ladder keeps the base values only until
-    its last transform (under periodic padding, the first), so a caller
-    that drops the field frees it once that scale is taken.
+    asking for the next holds one scale at a time.  A periodic field is
+    transformed once and each scale only multiplies by its kernel's
+    spectrum; reflective padding extends the field by min(n - 1,
+    ceil(6.5 eps / s)) samples, so a reflective field is padded and
+    transformed at every scale.  The ladder keeps the base values only
+    until its last transform (under periodic padding, the first), so a
+    caller that drops the field frees it once that scale is taken.
     """
     s = base.spec.spacing
     for eps in eps_list:
@@ -79,16 +79,14 @@ def mollify_heat_ladder(base: LatticeField, eps_list: Sequence[float]) -> Iterat
 def _heat_ladder(base_values: np.ndarray, spec: GridSpec, kind: str, seed: int,
                  eps_list: List[float]) -> Iterator[LatticeField]:
     n, s = spec.n, spec.spacing
-    widths = [0 if kind == WHOLE_PLANE else min(n - 1, int(math.ceil(6.5 * eps / s))) for eps in eps_list]
-    transforms = [a for a, p in enumerate(widths) if a == 0 or p != widths[a - 1]]
     for a, eps in enumerate(eps_list):
-        p = widths[a]
-        if a in transforms:
+        p = 0 if kind == WHOLE_PLANE else min(n - 1, int(math.ceil(6.5 * eps / s)))
+        if a == 0 or p:
             m = n + 2 * p
             # 'symmetric' repeats the edge sample, matching scipy.ndimage's
             # 'reflect' so both mollifiers see the same extension
             F = np.fft.rfft2(np.pad(base_values, p, mode="symmetric") if p else base_values)
-            if a == transforms[-1]:
+            if not p or a == len(eps_list) - 1:
                 del base_values  # no later scale reads it
         conv = np.fft.irfft2(F * _heat_spectrum(m, s, eps), s=(m, m))
         # a copy of the window, and conv dropped before the yield, so a

@@ -11,7 +11,7 @@ import pytest
 
 import pinned
 from lfpp.cli import build_parser, main
-from lfpp.experiments import ExperimentReport
+from lfpp.experiments import ExperimentReport, Protocol
 from lfpp.field import DETERMINISTIC, GridSpec, LatticeField
 from lfpp.io import load_field, save_field
 
@@ -121,6 +121,15 @@ class TestErrors:
         rc = main([*query, coord, "0", "--field", str(field_path), "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: point ({coord}, 0.0) lies outside the grid window\n"
+
+    @pytest.mark.parametrize("coord", ["inf", "nan"])
+    def test_non_finite_annulus_center(self, tmp_path, capsys, coord):
+        field_path = tmp_path / "flat.lfpf"
+        write_constant_field(field_path, n=64, side=1.0)
+        rc = main(["annulus-cycle", "--field", str(field_path), "--center", coord, "0",
+                   "--r1", "0.1", "--r2", "0.3", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: annulus center ({coord}, 0.0) is not finite\n"
 
     def test_out_the_config_cannot_hold(self, tmp_path, capsys):
         out = str(tmp_path / "runs#1")
@@ -297,6 +306,21 @@ class TestExperimentAndSuite:
         assert lines[0].startswith("# master_seed=0 config_hash=")
         assert lines[1] == "experiment,metric,value,target,tolerance,kind,pass,seconds"
         assert len(lines) == 4
+
+    def test_suite_keeps_reports_before_a_raising_experiment(self, tmp_path, capsys, monkeypatch):
+        import lfpp.cli as cli_mod
+
+        def raising(params, cfg, size):
+            raise ValueError("second stub raised")
+
+        monkeypatch.setitem(cli_mod.EXPERIMENTS, "first", Protocol(
+            "first", 1, lambda params, cfg, size: (abs, 1, lambda outputs: ({}, {"x": 1.0}, []))))
+        monkeypatch.setitem(cli_mod.EXPERIMENTS, "second", Protocol("second", 1, raising))
+        rc = main(["suite", "first", "second", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.index("first: pass") < err.index("error: second stub raised")
+        assert json.loads((tmp_path / "out" / "first.json").read_text())["passed"] is True
 
 
 class TestBenchCommands:

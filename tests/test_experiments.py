@@ -451,6 +451,15 @@ def test_readme_kind_table_lists_every_check_kind():
     assert sorted(kinds) == sorted(CHECK_RULES)
 
 
+def test_readme_library_example_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert text.count("```python\n") == 1
+    example = text.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    distance, length = capsys.readouterr().out.split()
+    assert math.isfinite(float(distance)) and int(length) > 1
+
+
 @pytest.mark.parametrize("kind, target, tolerance, edge, at, above, below", [
     ("two-sided", 1.0, 0.25, 1.25, True, False, True),
     ("two-sided", 1.0, 0.25, 0.75, True, True, False),

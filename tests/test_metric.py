@@ -217,7 +217,7 @@ class TestQueries:
     def test_geodesic_is_valid_and_reprices(self, convention):
         prob = random_problem(32, 3, convention)
         res = prob.distance((1, 2), (20, 17))
-        assert res.reached
+        assert res.path
         assert res.path[0] == (1, 2) and res.path[-1] == (20, 17)
         for u, v in zip(res.path[:-1], res.path[1:]):
             assert max(abs(u[0] - v[0]), abs(u[1] - v[1])) == 1
@@ -237,7 +237,7 @@ class TestQueries:
             assert got == prob.distance((20, 5), w)
             # bit for bit, the unreachable and zero-length queries included
             assert prob.distance_value((20, 5), w) == got.distance == d[w]
-        assert not prob.geodesics((20, 5), [(3, 3)])[0].reached
+        assert prob.geodesics((20, 5), [(3, 3)])[0].path == []
         assert prob.distance_value((20, 5), (3, 3)) == math.inf
         with pytest.raises(ValueError, match="outside the mask"):
             prob.geodesics((20, 5), [(31, 0), (8, 0)])
@@ -348,7 +348,7 @@ class TestQueries:
         mask[7, :] = False
         prob = zero_problem(n=16, mask=mask)
         res = prob.distance((0, 0), (15, 15))
-        assert not res.reached and res.distance == math.inf
+        assert res.path == [] and res.distance == math.inf
 
     def test_internal_distance_detour(self):
         # a one-vertex-wide corridor forces the geodesic along a known path
@@ -503,7 +503,7 @@ class TestMetricAxioms:
     def test_geodesics_recost_to_their_costs(self, case):
         prob, (x, y, z) = case
         for res in prob.geodesics(x, [y, z]):
-            if res.reached:
+            if res.path:
                 assert prob.path_cost(res.path) == res.distance
                 assert res.costs == [prob.path_cost(res.path[: k + 1]) for k in range(len(res.path))]
 
@@ -693,7 +693,7 @@ class TestAnnulusCycle:
     def test_constant_field_cycle_cost_and_separation(self):
         prob = self._setup(EDGE_WEIGHTED)
         res = prob.distance_around_annulus((0.0, 0.0), 0.3, 0.7)
-        assert res.reached
+        assert res.path
         assert res.path[0] == res.path[-1]  # closed cycle
         # separating curve must be at least the inner circumference and at
         # most a snug lattice octagon around it
@@ -733,7 +733,7 @@ class TestAnnulusCycle:
             s = prob.spacing
             res = prob.distance_around_annulus(z, r1, r2)
             want, fires_column_rule = _nx_annulus_cycle(prob, z, r1, r2)
-            assert res.reached
+            assert res.path
             assert res.distance == pytest.approx(want, rel=1e-12)
             assert res.costs[-1] == res.distance
             assert fires_column_rule == (r1 < s)

@@ -105,8 +105,7 @@ class TestHeatMollifier:
     @pytest.mark.parametrize("padding, kept", [("periodic", 0), ("reflective", 3)])
     def test_ladder_releases_its_field(self, padding, kept):
         # the ladder keeps the base values only until its last transform: the
-        # first under periodic padding; the reflective widths 26, 26, 14 and
-        # 13 transform at scales 0, 2 and 3
+        # first under periodic padding, the last of four under reflective
         spec = GridSpec(n=128, spacing=2.5 / 127, origin=(-1.25, -1.25))
         f = padded_by(padding, sample_whole_plane_gff(spec, 9).values, spec)
         field, values = weakref.ref(f), weakref.ref(f.values)
