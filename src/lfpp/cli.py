@@ -152,7 +152,7 @@ def cmd_ball(args, cfg: RunConfig) -> int:
         "center": list(args.center),
         "radius": args.radius,
         "vertices": int(ball.membership.sum()),
-        "boundary_vertices": len(ball.boundary),
+        "boundary_vertices": int(ball.boundary.sum()),
     }))
     print(int(ball.membership.sum()))
     return EXIT_OK

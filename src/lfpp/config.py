@@ -45,6 +45,8 @@ class RunConfig:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         out = self.output_dir
+        if not out:
+            raise ValueError("output_dir must be nonempty")
         if "#" in out or out != out.strip() or len(out.splitlines()) > 1:
             raise ValueError(f"output_dir {out!r} holds a '#', a line break or surrounding blanks, "
                              "which the config text cannot read back")

@@ -33,6 +33,7 @@ from .metric import (
     VERTEX_SUM,
     MetricProblem,
     geodesic_tube_areas,
+    set_distance,
 )
 from .mollify import (
     mollify_heat,
@@ -367,8 +368,6 @@ def _plan_locality_check(params: LqgParams, config: RunConfig, replicas: int) ->
     field is replaced outside the truncated kernel's support buffer; the
     sup-gap between the full and truncated mollifications must shrink with
     the scale.  ``config.replicas`` sizes both measurements."""
-    from scipy import ndimage  # loaded on first use: only this check and tube areas need it
-
     n = 128
     queries = 100
     eps = 2 ** -4
@@ -379,8 +378,7 @@ def _plan_locality_check(params: LqgParams, config: RunConfig, replicas: int) ->
     cx, cy = spec.center
     xx, yy = spec.mesh()
     domain = (np.abs(xx - cx) <= 0.2) & (np.abs(yy - cy) <= 0.2)
-    dist_to_domain = ndimage.distance_transform_edt(~domain, sampling=s)
-    outside_buffer = dist_to_domain > radius + 2 * s
+    outside_buffer = set_distance(s, domain) > radius + 2 * s
     domain_vertices = np.argwhere(domain)
     # (replica, query, endpoint): field-independent draws, batched in order
     rng = np.random.default_rng(replica_seed(config.master_seed, 777))
@@ -777,7 +775,7 @@ def _ball_overlap_replica(k: int, params, spec, master_seed, eps, convention, ta
     rng = np.random.default_rng(replica_seed(master_seed, k, 55))
     pick = rng.choice(len(outside), size=min(targets, len(outside)), replace=False)
     geodesics = prob.geodesics(center, [outside[t] for t in pick])
-    areas = geodesic_tube_areas(s, (n, n), [g.path for g in geodesics], ball.boundary, ladder)
+    areas = geodesic_tube_areas(s, [g.path for g in geodesics], ball.boundary, ladder)
     return fit_loglog(ladder, areas / len(pick)).slope
 
 

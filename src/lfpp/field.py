@@ -30,6 +30,7 @@ metrics) treats them as read-only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -57,6 +58,10 @@ class GridSpec:
     origin: Tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if self.n >= 2**32:

@@ -147,8 +147,19 @@ class PathResult:
 
 @dataclass(frozen=True)
 class MetricBall:
+    """A ball's (n, n) membership mask; its boundary is derived from it."""
+
     membership: np.ndarray
-    boundary: List[Tuple[int, int]]
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """Members with at least one non-member 8-neighbor (grid edge counts)."""
+        n = self.membership.shape[0]
+        interior = np.ones_like(self.membership)
+        padded = np.pad(self.membership, 1, mode="constant", constant_values=False)
+        for di, dj, _ in OFFSETS:
+            interior &= padded[1 + di : 1 + di + n, 1 + dj : 1 + dj + n]
+        return self.membership & ~interior
 
 
 class MetricProblem:
@@ -317,8 +328,7 @@ class MetricProblem:
             raise ValueError("radius must be >= 0")
         # a limit of s less the charge could round below a member's d
         d = self._reach(self._check_vertex(center), limit=s)
-        member = np.isfinite(d) & (d <= s)
-        return MetricBall(membership=member, boundary=_boundary_vertices(member))
+        return MetricBall(membership=np.isfinite(d) & (d <= s))
 
     # -- annulus cycle -----------------------------------------------------------
 
@@ -388,17 +398,6 @@ def _walk_back(graph: csr_matrix, d: np.ndarray, src: int, tgt: int,
     return path[::-1]
 
 
-def _boundary_vertices(member: np.ndarray) -> List[Tuple[int, int]]:
-    """Members with at least one non-member 8-neighbor (grid edge counts)."""
-    n = member.shape[0]
-    interior = np.ones_like(member)
-    padded = np.pad(member, 1, mode="constant", constant_values=False)
-    for di, dj, _ in OFFSETS:
-        interior &= padded[1 + di : 1 + di + n, 1 + dj : 1 + dj + n]
-    bnd = member & ~interior
-    return [tuple(v) for v in np.argwhere(bnd)]
-
-
 def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, column_below: bool) -> PathResult:
     """Vertex-duplication reduction: shortest a+ -> a- path over cut vertices a.
 
@@ -441,32 +440,30 @@ def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, column_below: bool) -
 
 
 def geodesic_tube_areas(
-    spec_spacing: float,
-    shape: Tuple[int, int],
+    spacing: float,
     geodesics: Sequence[Sequence[Tuple[int, int]]],
-    target: Sequence[Tuple[int, int]],
+    target: np.ndarray,
     widths: Sequence[float],
 ) -> np.ndarray:
     """Lattice area of {within w of a geodesic} intersect {within w of the
-    target set}, in physical units (vertex count * spacing^2), summed over
+    target mask}, in physical units (vertex count * spacing^2), summed over
     the geodesics; one entry per width w.  Each vertex set's distance
     transform is computed once."""
-    if len(target) == 0 or any(len(g) == 0 for g in geodesics):
+    if not target.any() or any(len(g) == 0 for g in geodesics):
         raise ValueError("geodesics and target must be nonempty")
-    db = _set_distance(spec_spacing, shape, target)
+    db = set_distance(spacing, target)
     areas = np.zeros(len(widths))
     for geodesic in geodesics:
-        da = _set_distance(spec_spacing, shape, geodesic)
+        on = np.zeros(target.shape, dtype=bool)
+        on[tuple(np.asarray(geodesic).T)] = True
+        da = set_distance(spacing, on)
         for a, w in enumerate(widths):
-            areas[a] += float(np.count_nonzero((da <= w) & (db <= w))) * spec_spacing**2
+            areas[a] += float(np.count_nonzero((da <= w) & (db <= w))) * spacing**2
     return areas
 
 
-def _set_distance(spacing: float, shape: Tuple[int, int],
-                  vertices: Sequence[Tuple[int, int]]) -> np.ndarray:
-    """Euclidean distance from every lattice vertex to the nearest listed one."""
+def set_distance(spacing: float, member: np.ndarray) -> np.ndarray:
+    """Euclidean distance from every lattice vertex to the nearest member."""
     from scipy import ndimage  # loaded on first use: only tube areas and locality need it
 
-    far = np.ones(shape, dtype=bool)
-    far[tuple(np.asarray(vertices).T)] = False
-    return ndimage.distance_transform_edt(far, sampling=spacing)
+    return ndimage.distance_transform_edt(~member, sampling=spacing)

@@ -137,6 +137,10 @@ class TestErrors:
         assert "holds a '#'" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_empty_out_rejected(self, tmp_path, capsys):
+        assert main(["sample-field", "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: output_dir must be nonempty\n"
+
     def test_point_beyond_float_range(self, tmp_path, capsys):
         # finite, but its grid index overflows to inf
         field_path = tmp_path / "flat.lfpf"
@@ -365,7 +369,7 @@ prob = MetricProblem(LatticeField(spec=spec, values=np.zeros((16, 16)), kind=DET
                      LqgParams.pure_gravity())
 prob.distance((0, 0), (15, 15))
 csgraph_loaded = "scipy.sparse.csgraph" in sys.modules
-geodesic_tube_areas(spec.spacing, (16, 16), [[(0, 0), (1, 1)]], [(2, 2)], [0.2])
+geodesic_tube_areas(spec.spacing, [[(0, 0), (1, 1)]], np.eye(16, dtype=bool), [0.2])
 ndimage_loaded = "scipy.ndimage" in sys.modules
 rep = EXPERIMENTS["dufresne-check"](LqgParams.pure_gravity(), replace(default_config(), replicas=10))
 print(json.dumps({"eager": eager, "csgraph_loaded": csgraph_loaded, "ndimage_loaded": ndimage_loaded,

@@ -152,6 +152,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="output_dir .* cannot read back"):
             dataclasses.replace(default_config(), output_dir=out)
 
+    def test_empty_output_dir_rejected(self):
+        # no command could write into it
+        with pytest.raises(ValueError, match="output_dir"):
+            parse_config("output_dir =\n")
+
     @pytest.mark.parametrize("out", ["runs 1", "a=b", "x/y_z", "out"])
     def test_output_dir_round_trips(self, out):
         c = dataclasses.replace(default_config(), output_dir=out)

@@ -42,6 +42,14 @@ class TestGridSpec:
             with pytest.raises(ValueError):
                 GridSpec(n=bad, spacing=0.1)
 
+    @pytest.mark.parametrize("n", [256.0, "256"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+            GridSpec(n=n, spacing=0.1)
+
+    def test_numpy_integer_n_stored_as_int(self):
+        assert type(GridSpec(n=np.int64(16), spacing=0.1).n) is int
+
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
             GridSpec(n=16, spacing=0.0)

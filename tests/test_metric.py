@@ -22,6 +22,7 @@ from lfpp.metric import (
     _walk_back,
     build_lattice_graph,
     geodesic_tube_areas,
+    set_distance,
 )
 from lfpp.mollify import mollify_heat
 from lfpp.params import LqgParams
@@ -189,11 +190,11 @@ class TestChamferOracle:
             for j in range(64):
                 expect[i, j] = octile(s, center, (i, j)) <= radius
         np.testing.assert_array_equal(ball.membership, expect)
-        assert len(ball.boundary) > 0
-        assert all(ball.membership[v] for v in ball.boundary)
+        assert ball.boundary.any()
+        assert np.all(ball.membership[ball.boundary])
 
-    def test_metric_ball_holds_membership_and_boundary_only(self):
-        assert [f.name for f in dataclasses.fields(MetricBall)] == ["membership", "boundary"]
+    def test_metric_ball_holds_membership_only(self):
+        assert [f.name for f in dataclasses.fields(MetricBall)] == ["membership"]
 
     @pytest.mark.parametrize("radius", [-1.0, math.nan])
     def test_metric_ball_bad_radius_rejected(self, radius):
@@ -497,6 +498,22 @@ class TestMetricAxioms:
         inner = MetricProblem(prob.field, PARAMS, prob.convention, mask=submask)
         assert np.all(inner.multi_source_distance([x]) >= prob.multi_source_distance([x]))
         assert inner.distance_value(x, y) >= prob.distance_value(x, y)
+
+    @given(case=masked_grids(), scale=st.sampled_from([0.0, 0.3, 0.7, math.inf]))
+    @settings(max_examples=50, deadline=None)
+    def test_metric_ball_boundary_is_members_beside_a_non_member(self, case, scale):
+        prob, (c, _, _) = case
+        d = prob.multi_source_distance([c])
+        ball = prob.metric_ball(c, scale * d[np.isfinite(d)].max() if scale < math.inf else scale)
+        member, n = ball.membership, prob.n
+        expect = np.zeros((n, n), dtype=bool)
+        for i, j in np.argwhere(member):
+            for di, dj, _ in OFFSETS:
+                a, b = i + di, j + dj
+                if not (0 <= a < n and 0 <= b < n and member[a, b]):
+                    expect[i, j] = True
+        assert ball.boundary.dtype == bool
+        np.testing.assert_array_equal(ball.boundary, expect)
 
     @given(case=masked_grids())
     @settings(max_examples=40, deadline=None)
@@ -877,16 +894,56 @@ class TestCycleSeparates:
 class TestGeometryHelpers:
     def test_geodesic_tube_area(self):
         s = 0.1
-        shape = (32, 32)
         geo = [(16, j) for j in range(32)]        # horizontal line
-        target = [(16, 31)]
-        (area,) = geodesic_tube_areas(s, shape, [geo], target, [0.25])
+        target = np.zeros((32, 32), dtype=bool)
+        target[16, 31] = True
+        (area,) = geodesic_tube_areas(s, [geo], target, [0.25])
         # vertices within 0.25 of both the line and the endpoint: a half
         # disk of radius 2.5 lattice steps around (16, 31), 13 vertices
         count = area / s ** 2
         assert count == 13
         with pytest.raises(ValueError):
-            geodesic_tube_areas(s, shape, [[]], target, [0.25])
+            geodesic_tube_areas(s, [[]], target, [0.25])
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_set_distance_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        s = 0.3
+        member = rng.random((12, 12)) < 0.1
+        member[rng.integers(12), rng.integers(12)] = True
+        got = set_distance(s, member)
+        assert np.all(got[member] == 0.0)
+        at = np.argwhere(member)
+        for i, j in np.argwhere(~member):
+            want = min(s * math.hypot(i - a, j - b) for a, b in at)
+            assert got[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_geodesic_tube_areas_match_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        s, n = 0.1, 16
+        # each width's square over s^2 lies strictly between sums of two
+        # squares, so no vertex sits at a width's distance from either set
+        widths = [s * 1.2, s * 1.7, s * 2.5, s * 3.1]
+        steps = np.array([(di, dj) for di, dj, _ in OFFSETS])
+        paths = []
+        for _ in range(2):
+            walk = rng.integers(n, size=2) + np.cumsum(steps[rng.integers(8, size=6)], axis=0)
+            paths.append([tuple(v) for v in np.clip(walk, 0, n - 1).tolist()])
+        target = rng.random((n, n)) < 0.05
+        target[rng.integers(n), rng.integers(n)] = True
+
+        def near(vertices, i, j, w):
+            return any(s * math.hypot(i - a, j - b) <= w for a, b in vertices)
+
+        want = np.zeros(len(widths))
+        for k, w in enumerate(widths):
+            for i in range(n):
+                for j in range(n):
+                    want[k] += sum(near(p, i, j, w) for p in paths) * near(np.argwhere(target), i, j, w)
+        # counts are integers, so 1e-12 relative only forgives the products' roundoff
+        np.testing.assert_allclose(geodesic_tube_areas(s, paths, target, widths), want * s**2, rtol=1e-12)
 
 
 class TestGraphConstruction:
