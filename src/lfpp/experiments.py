@@ -99,9 +99,10 @@ class Protocol:
     that shared data and the master seed, so it can be mapped over worker
     processes; ``replica(k)`` is replica k's output for k in
     ``range(count)``, a function of its index alone, which derives its own
-    seeds from ``replica_seed(master_seed, k, ...)``.  ``reduce`` is a pure
-    function of the ordered replica outputs, so it can be rerun on any of
-    them.
+    seeds from ``replica_seed(master_seed, k, ...)``.  Replicas measure and
+    reduces compute: a replica returns only what it measured, and
+    ``reduce``, a pure function of the ordered replica outputs, forms every
+    statistic from them, so it can be rerun on any of them.
     """
 
     name: str
@@ -195,12 +196,11 @@ def _plan_crossing_exponent(params: LqgParams, config: RunConfig, replicas: int)
 
 
 def _scale_ratio_replica(k: int, params, spec, master_seed, eps, r_values) -> np.ndarray:
+    """One row (h_r(0), D_r) per window r."""
     f = sample_whole_plane_gff(spec, replica_seed(master_seed, k))
     prob = MetricProblem(mollify_heat(f, eps), params, EDGE_WEIGHTED)
-    return np.array([
-        math.exp(-params.xi * circle_average(f, (0.0, 0.0), r)) * prob.crossing_distance((0.0, 0.0, r))
-        for r in r_values
-    ])
+    return np.array([(circle_average(f, (0.0, 0.0), r), prob.crossing_distance((0.0, 0.0, r)))
+                     for r in r_values])
 
 
 def _plan_scale_ratio(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
@@ -220,7 +220,7 @@ def _plan_scale_ratio(params: LqgParams, config: RunConfig, replicas: int) -> Pl
                 "replicas": replicas, "master_seed": config.master_seed}
 
     def reduce(outputs):
-        medians = np.median(outputs, axis=0)
+        medians = np.median([[math.exp(-params.xi * h) * d for h, d in out] for out in outputs], axis=0)
         fit = fit_loglog(r_values, medians)
         metrics = {"slope": fit.slope, "stderr": fit.stderr}
         for r, m in zip(r_values, medians):
@@ -248,19 +248,13 @@ def default_test_function(spec: GridSpec) -> np.ndarray:
     return np.cos(2.0 * math.pi * xx) * np.cos(2.0 * math.pi * yy)
 
 
-def _weyl_replica(k: int, params, spec, master_seed, f, f_lo, f_hi, osc, c_shift,
-                  points) -> Tuple[float, int, float, float, int]:
-    """One field's constant-shift error, sandwich violations, reweight-ratio
-    range and lower-bound violations; ``points[k, c]`` holds the query pairs
-    for the c-th convention; ``f_lo`` and ``f_hi`` are the min/max factors
-    exp(xi*f) and ``osc`` the oscillation of ``f``."""
-    xi = params.xi
+def _weyl_replica(k: int, params, spec, master_seed, f, c_shift, points) -> np.ndarray:
+    """One row (d0, dc, df, recost) per query pair z != w, both conventions
+    in order: the distance, under the shift by ``c_shift``, under the
+    perturbation ``f``, and the unperturbed geodesic recosted under ``f``.
+    ``points[k, c]`` holds the query pairs for the c-th convention."""
     mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), 2 * spec.spacing)
-    max_shift_err = 0.0
-    sandwich_violations = 0
-    min_ratio = math.inf
-    max_ratio = -math.inf
-    lower_bound_violations = 0
+    rows = []
     for conv, pairs in zip((VERTEX_SUM, EDGE_WEIGHTED), points[k]):
         base_prob = MetricProblem(mf, params, conv)
         shift_prob = MetricProblem(_shifted(mf, np.full((spec.n, spec.n), c_shift)), params, conv)
@@ -270,21 +264,9 @@ def _weyl_replica(k: int, params, spec, master_seed, f, f_lo, f_hi, osc, c_shift
             if z == w:
                 continue
             res = base_prob.distance(z, w)
-            d0 = res.distance
-            dc = shift_prob.distance_value(z, w)
-            max_shift_err = max(max_shift_err, abs(dc - math.exp(xi * c_shift) * d0)
-                                / (math.exp(xi * c_shift) * d0))
-            df = pert_prob.distance_value(z, w)
-            if not (f_lo * d0 * (1 - 1e-12) <= df <= f_hi * d0 * (1 + 1e-12)):
-                sandwich_violations += 1
-            # the unperturbed geodesic, re-costed under the perturbed weights,
-            # upper-bounds the perturbed distance
-            ratio = df / pert_prob.path_cost(res.path)
-            min_ratio = min(min_ratio, ratio)
-            max_ratio = max(max_ratio, ratio)
-            if ratio < math.exp(-xi * osc) * (1 - 1e-12):
-                lower_bound_violations += 1
-    return max_shift_err, sandwich_violations, min_ratio, max_ratio, lower_bound_violations
+            rows.append((res.distance, shift_prob.distance_value(z, w), pert_prob.distance_value(z, w),
+                         pert_prob.path_cost(res.path)))
+    return np.array(rows).reshape(-1, 4)  # (0, 4) when every pair has z == w
 
 
 def _plan_weyl_check(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
@@ -306,11 +288,15 @@ def _plan_weyl_check(params: LqgParams, config: RunConfig, replicas: int) -> Pla
                 "master_seed": config.master_seed, "constant_shift": c_shift}
 
     def reduce(outputs):
-        errs, sandwich, lows, highs, lower = np.array(outputs).T
-        max_shift_err = errs.max()
-        sandwich_violations = sandwich.sum()
-        min_ratio, max_ratio = lows.min(), highs.max()
-        lower_bound_violations = lower.sum()
+        d0, dc, df, recost = np.concatenate(outputs).T
+        e = math.exp(params.xi * c_shift)
+        max_shift_err = np.max(abs(dc - e * d0) / (e * d0), initial=0.0)
+        sandwich_violations = np.count_nonzero((df < f_lo * d0 * (1 - 1e-12)) | (df > f_hi * d0 * (1 + 1e-12)))
+        # the unperturbed geodesic, re-costed under the perturbed weights,
+        # upper-bounds the perturbed distance
+        ratio = df / recost
+        min_ratio, max_ratio = np.min(ratio, initial=math.inf), np.max(ratio, initial=-math.inf)
+        lower_bound_violations = np.count_nonzero(ratio < math.exp(-params.xi * osc) * (1 - 1e-12))
         checks = [
             _check("constant_shift_rel_error", max_shift_err, 0.0, 1e-12, kind="one-sided-upper"),
             _check("sandwich_violations", sandwich_violations, 0.0, 0.0, kind="property"),
@@ -325,19 +311,19 @@ def _plan_weyl_check(params: LqgParams, config: RunConfig, replicas: int) -> Pla
         return settings, metrics, checks
 
     return partial(_weyl_replica, params=params, spec=spec, master_seed=config.master_seed, f=f,
-                   f_lo=f_lo, f_hi=f_hi, osc=osc, c_shift=c_shift, points=points), replicas, reduce
+                   c_shift=c_shift, points=points), replicas, reduce
 
 
 # -- locality and mollifier gap -------------------------------------------------
 
 
 def _locality_replica(k: int, params, spec, master_seed, eps, convention, domain, outside_buffer,
-                      pairs, gap_eps) -> Tuple[int, List[float]]:
+                      pairs, gap_eps) -> Tuple[np.ndarray, List[float]]:
     """One replica's two measurements.
 
-    First, the query pairs whose internal distance moved when the base
-    field was replaced outside the buffer: by zeros on even replicas, and by
-    an independent fresh field (the stronger perturbation) on odd ones.
+    First, each query pair's internal distance before and after the base
+    field was replaced outside the buffer: by zeros on even replicas, and
+    by an independent fresh field (the stronger perturbation) on odd ones.
     Second, on a third field, the sup-gap between the full and truncated
     mollifications at each scale of ``gap_eps``.
     """
@@ -354,13 +340,13 @@ def _locality_replica(k: int, params, spec, master_seed, eps, convention, domain
                       params, convention, mask=domain)
         for v in (base, perturbed_vals)
     )
-    changed = sum(p1.distance_value(a, b) != p2.distance_value(a, b) for a, b in pairs[k])
+    dist = np.array([(p1.distance_value(a, b), p2.distance_value(a, b)) for a, b in pairs[k]])
     g = sample_zero_boundary_gff(spec, replica_seed(master_seed, k, 2))
     gaps = [
         float(np.abs(mollify_heat(g, e).values - mollify_truncated(g, e).values).max())
         for e in gap_eps
     ]
-    return changed, gaps
+    return dist, gaps
 
 
 def _plan_locality_check(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
@@ -388,7 +374,7 @@ def _plan_locality_check(params: LqgParams, config: RunConfig, replicas: int) ->
                 "convention": config.convention}
 
     def reduce(outputs):
-        changed = sum(c for c, _ in outputs)
+        changed = sum(int(np.count_nonzero(dist[:, 0] != dist[:, 1])) for dist, _ in outputs)
         # one row of sup-gaps per replica across the ladder
         gap_rows = np.array([gaps for _, gaps in outputs])
         monotone = int(np.sum(np.all(gap_rows[:, :-1] > gap_rows[:, 1:], axis=1)))
@@ -412,9 +398,9 @@ def _plan_locality_check(params: LqgParams, config: RunConfig, replicas: int) ->
 # -- scaling relation ------------------------------------------------------------
 
 
-def scaling_relation_gaps(field: LatticeField, mf: LatticeField, params: LqgParams, convention: str,
-                          pairs: int, rng: np.random.Generator, r: int = 2) -> np.ndarray:
-    """Signed relative gaps (LHS - RHS)/RHS of the rescaling identity.
+def scaling_relation_sides(field: LatticeField, mf: LatticeField, params: LqgParams, convention: str,
+                           pairs: int, rng: np.random.Generator, r: int = 2) -> np.ndarray:
+    """Both sides of the rescaling identity, one row (LHS, RHS) per pair.
 
     ``mf`` is the heat mollification of ``field`` (h) at scale eps.  LHS:
     distances from one coarse source under the rescaled field
@@ -451,24 +437,27 @@ def scaling_relation_gaps(field: LatticeField, mf: LatticeField, params: LqgPara
     z = tuple(int(x) for x in rng.integers(nc // 8, nc - nc // 8, 2))
     lhs_d = lhs_prob.multi_source_distance([z])
     rhs_d = rhs_prob.multi_source_distance([(z[0] * stretch, z[1] * stretch)])
-    gaps = []
-    while len(gaps) < pairs:
+    sides = []
+    while len(sides) < pairs:
         w = tuple(int(x) for x in rng.integers(nc // 8, nc - nc // 8, 2))
         if w == z:
             continue
-        lhs = float(lhs_d[w])
-        rhs = factor * float(rhs_d[w[0] * stretch, w[1] * stretch])
-        gaps.append((lhs - rhs) / rhs)
-    return np.array(gaps)
+        sides.append((float(lhs_d[w]), factor * float(rhs_d[w[0] * stretch, w[1] * stretch])))
+    return np.array(sides)
+
+
+def relative_gaps(sides: np.ndarray) -> np.ndarray:
+    """Signed relative gaps (LHS - RHS)/RHS, one per row of ``sides``."""
+    return (sides[:, 0] - sides[:, 1]) / sides[:, 1]
 
 
 def _scaling_relation_replica(k: int, params, spec, master_seed, eps, pairs,
                               r) -> Tuple[np.ndarray, np.ndarray]:
-    """One field's vertex-sum and edge-weighted relative gaps."""
+    """One field's vertex-sum and edge-weighted sides."""
     field = sample_whole_plane_gff(spec, replica_seed(master_seed, k))
     mf = mollify_heat(field, eps)
     return tuple(
-        scaling_relation_gaps(field, mf, params, conv, pairs,
+        scaling_relation_sides(field, mf, params, conv, pairs,
                               np.random.default_rng(replica_seed(master_seed, k, key)), r)
         for conv, key in ((VERTEX_SUM, 3), (EDGE_WEIGHTED, 4))
     )
@@ -492,7 +481,7 @@ def _plan_scaling_relation(params: LqgParams, config: RunConfig, replicas: int) 
     const_mf = mollify_heat(const, eps)
     const_gap = 0.0
     for conv in (VERTEX_SUM, EDGE_WEIGHTED):
-        g = scaling_relation_gaps(const, const_mf, params, conv, 10, np.random.default_rng(0), r)
+        g = relative_gaps(scaling_relation_sides(const, const_mf, params, conv, 10, np.random.default_rng(0), r))
         const_gap = max(const_gap, float(np.abs(g).max()))
 
     # deterministic linear field pins a reference band, edge-weighted: under
@@ -500,16 +489,16 @@ def _plan_scaling_relation(params: LqgParams, config: RunConfig, replicas: int) 
     xx, _ = spec.mesh()
     xx.setflags(write=False)
     linear = LatticeField(spec=spec, values=xx, kind=DETERMINISTIC)
-    lin_gap = float(np.abs(
-        scaling_relation_gaps(linear, mollify_heat(linear, eps), params, EDGE_WEIGHTED, 20,
-                              np.random.default_rng(1), r)
-    ).max())
+    lin_gap = float(np.abs(relative_gaps(
+        scaling_relation_sides(linear, mollify_heat(linear, eps), params, EDGE_WEIGHTED, 20,
+                               np.random.default_rng(1), r)
+    )).max())
 
     settings = {"n": n, "side": side, "eps": eps, "r": r, "replicas": replicas, "pairs": pairs,
                 "master_seed": config.master_seed}
 
     def reduce(outputs):
-        gaps_vs, gaps_ew = (np.concatenate(g) for g in zip(*outputs))
+        gaps_vs, gaps_ew = (relative_gaps(np.concatenate(sides)) for sides in zip(*outputs))
         checks = [
             _check("constant_field_max_gap", const_gap, 0.0, 1e-12, kind="one-sided-upper"),
             _check("vertex_sum_max_abs_gap", float(np.abs(gaps_vs).max()), 0.0, 1e-12, kind="one-sided-upper"),
@@ -645,12 +634,13 @@ def _plan_dufresne_check(params: LqgParams, config: RunConfig, n_samples: int) -
 # -- Hoelder scan -----------------------------------------------------------------
 
 
-def _holder_replica(k: int, params, spec, master_seed, eps, sources, directions, seps) -> List[float]:
-    """Local exponents of field k, from each of its sources along each direction."""
+def _holder_replica(k: int, params, spec, master_seed, eps, sources, directions, seps) -> np.ndarray:
+    """Field k's rays, one per source and direction whose points all lie in
+    the grid: a (rays, len(seps), 2) array of (separation, distance)."""
     n = spec.n
     mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), eps)
     prob = MetricProblem(mf, params, EDGE_WEIGHTED)
-    exponents = []
+    rays = []
     for u in sources[k]:
         d = prob.multi_source_distance([u])
         ux, uy = spec.point(*u)
@@ -663,10 +653,8 @@ def _holder_replica(k: int, params, spec, master_seed, eps, sources, directions,
                 vx, vy = spec.point(*vi)
                 pts.append((math.hypot(vx - ux, vy - uy), float(d[vi])))
             else:
-                (r0, d0) = pts[0]
-                for (r1, d1) in pts[1:]:
-                    exponents.append(math.log(d1 / d0) / math.log(r1 / r0))
-    return exponents
+                rays.append(pts)
+    return np.array(rays).reshape(-1, len(seps), 2)
 
 
 def _plan_holder_scan(params: LqgParams, config: RunConfig, fields: int) -> Plan:
@@ -689,7 +677,8 @@ def _plan_holder_scan(params: LqgParams, config: RunConfig, fields: int) -> Plan
     sources = rng.integers(n // 2 - 20, n // 2 + 20, size=(fields, sources_per_field, 2))
 
     def reduce(outputs):
-        exponents = np.concatenate(outputs)
+        exponents = np.array([math.log(d1 / d0) / math.log(r1 / r0)
+                              for rays in outputs for (r0, d0), *rest in rays for r1, d1 in rest])
         med = float(np.median(exponents))
         lo = float(exponents.min())
         hi = float(exponents.max())
@@ -712,12 +701,10 @@ def _plan_holder_scan(params: LqgParams, config: RunConfig, fields: int) -> Plan
 
 
 def _tube_replica(k: int, params, spec, master_seed, eps, convention, u, v, seg_dist, widths) -> np.ndarray:
-    """Ratios (tube-internal distance / ambient distance), one per width."""
+    """The ambient distance, then the tube-internal distance at each width."""
     mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), eps)
-    ambient = MetricProblem(mf, params, convention).distance_value(u, v)
-    return np.array([
-        MetricProblem(mf, params, convention, mask=seg_dist <= w).distance_value(u, v) / ambient
-        for w in widths
+    return np.array([MetricProblem(mf, params, convention).distance_value(u, v)] + [
+        MetricProblem(mf, params, convention, mask=seg_dist <= w).distance_value(u, v) for w in widths
     ])
 
 
@@ -737,7 +724,8 @@ def _plan_tube_distance(params: LqgParams, config: RunConfig, replicas: int) -> 
                 "convention": config.convention}
 
     def reduce(outputs):
-        all_ratios = np.array(outputs)
+        out = np.array(outputs)
+        all_ratios = out[:, 1:] / out[:, :1]  # tube-internal distance / ambient distance
         strict = int(np.sum(np.all(all_ratios[:, :-1] < all_ratios[:, 1:], axis=1)))
         median_ratios = np.median(all_ratios, axis=0)
         growth_fit = fit_loglog(widths, median_ratios)
@@ -758,11 +746,10 @@ def _plan_tube_distance(params: LqgParams, config: RunConfig, replicas: int) -> 
 # -- geodesic / ball-boundary overlap ------------------------------------------------
 
 
-def _ball_overlap_replica(k: int, params, spec, master_seed, eps, convention, targets, ladder) -> float:
-    """Fitted exponent of the geodesic / ball-boundary overlap area against
-    the neighborhood width, averaged over targets outside the half-radius
-    ball.  The targets are drawn from the field, so each replica owns its
-    generator."""
+def _ball_overlap_replica(k: int, params, spec, master_seed, eps, convention, targets, ladder) -> tuple:
+    """Geodesic / ball-boundary overlap areas at each neighborhood width,
+    summed over targets outside the half-radius ball, and the target count;
+    the targets are drawn from the field, so each replica owns its generator."""
     n, s = spec.n, spec.spacing
     mf = mollify_heat(sample_whole_plane_gff(spec, replica_seed(master_seed, k)), eps)
     prob = MetricProblem(mf, params, convention)
@@ -775,8 +762,7 @@ def _ball_overlap_replica(k: int, params, spec, master_seed, eps, convention, ta
     rng = np.random.default_rng(replica_seed(master_seed, k, 55))
     pick = rng.choice(len(outside), size=min(targets, len(outside)), replace=False)
     geodesics = prob.geodesics(center, [outside[t] for t in pick])
-    areas = geodesic_tube_areas(s, [g.path for g in geodesics], ball.boundary, ladder)
-    return fit_loglog(ladder, areas / len(pick)).slope
+    return geodesic_tube_areas(s, [g.path for g in geodesics], ball.boundary, ladder), len(pick)
 
 
 def _plan_geodesic_ball_overlap(params: LqgParams, config: RunConfig, replicas: int) -> Plan:
@@ -792,7 +778,7 @@ def _plan_geodesic_ball_overlap(params: LqgParams, config: RunConfig, replicas: 
                 "convention": config.convention}
 
     def reduce(outputs):
-        exponents = np.array(outputs)
+        exponents = np.array([fit_loglog(ladder, areas / count).slope for areas, count in outputs])
         med = float(np.median(exponents))
         checks = [
             _check("median_area_exponent", med, 1.0, None, kind="strict-lower"),

@@ -64,8 +64,9 @@ def _csr(arg, shape: Tuple[int, int]) -> csr_matrix:
     return csr_matrix(arg, shape=shape)
 
 
-def _dijkstra(graph: csr_matrix, source: int, **kwargs):
-    """scipy's directed Dijkstra from one source vertex."""
+def _dijkstra(graph: csr_matrix, source, **kwargs):
+    """scipy's directed Dijkstra from one source vertex, or from the nearest
+    of several sources under ``min_only=True``."""
     from scipy.sparse.csgraph import dijkstra  # loaded on first use, with scipy.sparse
     return dijkstra(graph, directed=True, indices=source, **kwargs)
 
@@ -427,12 +428,19 @@ def _annulus_cycle(problem: MetricProblem, ann, jc, cut_i, column_below: bool) -
     size = nv + cut_ids.size
     g = _csr((np.concatenate([coo.data, coo.data[both]]), (rows, cols)), (size, size))
 
+    # L(a) = min_b d(b+, a-) <= d(a+, a-): one sweep from every upper copy
+    # bounds every cycle, so the copies are tried in ascending (L(a), a)
+    # order until the bound passes the best cycle; ties go to the smallest
+    # a, as an exhaustive loop in cut order picks them
+    bound = _dijkstra(g, cut_ids, min_only=True)[nv:]
     best, best_k, best_d = math.inf, 0, np.full(size, np.inf)
-    for k, src in enumerate(cut_ids.tolist()):
-        d = _dijkstra(g, src, limit=best)
+    for k in np.argsort(bound, kind="stable").tolist():
+        if bound[k] > best:
+            break
+        d = _dijkstra(g, int(cut_ids[k]), limit=best)
         # edges charge their target, so d[nv + k] sums each distinct cycle
         # vertex once (vertex-sum) or each cycle edge once (edge-weighted)
-        if d[nv + k] < best:
+        if d[nv + k] < best or (d[nv + k] == best and k < best_k):
             best, best_k, best_d = float(d[nv + k]), k, d
     grid = (np.concatenate([ai, cut_i]), np.concatenate([aj, np.full(cut_i.size, jc)]))
     # closed: the first and last chain vertices are the two copies of a

@@ -116,16 +116,15 @@ class TestWeyl:
         spec = GridSpec.centered(n, 2.05 / (n - 1))
         # one replica, six query pairs per convention, drawn as the protocol draws them
         points = np.random.default_rng(replica_seed(5, 999)).integers(0, n, size=(1, 2, 6, 2, 2))
-        # f = 0: the min/max factors e^(xi*f) are 1 and the oscillation is 0
-        shift_err, sandwich, min_ratio, max_ratio, lower = _weyl_replica(
-            0, params=PARAMS, spec=spec, master_seed=5, f=np.zeros((n, n)), f_lo=1.0, f_hi=1.0,
-            osc=0.0, c_shift=1.5, points=points)
-        assert shift_err <= 1e-12
-        assert sandwich == 0 and lower == 0
-        # the perturbed metric is the base metric, and a geodesic recosts
-        # to its distance exactly
-        assert max_ratio == 1.0
-        assert min_ratio == 1.0
+        rows = _weyl_replica(0, params=PARAMS, spec=spec, master_seed=5, f=np.zeros((n, n)),
+                             c_shift=1.5, points=points)
+        assert rows.shape[0] > 0
+        d0, dc, df, recost = rows.T
+        # f = 0: the perturbed metric is the base metric, and a geodesic
+        # recosts to its distance exactly
+        assert np.array_equal(df, d0)
+        assert np.array_equal(recost, df)
+        np.testing.assert_allclose(dc, math.exp(1.5 * PARAMS.xi) * d0, rtol=1e-12, atol=0.0)
 
     def test_ratio_ladder_bound_holds(self):
         out = weyl_ratio_ladder(PARAMS, config(master_seed=6),
@@ -144,6 +143,29 @@ class TestWeyl:
         assert f.max() <= 1.0 and f.min() >= -1.0
         assert f.shape == (32, 32)
 
+    @pytest.mark.parametrize("fault, failing", [
+        ("shift", "constant_shift_rel_error"),
+        ("sandwich", "sandwich_violations"),
+        ("recost", "geodesic_reweight_max_ratio"),
+    ])
+    def test_reduce_flags_planted_rows(self, fault, failing):
+        # reduce reads raw (d0, dc, df, recost) rows: an exact row passes
+        # every check, and one faulty row fails the check that reads it
+        _, _, reduce = EXPERIMENTS["weyl-check"].plan(PARAMS, config(), 1)
+        e = math.exp(PARAMS.xi * 1.5)
+        exact = np.array([[1.0, e, 1.0, 1.0]])
+        _, _, checks = reduce([exact])
+        assert all(c["passed"] for c in checks)
+        f = default_test_function(GridSpec.centered(128, 2.05 / 127))
+        f_hi = math.exp(PARAMS.xi * f.max())
+        row = {"shift": [1.0, e * (1 + 1e-9), 1.0, 1.0],
+               "sandwich": [1.0, e, 2.0 * f_hi, 2.0 * f_hi],
+               "recost": [1.0, e, 1.0, 0.5]}[fault]
+        _, metrics, checks = reduce([exact, np.array([row])])
+        assert [c["metric"] for c in checks if not c["passed"]] == [failing]
+        if fault == "sandwich":
+            assert metrics["sandwich_violations"] == 1
+
 
 class TestLocality:
     def test_small_run_passes(self):
@@ -151,6 +173,18 @@ class TestLocality:
         assert rep.passed
         assert rep.metrics["changed_internal_distances"] == 0.0
         assert rep.metrics["gap_monotone_replicas"] == 2.0
+
+    @pytest.mark.parametrize("after, changed", [(2.0, 0), (2.5, 1)])
+    def test_reduce_counts_planted_changes(self, after, changed):
+        # reduce reads each pair's distances before and after the outside
+        # replacement: one unequal row is one changed distance
+        _, _, reduce = EXPERIMENTS["locality-check"].plan(PARAMS, config(), 1)
+        dist = np.array([[1.0, 1.0], [2.0, after]])
+        _, metrics, checks = reduce([(dist, [0.4, 0.3, 0.2, 0.1])])
+        by_name = {c["metric"]: c for c in checks}
+        assert metrics["changed_internal_distances"] == changed
+        assert by_name["changed_internal_distances"]["passed"] == (changed == 0)
+        assert by_name["gap_monotone_replicas"]["passed"]
 
 
 class TestScalingRelation:

@@ -15,7 +15,7 @@ from lfpp.field import (
     sample_whole_plane_gff,
     sample_zero_boundary_gff,
 )
-from lfpp.experiments import scaling_relation_gaps
+from lfpp.experiments import relative_gaps, scaling_relation_sides
 from lfpp.metric import EDGE_WEIGHTED, VERTEX_SUM
 from lfpp.mollify import mollify_heat
 from lfpp.params import LqgParams
@@ -368,7 +368,7 @@ class TestCircleAverage:
 
 
 class TestScalingRelation:
-    """``scaling_relation_gaps`` on the grid centered_spec(128, 4.2): the
+    """``scaling_relation_sides`` on the grid centered_spec(128, 4.2): the
     rescaling identity is exact for a constant field under both conventions,
     and for every field under vertex-sum."""
 
@@ -378,15 +378,15 @@ class TestScalingRelation:
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
     def test_constant_field_exact(self, convention):
         const = LatticeField(spec=self.spec, values=np.full((128, 128), 1.3), kind=DETERMINISTIC)
-        gaps = scaling_relation_gaps(const, mollify_heat(const, self.eps), PARAMS, convention, 10,
-                                     np.random.default_rng(0))
+        gaps = relative_gaps(scaling_relation_sides(const, mollify_heat(const, self.eps), PARAMS,
+                                                    convention, 10, np.random.default_rng(0)))
         assert gaps.shape == (10,)
         assert np.abs(gaps).max() <= 1e-12
 
     def test_sampled_field_exact_under_vertex_sum(self):
         h = sample_whole_plane_gff(self.spec, 9)
-        gaps = scaling_relation_gaps(h, mollify_heat(h, self.eps), PARAMS, VERTEX_SUM, 20,
-                                     np.random.default_rng(1))
+        gaps = relative_gaps(scaling_relation_sides(h, mollify_heat(h, self.eps), PARAMS, VERTEX_SUM, 20,
+                                                    np.random.default_rng(1)))
         assert gaps.shape == (20,)
         assert np.abs(gaps).max() <= 1e-12
 

@@ -19,6 +19,7 @@ from lfpp.metric import (
     MetricBall,
     MetricProblem,
     _dijkstra,
+    _read_path,
     _walk_back,
     build_lattice_graph,
     geodesic_tube_areas,
@@ -485,7 +486,9 @@ class TestMetricAxioms:
             assert d[y][w] == prob.distance_value(y, w)
         finite = d[x][np.isfinite(d[x])]
         s = d[x][y] if scale is None else scale * finite.max()
-        np.testing.assert_array_equal(prob.metric_ball(x, s).membership, d[x] <= s)
+        # s is inf when y lies in another component: the ball still holds
+        # only finite distances
+        np.testing.assert_array_equal(prob.metric_ball(x, s).membership, np.isfinite(d[x]) & (d[x] <= s))
         np.testing.assert_array_equal(prob.multi_source_distance([x, y, z]),
                                       np.minimum.reduce(list(d.values())))
 
@@ -783,6 +786,54 @@ class TestAnnulusCycle:
             assert (walked[-1] != walked[-1].T).nnz == 0
         assert len(walked) == 4
 
+    # a 0/1 field, one hex row per grid row, and an annulus with two cut
+    # vertices whose cycles cost the same under vertex-sum; the outer one
+    # has the lower bound, so it is swept first and the inner one must win
+    # the tie, as it does in cut order
+    TIE_ROWS = (0x7D1E, 0xE92E, 0x7BE1, 0x89CB, 0xCD9A, 0xBBA1, 0x6583, 0x1014,
+                0x246B, 0x8FB5, 0x93A3, 0xF0BB, 0x9A8F, 0xDB30, 0x91E7, 0xC447)
+    TIE_ANNULUS = ((1.0502, 0.7036), 0.2581, 0.6105)
+
+    @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
+    def test_pruned_search_matches_exhaustive_loop(self, convention, monkeypatch):
+        # the lower-bound search returns the cycle of one sweep from every
+        # cut vertex in cut order, the first cheapest kept: on the zero
+        # field, whose cycles tie, on random fields and masks, and on the
+        # tie field above
+        seen, sweeps = [], []
+
+        def recording_read(problem, graph, *args):
+            seen.append((graph, args[-2]))
+            return _read_path(problem, graph, *args)
+
+        def counting_dijkstra(graph, source, **kwargs):
+            sweeps.append(source)
+            return _dijkstra(graph, source, **kwargs)
+
+        monkeypatch.setattr(metric, "_read_path", recording_read)
+        monkeypatch.setattr(metric, "_dijkstra", counting_dijkstra)
+        rng = np.random.default_rng(21)
+        zero = self._setup(convention)
+        cases = [(zero, (0.0, 0.0), 0.3, 0.7), (zero, (0.0, 0.0), 0.05, 0.5)]
+        for seed in range(6):
+            prob = random_problem(32, seed, convention)
+            mask = None if seed % 2 == 0 else rng.random((32, 32)) >= 0.15
+            prob = MetricProblem(prob.field, PARAMS, convention, mask=mask)
+            cases += [(prob, (1.6, 1.6), 0.8, 1.4), (prob, (1.6, 1.6), 0.15, 0.9)]
+        bits = np.array([[(row >> (15 - j)) & 1 for j in range(16)] for row in self.TIE_ROWS], dtype=float)
+        tie = LatticeField(spec=GridSpec(n=16, spacing=0.1), values=bits, kind=DETERMINISTIC)
+        cases.append((MetricProblem(tie, PARAMS, convention), *self.TIE_ANNULUS))
+        pruned = 0
+        for prob, z, r1, r2 in cases:
+            del sweeps[:]
+            res = prob.distance_around_annulus(z, r1, r2)
+            want, cut = _exhaustive_annulus_cycle(prob, *seen[-1])
+            assert (res.path, res.costs) == (want.path, want.costs)
+            # the bound's sweep, then at most one per cut vertex
+            assert len(sweeps) <= cut + 1
+            pruned += len(sweeps) < cut
+        assert pruned > 0
+
     @pytest.mark.parametrize("convention", [VERTEX_SUM, EDGE_WEIGHTED])
     def test_hole_below_lattice_step_encloses_z(self, convention):
         # z sits between two column-jc vertices, (128, 128) and (129, 128),
@@ -815,6 +866,24 @@ class TestAnnulusCycle:
         prob = self._setup(EDGE_WEIGHTED)
         with pytest.raises(ValueError, match="too far from the grid"):
             prob.distance_around_annulus(z, 0.2, math.inf)
+
+
+def _exhaustive_annulus_cycle(prob, graph, grid):
+    """The cut graph's cycle by one limited sweep from every cut vertex's
+    upper copy, in cut order, keeping the first strictly cheapest, and the
+    number of cut vertices.  The lower copies are the ids past the annulus,
+    each at its cut vertex's grid point."""
+    first = {}
+    for i, v in enumerate(zip(grid[0].tolist(), grid[1].tolist())):
+        first.setdefault(v, i)
+    nv = len(first)
+    cut_ids = [first[v] for v in zip(grid[0][nv:].tolist(), grid[1][nv:].tolist())]
+    best, best_k, best_d = math.inf, 0, np.full(graph.shape[0], np.inf)
+    for k, src in enumerate(cut_ids):
+        d = _dijkstra(graph, src, limit=best)
+        if d[nv + k] < best:
+            best, best_k, best_d = float(d[nv + k]), k, d
+    return _read_path(prob, graph, best_d, cut_ids[best_k], nv + best_k, grid, 0.0), len(cut_ids)
 
 
 def _nx_annulus_cycle(prob, z, r1, r2):
